@@ -194,7 +194,7 @@ def _cmd_soliton_profile(args) -> int:
     p = profile(w, tau=args.tau, sigma_min=args.sigma_min,
                 sigma_max=args.sigma_max, n=args.n, C=args.C)
     header = ("sigma", "theta", "u", "Z", "y", "pi", "dZdsigma")
-    rows = zip(p.sigma, p.theta, p.u, p.Z, p.y, p.pi, p.dZdsigma)
+    rows = np.column_stack((p.sigma, p.theta, p.u, p.Z, p.y, p.pi, p.dZdsigma))
     _emit_csv(args, header, rows)
     return 0
 
@@ -275,7 +275,7 @@ def _parse_alpha_tokens(text: str, v: float) -> tuple[float, ...]:
     return tuple(out)
 
 
-def figure(spec: FigureSpec, out_dir: str | Path, quiet: bool = True) -> dict:
+def figure(spec: FigureSpec, out_dir: str | Path) -> dict:
     """Emit the parametric profile curves and manifest for one FigureSpec."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -287,8 +287,8 @@ def figure(spec: FigureSpec, out_dir: str | Path, quiet: bool = True) -> dict:
                     sigma_max=spec.sigma_max, n=spec.n)
         fu = f"curve_{i:02d}_u.csv"
         fp = f"curve_{i:02d}_pi.csv"
-        write_csv(out / fu, ("sigma", "y", "u"), zip(p.sigma, p.y, p.u))
-        write_csv(out / fp, ("sigma", "y", "pi"), zip(p.sigma, p.y, p.pi))
+        write_csv(out / fu, ("sigma", "y", "u"), np.column_stack((p.sigma, p.y, p.u)))
+        write_csv(out / fp, ("sigma", "y", "pi"), np.column_stack((p.sigma, p.y, p.pi)))
         files = {"u": fu, "pi": fp}
         if spec.fmt == "svg":
             su = f"curve_{i:02d}_u.svg"
@@ -317,7 +317,7 @@ def _cmd_figure(args) -> int:
     spec = FigureSpec(v=args.v, alphas=alphas, tau=args.tau,
                       sigma_min=args.sigma_min, sigma_max=args.sigma_max,
                       n=args.n, fmt=args.format or "csv")
-    figure(spec, args.out, quiet=args.quiet)
+    figure(spec, args.out)
     _print(args, f"wrote {args.out}")
     return 0
 
@@ -415,7 +415,8 @@ def _simulate_system19(cfg: dict[str, str], out: Path, args) -> None:
     for i, tau in enumerate(traj.taus):
         name = f"snapshot_{i:03d}.csv"
         write_csv(out / name, ("sigma", "u", "ut", "Z", "zt"),
-                  zip(traj.sigma, traj.u[i], traj.ut[i], traj.Z[i], traj.zt[i]))
+                  np.column_stack((traj.sigma, traj.u[i], traj.ut[i], traj.Z[i],
+                                   traj.zt[i])))
         snaps.append({
             "index": i, "tau": tau, "file": name,
             "u_linf": float(np.max(np.abs(traj.u[i]))),
@@ -481,7 +482,7 @@ def _simulate_mkdvb(cfg: dict[str, str], out: Path, args) -> None:
     snaps = []
     for i, t in enumerate(traj.ts):
         name = f"snapshot_{i:03d}.csv"
-        write_csv(out / name, ("x", "p"), zip(traj.x, traj.p[i]))
+        write_csv(out / name, ("x", "p"), np.column_stack((traj.x, traj.p[i])))
         snaps.append({"index": i, "t": t, "file": name,
                       "mean": traj.means[i], "rms": traj.rms[i]})
     manifest = {

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, vstack
 
 from .dispersion import RealWave
 from .errors import DomainError, NumericalError
@@ -81,8 +81,7 @@ class SimState19:
     tau: float = 0.0
 
     def __post_init__(self) -> None:
-        h = _uniform_spacing(np.asarray(self.sigma, dtype=float), "sigma")
-        del h
+        _uniform_spacing(np.asarray(self.sigma, dtype=float), "sigma")
         for name in ("u", "ut", "Z", "zt"):
             a = getattr(self, name)
             if np.asarray(a).shape != self.sigma.shape:
@@ -122,9 +121,10 @@ def soliton_state19(w: RealWave, sigma: np.ndarray, tau: float = 0.0) -> SimStat
 def boundary_from_wave(w: RealWave, sigma_min: float, sigma_max: float) -> _BoundaryFn:
     """Dirichlet trace of the closed-form fields at the two interval ends."""
 
+    ends = np.array([sigma_min, sigma_max], dtype=float)
+
     def bc(tau: float):
-        uL, zL = eval_uZ(w, sigma_min, tau)
-        uR, zR = eval_uZ(w, sigma_max, tau)
+        (uL, uR), (zL, zR) = eval_uZ(w, ends, tau)
         return (float(uL), float(zL)), (float(uR), float(zR))
 
     return bc
@@ -197,6 +197,10 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
     ``linearized`` freezes the auxiliary gradient at its quiescent value 1
     and drops the quadratic coupling, leaving the small-amplitude system.
 
+    ``bc`` and ``forcing`` must be pure functions of ``tau`` (``forcing``
+    also of the fixed ``sigma`` grid): each is evaluated once per distinct
+    stage time, and the result is shared by the stages at that time.
+
     Raises
     ------
     DomainError
@@ -219,97 +223,89 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
 
     sigma = np.asarray(init.sigma, dtype=float)
     n = sigma.size
-    D1 = _deriv_matrix(n, h, 1)
-    D2 = _deriv_matrix(n, h, 2)
+    # Rows [0, n) of D take d/dsigma, rows [n, 2n) d2/dsigma2; one mat-vec
+    # on the columns [u, Z] gives all four derivatives.
+    D = vstack([_deriv_matrix(n, h, 1), _deriv_matrix(n, h, 2)], format="csr")
+    ends = [0, n - 1]
 
     if bc is None:
         frozen = ((float(init.u[0]), float(init.Z[0])),
                   (float(init.u[-1]), float(init.Z[-1])))
         bc = lambda tau: frozen  # noqa: E731
 
-    def bc_rate(tau: float):
-        # 5-point derivative of the boundary traces; avoids demanding an
-        # analytic rate from callers while keeping full time order.
+    def stage_terms(tau: float):
+        # Everything of the right-hand side that depends on tau alone: the
+        # 5-point tau-derivative of the boundary traces (full time order
+        # without demanding an analytic rate from callers) and the forcing.
         d = 1e-3
-        vals = [np.array(bc(tau + s * d), dtype=float) for s in (-2, -1, 1, 2)]
-        return (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * d)
+        vals = np.array([bc(tau + s * d) for s in (-2, -1, 1, 2)], dtype=float)
+        rate = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * d)
+        return rate.T, None if forcing is None else forcing(sigma, tau)
 
-    def rhs(tau: float, u, ut, Z, zt):
-        D1U, D2U = D1 @ u, D2 @ u
-        D1W, D2W = D1 @ Z, D2 @ Z
+    def rhs(Y: np.ndarray, terms) -> np.ndarray:
+        # Y holds the rows (u, u_tau, Z, Z_tau); K holds their tau-rates.
+        rate, G = terms
+        u, ut, _, zt = Y
+        DY = D @ Y[::2].T
+        D1U, D1W, D2U, D2W = DY[:n, 0], DY[:n, 1], DY[n:, 0], DY[n:, 1]
+        K = np.empty_like(Y)
+        K[0] = ut
+        K[2] = zt
         pi = D1U + ut
         if linearized:
-            dut = D2U - u + alpha * pi
-            dzt = D2W + pi
+            K[1] = D2U - u + alpha * pi
+            K[3] = D2W + pi
         else:
-            dut = D2U - (D1W + zt) * u + alpha * pi
-            dzt = D2W + (u + 1.0) * pi
-        if forcing is not None:
-            Gu, Gz = forcing(sigma, tau)
-            dut = dut + Gu
-            dzt = dzt + Gz
-        du, dz = ut.copy(), zt.copy()
+            K[1] = D2U - (D1W + zt) * u + alpha * pi
+            K[3] = D2W + (u + 1.0) * pi
+        if G is not None:
+            K[1] += G[0]
+            K[3] += G[1]
         # Boundary values evolve by the known rate of the imposed data; the
         # accelerations there are not used (stencil rows are zero).
-        rate = bc_rate(tau)
-        du[0], dz[0] = rate[0]
-        du[-1], dz[-1] = rate[1]
-        for arr in (dut, dzt):
-            arr[0] = 0.0
-            arr[-1] = 0.0
-        return du, dut, dz, dzt
+        K[::2, ends] = rate
+        K[1::2, ends] = 0.0
+        return K
 
     steps = max(1, int(round(T / dt))) if T > 0.0 else 0
     snap_at = sorted({round(i * steps / (n_snapshots - 1)) for i in range(n_snapshots)})
 
-    u = init.u.astype(float).copy()
-    ut = init.ut.astype(float).copy()
-    Z = init.Z.astype(float).copy()
-    zt = init.zt.astype(float).copy()
-    tau = float(init.tau)
-    (uL, zL), (uR, zR) = bc(tau)
-    u[0], u[-1], Z[0], Z[-1] = uL, uR, zL, zR
+    tau0 = float(init.tau)
+    tau = tau0
+    Y = np.array([init.u, init.ut, init.Z, init.zt], dtype=float)
+    Y[::2, ends] = np.array(bc(tau), dtype=float).T
 
     taus: list[float] = []
-    su: list[np.ndarray] = []
-    sut: list[np.ndarray] = []
-    sZ: list[np.ndarray] = []
-    szt: list[np.ndarray] = []
+    snaps: list[np.ndarray] = []
 
     def snapshot() -> None:
         taus.append(tau)
-        su.append(u.copy())
-        sut.append(ut.copy())
-        sZ.append(Z.copy())
-        szt.append(zt.copy())
+        snaps.append(Y.copy())
 
     if 0 in snap_at:
         snapshot()
+    # bc and forcing are evaluated once per distinct stage time: k2 and k3
+    # share the midpoint, and k4's time is the next step's k1 time.
+    terms = stage_terms(tau) if steps else None
     for step in range(1, steps + 1):
-        k1 = rhs(tau, u, ut, Z, zt)
-        y2 = (u + 0.5 * dt * k1[0], ut + 0.5 * dt * k1[1],
-              Z + 0.5 * dt * k1[2], zt + 0.5 * dt * k1[3])
-        k2 = rhs(tau + 0.5 * dt, *y2)
-        y3 = (u + 0.5 * dt * k2[0], ut + 0.5 * dt * k2[1],
-              Z + 0.5 * dt * k2[2], zt + 0.5 * dt * k2[3])
-        k3 = rhs(tau + 0.5 * dt, *y3)
-        y4 = (u + dt * k3[0], ut + dt * k3[1], Z + dt * k3[2], zt + dt * k3[3])
-        k4 = rhs(tau + dt, *y4)
-        u = u + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        ut = ut + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        Z = Z + (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        zt = zt + (dt / 6.0) * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-        tau = float(init.tau) + step * dt
-        (uL, zL), (uR, zR) = bc(tau)
-        u[0], u[-1], Z[0], Z[-1] = uL, uR, zL, zR
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(ut))
-                and np.all(np.isfinite(Z)) and np.all(np.isfinite(zt))):
+        mid = stage_terms(tau + 0.5 * dt)
+        tau_next = tau0 + step * dt
+        nxt = stage_terms(tau_next)
+        k1 = rhs(Y, terms)
+        k2 = rhs(Y + 0.5 * dt * k1, mid)
+        k3 = rhs(Y + 0.5 * dt * k2, mid)
+        k4 = rhs(Y + dt * k3, nxt)
+        Y = Y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        tau, terms = tau_next, nxt
+        Y[::2, ends] = np.array(bc(tau), dtype=float).T
+        if not np.all(np.isfinite(Y)):
             raise NumericalError(f"non-finite state at step {step} (tau={tau:.6g})")
         if step in snap_at:
             snapshot()
 
-    return Trajectory19(sigma=sigma, taus=tuple(taus), u=tuple(su), ut=tuple(sut),
-                        Z=tuple(sZ), zt=tuple(szt), dt=dt, alpha=alpha)
+    u, ut, Z, zt = (tuple(s[i] for s in snaps) for i in range(4))
+    return Trajectory19(sigma=sigma, taus=tuple(taus), u=u, ut=ut, Z=Z, zt=zt,
+                        dt=dt, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -456,15 +452,17 @@ def evolve_mkdvb(init: SimStateMKdVB, T: float, dt: float,
     L = -1j * c.v_e * k - c.beta * k * k + 1j * c.gamma * k**3
     E, E2, Q, f1, f2, f3 = _etdrk4_coeffs(L.astype(complex), dt)
     mask = (np.arange(k.size) <= n // 3).astype(float)
+    # Dealiased transform-space factors of the quadratic and cubic terms.
+    sym_quad = c.quad * (k * k) * mask
+    sym_cubic = -1j * c.cubic * k * mask
+    powers = np.empty((2, n))
 
     def nonlinear(vhat: np.ndarray) -> np.ndarray:
         pd = np.fft.irfft(mask * vhat, n=n)
-        out = np.zeros_like(vhat)
-        if c.quad != 0.0:
-            out = out + c.quad * (k * k) * np.fft.rfft(pd * pd)
-        if c.cubic != 0.0:
-            out = out - 1j * c.cubic * k * np.fft.rfft(pd * pd * pd)
-        return mask * out
+        np.multiply(pd, pd, out=powers[0])
+        np.multiply(powers[0], pd, out=powers[1])
+        fp = np.fft.rfft(powers)
+        return sym_quad * fp[0] + sym_cubic * fp[1]
 
     steps = max(1, int(round(T / dt))) if T > 0.0 else 0
     snap_at = sorted({round(i * steps / (n_snapshots - 1)) for i in range(n_snapshots)})
@@ -487,9 +485,10 @@ def evolve_mkdvb(init: SimStateMKdVB, T: float, dt: float,
         snapshot()
     for step in range(1, steps + 1):
         Nv = nonlinear(v)
-        a = E2 * v + Q * Nv
+        E2v = E2 * v
+        a = E2v + Q * Nv
         Na = nonlinear(a)
-        b = E2 * v + Q * Na
+        b = E2v + Q * Na
         Nb = nonlinear(b)
         cc = E2 * a + Q * (2.0 * Nb - Nv)
         Nc = nonlinear(cc)

@@ -48,6 +48,25 @@ def test_csv_text_format():
     assert text.endswith("\r\n")
 
 
+def test_csv_text_float_array_matches_per_cell_reference():
+    # a 2-D float array is formatted a block of rows at a time; the per-cell
+    # path of its list form is the reference, byte for byte
+    rng = np.random.default_rng(7)
+    special = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308,
+               0.1, 1.0 / 3.0, -2.5e-17]
+    tables = [
+        np.array(special + [1.0] * 3).reshape(5, 3),
+        np.array(special).reshape(-1, 1),
+        rng.standard_normal((40, 5)) * 10.0 ** rng.integers(-300, 300, (40, 5)),
+        rng.standard_normal((5000, 2)),  # more rows than one formatting block
+        np.empty((0, 4)),
+    ]
+    for arr in tables:
+        header = [f"c{j}" for j in range(arr.shape[1])]
+        assert csv_text(header, arr) == csv_text(header, arr.tolist())
+    assert csv_text(["a"], np.array([[-0.0]])) == "a\r\n0\r\n"
+
+
 def test_csv_rejects_unknown_cell_type():
     with pytest.raises(DomainError):
         csv_text(["a"], [[object()]])
@@ -57,6 +76,8 @@ def test_write_csv_bytes(tmp_path):
     p = tmp_path / "out.csv"
     write_csv(p, ["x"], [[1.5]])
     assert p.read_bytes() == b"x\r\n1.5\r\n"
+    write_csv(p, ["x", "y"], np.array([[1.5, -0.0], [np.nan, 2.0]]))
+    assert p.read_bytes() == b"x,y\r\n1.5,0\r\nnan,2\r\n"
 
 
 def test_canonical_json_shape():

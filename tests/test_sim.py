@@ -120,6 +120,29 @@ def test_boundary_traces_are_imposed():
         assert abs(traj.Z[i][-1] - zR) <= 1e-12
 
 
+def test_boundary_and_forcing_are_evaluated_once_per_stage_time():
+    # RK4 stages run at three distinct times per step; the 5-point boundary
+    # rate takes four bc samples per time, plus one bc call to impose the
+    # new boundary values
+    w = solve_real(0.24, 0.1)
+    calls = {"bc": 0, "forcing": 0}
+
+    def counted(key, fn):
+        def wrapped(*a):
+            calls[key] += 1
+            return fn(*a)
+        return wrapped
+
+    sig = np.linspace(-10.0, 10.0, 61)
+    steps = 20
+    evolve_system19(soliton_state19(w, sig), w.alpha, steps * 0.1, 0.1,
+                    bc=counted("bc", boundary_from_wave(w, -10.0, 10.0)),
+                    forcing=counted("forcing", exactness_forcing(w)), n_snapshots=2)
+    assert calls["bc"] <= 9 * steps + 5
+    assert calls["forcing"] <= 3 * steps
+    assert calls["bc"] > 0 and calls["forcing"] > 0
+
+
 def test_trajectory_metadata():
     traj = evolve_system19(zero_state(), 0.4, 1.0, 0.05, n_snapshots=5)
     assert len(traj.taus) == len(traj.u) == len(traj.Z) == 5
@@ -229,15 +252,18 @@ def test_mkdvb_constant_state_is_exact():
 
 
 def test_mkdvb_mean_is_conserved():
+    # the step always forms both products, so the pure-quadratic and
+    # pure-cubic sets are checked too
     n = 64
     x = np.arange(n) * 0.5
-    c = MKdVBCoeffs(v_e=0.5, quad=0.8, cubic=0.6, beta=0.02, gamma=0.05)
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        p0 = 0.1 * rng.standard_normal(n)
-        traj = evolve_mkdvb(SimStateMKdVB(x=x, p=p0, coeffs=c), 1.0, 2e-3,
-                            n_snapshots=3)
-        assert abs(traj.means[-1] - traj.means[0]) <= 1e-10
+    for quad, cubic in ((0.8, 0.6), (0.8, 0.0), (0.0, 0.6)):
+        c = MKdVBCoeffs(v_e=0.5, quad=quad, cubic=cubic, beta=0.02, gamma=0.05)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            p0 = 0.1 * rng.standard_normal(n)
+            traj = evolve_mkdvb(SimStateMKdVB(x=x, p=p0, coeffs=c), 1.0, 2e-3,
+                                n_snapshots=3)
+            assert abs(traj.means[-1] - traj.means[0]) <= 1e-10
 
 
 def test_mkdvb_energy_decays_without_quadratic_term():
