@@ -71,7 +71,7 @@ from .verify import (
 
 __all__ = ["FigureSpec", "figure", "run_report", "main"]
 
-_DEFAULT_FIGURE_ALPHAS = (0.351648275547, 0.1, 0.8)
+_DEFAULT_FIGURE_ALPHAS = (alpha_critical(0.24), 0.1, 0.8)
 
 
 @dataclass(frozen=True)

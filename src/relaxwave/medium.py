@@ -126,7 +126,7 @@ class ReducedParams:
     p_scale: float
 
 
-def _check_finite(obj, names_values: dict) -> None:
+def _check_finite(names_values: dict) -> None:
     for name, value in names_values.items():
         if not math.isfinite(value):
             raise DomainError(f"non-finite {name} computed from medium parameters")
@@ -145,7 +145,7 @@ def high_freq_coeffs(m: MediumParams) -> HighFreqCoeffs:
     """
     beta_f = (m.v_f**2 - m.v_e**2) / (m.tau * m.v_e**2 * m.v_f)
     gamma_f = (m.v_f**4 - m.v_e**4) / (2.0 * m.tau**2 * m.v_e**4 * m.v_f**2)
-    _check_finite(m, {"beta_f": beta_f, "gamma_f": gamma_f})
+    _check_finite({"beta_f": beta_f, "gamma_f": gamma_f})
     return HighFreqCoeffs(beta_f=beta_f, gamma_f=gamma_f)
 
 
@@ -159,7 +159,7 @@ def low_freq_coeffs(m: MediumParams) -> LowFreqCoeffs:
     dv2 = m.v_f**2 - m.v_e**2
     beta_e = m.v_e**2 * m.tau * dv2 / (2.0 * m.v_f**2)
     gamma_e = m.v_e**3 * m.tau**2 * dv2 * (m.v_f**2 - 5.0 * m.v_e**2) / (8.0 * m.v_f**4)
-    _check_finite(m, {"beta_e": beta_e, "gamma_e": gamma_e})
+    _check_finite({"beta_e": beta_e, "gamma_e": gamma_e})
     return LowFreqCoeffs(beta_e=beta_e, gamma_e=gamma_e)
 
 
@@ -187,8 +187,8 @@ def reduce_swsp(m: MediumParams) -> ReducedParams:
     eta_scale = math.sqrt(1.5 * hf.gamma_f) * m.v_f
     p_scale = 1.0 / (m.v_f * math.sqrt(m.a_f))
     out = ReducedParams(alpha=alpha, y_scale=y_scale, eta_scale=eta_scale, p_scale=p_scale)
-    _check_finite(m, {"alpha": alpha, "y_scale": y_scale, "eta_scale": eta_scale,
-                      "p_scale": p_scale})
+    _check_finite({"alpha": alpha, "y_scale": y_scale, "eta_scale": eta_scale,
+                   "p_scale": p_scale})
     return out
 
 
@@ -220,6 +220,6 @@ def reduce_combined(m: MediumParams) -> ReducedParams:
     eta_scale = math.sqrt(hf.gamma_f / (6.0 * m.a_f)) * m.alpha_f * m.v_f**2
     p_scale = m.alpha_f / (3.0 * m.a_f)
     out = ReducedParams(alpha=alpha, y_scale=y_scale, eta_scale=eta_scale, p_scale=p_scale)
-    _check_finite(m, {"alpha": alpha, "y_scale": y_scale, "eta_scale": eta_scale,
-                      "p_scale": p_scale})
+    _check_finite({"alpha": alpha, "y_scale": y_scale, "eta_scale": eta_scale,
+                   "p_scale": p_scale})
     return out

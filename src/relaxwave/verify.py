@@ -5,7 +5,10 @@ is substituted into the governing system it is claimed to solve and the
 pointwise residual is measured, never assumed.  Derivatives can be taken
 three ways (closed-form analytic, order-2 finite differences, order-4 finite
 differences) so that any nonzero residual can be attributed to the formulas
-rather than to the numerics.  A manufactured-solution self-test calibrates
+rather than to the numerics.  On a grid the finite-difference steps are the
+grid spacings: each closed form is evaluated once on the grid padded with
+``order/2`` ghost nodes per side, and every stencil value is a slice of that
+one evaluation.  A manufactured-solution self-test calibrates
 the verifier itself: smooth fields with known forcing must reproduce that
 forcing to round-off on the analytic path and converge at nominal order on
 the finite-difference paths.
@@ -165,14 +168,16 @@ def complex_residuals_from_bundles(bqr: FieldBundle, bqi: FieldBundle,
     return r1, r2, r3
 
 
-def fd_bundle(fn: Callable, S, T, hs: float, ht: float, order: int) -> FieldBundle:
-    """Finite-difference derivative bundle of a callable field on given points."""
-    S = np.asarray(S, dtype=float)
-    T = np.asarray(T, dtype=float)
-    f0 = fn(S, T)
-    if order == 2:
-        fp, fm = fn(S + hs, T), fn(S - hs, T)
-        tp, tm = fn(S, T + ht), fn(S, T - ht)
+def _stencil_bundle(f0, s_shifts, t_shifts, hs: float, ht: float) -> FieldBundle:
+    """Central-difference bundle from shifted field values.
+
+    ``s_shifts[j - 1]`` is the pair ``(f(S + j*hs), f(S - j*hs))`` for
+    ``j = 1 .. order/2`` and ``t_shifts`` the same in ``tau``; one pair per
+    axis gives the order-2 stencil, two pairs the order-4 stencil.
+    """
+    if len(s_shifts) == 1:
+        ((fp, fm),) = s_shifts
+        ((tp, tm),) = t_shifts
         return FieldBundle(
             f=f0,
             s=(fp - fm) / (2.0 * hs),
@@ -180,19 +185,62 @@ def fd_bundle(fn: Callable, S, T, hs: float, ht: float, order: int) -> FieldBund
             ss=(fp - 2.0 * f0 + fm) / hs**2,
             tt=(tp - 2.0 * f0 + tm) / ht**2,
         )
-    if order == 4:
-        fp, fm = fn(S + hs, T), fn(S - hs, T)
-        fp2, fm2 = fn(S + 2.0 * hs, T), fn(S - 2.0 * hs, T)
-        tp, tm = fn(S, T + ht), fn(S, T - ht)
-        tp2, tm2 = fn(S, T + 2.0 * ht), fn(S, T - 2.0 * ht)
-        return FieldBundle(
-            f=f0,
-            s=(-fp2 + 8.0 * fp - 8.0 * fm + fm2) / (12.0 * hs),
-            t=(-tp2 + 8.0 * tp - 8.0 * tm + tm2) / (12.0 * ht),
-            ss=(-fp2 + 16.0 * fp - 30.0 * f0 + 16.0 * fm - fm2) / (12.0 * hs**2),
-            tt=(-tp2 + 16.0 * tp - 30.0 * f0 + 16.0 * tm - tm2) / (12.0 * ht**2),
-        )
-    raise DomainError(f"finite-difference order must be 2 or 4, got {order}")
+    (fp, fm), (fp2, fm2) = s_shifts
+    (tp, tm), (tp2, tm2) = t_shifts
+    return FieldBundle(
+        f=f0,
+        s=(-fp2 + 8.0 * fp - 8.0 * fm + fm2) / (12.0 * hs),
+        t=(-tp2 + 8.0 * tp - 8.0 * tm + tm2) / (12.0 * ht),
+        ss=(-fp2 + 16.0 * fp - 30.0 * f0 + 16.0 * fm - fm2) / (12.0 * hs**2),
+        tt=(-tp2 + 16.0 * tp - 30.0 * f0 + 16.0 * tm - tm2) / (12.0 * ht**2),
+    )
+
+
+def _stencil_half_width(order: int) -> int:
+    if order not in (2, 4):
+        raise DomainError(f"finite-difference order must be 2 or 4, got {order}")
+    return order // 2
+
+
+def fd_bundle(fn: Callable, S, T, hs: float, ht: float, order: int) -> FieldBundle:
+    """Finite-difference derivative bundle of a callable field on given points."""
+    steps = range(1, _stencil_half_width(order) + 1)
+    S = np.asarray(S, dtype=float)
+    T = np.asarray(T, dtype=float)
+    return _stencil_bundle(fn(S, T),
+                           [(fn(S + j * hs, T), fn(S - j * hs, T)) for j in steps],
+                           [(fn(S, T + j * ht), fn(S, T - j * ht)) for j in steps],
+                           hs, ht)
+
+
+def _grid_fd_bundles(fields: Callable, grid: GridSpec, order: int) -> tuple[FieldBundle, ...]:
+    """Finite-difference bundles on ``grid`` of every field ``fields(S, T)`` returns.
+
+    The steps are the grid spacings, so every stencil neighbour is a node of
+    the grid padded with ``order/2`` ghost nodes per side.  ``fields`` is
+    called once, on the open mesh of those padded axes (interior nodes
+    bit-identical to :meth:`GridSpec.axes`), and each shifted stencil value
+    is a slice of its output.  A neighbour ``S + j*hs`` and the grid node it
+    stands for differ only by the round-off of the coordinates (at most 2
+    ulps of the largest coordinate on the grids tried).
+    """
+    pad = _stencil_half_width(order)
+    hs, ht = grid.spacings()
+    ghosts = np.arange(1.0, pad + 1.0)
+    axes = [np.concatenate((a[0] - h * ghosts[::-1], a, a[-1] + h * ghosts))
+            for a, h in zip(grid.axes(), (hs, ht))]
+    S, T = np.meshgrid(*axes, indexing="ij", sparse=True)
+    ns, nt = grid.n_sigma, grid.n_tau
+    steps = range(1, pad + 1)
+
+    def at(F, i: int, j: int):
+        # F shifted by i nodes in sigma and j in tau, on the unpadded grid
+        return F[pad + i:pad + i + ns, pad + j:pad + j + nt]
+
+    return tuple(
+        _stencil_bundle(at(F, 0, 0), [(at(F, j, 0), at(F, -j, 0)) for j in steps],
+                        [(at(F, 0, j), at(F, 0, -j)) for j in steps], hs, ht)
+        for F in fields(S, T))
 
 
 def _richardson(values: list[float], start: float, step: float = 4.0) -> float:
@@ -225,18 +273,12 @@ def point_bundle(fn: Callable, sigma: float, tau: float, order: int,
     )
 
 
-def _real_field_bundles(w: RealWave, S, T, method: str, hs: float, ht: float):
+def _real_field_bundles(w: RealWave, grid: GridSpec, method: str):
     if method == "analytic":
+        S, T = grid.mesh()
         return real_bundles(w, S, T)
     order = 2 if method == "fd2" else 4
-
-    def u_fn(s, t):
-        return eval_uZ(w, s, t)[0]
-
-    def z_fn(s, t):
-        return eval_uZ(w, s, t)[1]
-
-    return fd_bundle(u_fn, S, T, hs, ht, order), fd_bundle(z_fn, S, T, hs, ht, order)
+    return _grid_fd_bundles(lambda s, t: eval_uZ(w, s, t), grid, order)
 
 
 def _entry(name: str, total: np.ndarray, terms: list[np.ndarray]) -> EquationResidual:
@@ -248,11 +290,13 @@ def _entry(name: str, total: np.ndarray, terms: list[np.ndarray]) -> EquationRes
 
 def system19_residual(w: RealWave, grid: GridSpec = GridSpec(),
                       method: str = "analytic") -> ResidualReport:
-    """Residual report of the candidate one-soliton in the coupled system."""
+    """Residual report of the candidate one-soliton in the coupled system.
+
+    The ``fd2``/``fd4`` steps are the grid spacings; stencils at the edge
+    nodes reach ``order/2`` ghost nodes outside the grid.
+    """
     _check_method(method)
-    S, T = grid.mesh()
-    hs, ht = grid.spacings()
-    bu, bz = _real_field_bundles(w, S, T, method, hs, ht)
+    bu, bz = _real_field_bundles(w, grid, method)
     r1, r2 = residuals_from_bundles(bu, bz, w.alpha)
     pi = bu.s + bu.t
     e1 = _entry("u", r1, [bu.ss, -bu.tt, -(bz.s + bz.t) * bu.f, w.alpha * pi])
@@ -281,12 +325,11 @@ def eq14_residual(w: RealWave, grid: GridSpec = GridSpec(),
     The equation lives in the rotated variables ``(xi, zeta)``; its
     derivatives are chain-ruled back through the linear map, giving
     ``-(u_ss - u_tt) - alpha*(u_s + u_t) + (Z_s + Z_t)*u``.  This equals the
-    first coupled-system residual up to the constant Jacobian sign.
+    first coupled-system residual up to the constant Jacobian sign.  The
+    ``fd2``/``fd4`` steps are the grid spacings, with ghost nodes at the edges.
     """
     _check_method(method)
-    S, T = grid.mesh()
-    hs, ht = grid.spacings()
-    bu, bz = _real_field_bundles(w, S, T, method, hs, ht)
+    bu, bz = _real_field_bundles(w, grid, method)
     u_xz = -(bu.ss - bu.tt)
     u_zeta = -(bu.s + bu.t)
     phi = bz.s + bz.t
@@ -326,20 +369,18 @@ def system_eqq11_residual(cw: ComplexWave, grid: GridSpec = GridSpec(),
 
     The companion field is the quadrature reconstruction of
     :func:`relaxwave.soliton.complex_Z`; its own equation is satisfied by
-    construction, the other two residuals are findings.
+    construction, the other two residuals are findings.  The ``fd2``/``fd4``
+    steps are the grid spacings, with ghost nodes at the edges.
     """
     _check_method(method)
     if cw.k.real == 0.0 and (cw.k.real + cw.omega.real) != 0.0:
         raise DomainError("companion-field quadrature requires decaying |Q| (Re k != 0)")
-    S, T = grid.mesh()
-    hs, ht = grid.spacings()
     if method == "analytic":
-        bqr, bqi, bz = complex_bundles(cw, S, T)
+        bqr, bqi, bz = complex_bundles(cw, *grid.mesh())
     else:
         order = 2 if method == "fd2" else 4
-        bqr = fd_bundle(lambda s, t: eval_complex_Q(cw, s, t)[0], S, T, hs, ht, order)
-        bqi = fd_bundle(lambda s, t: eval_complex_Q(cw, s, t)[1], S, T, hs, ht, order)
-        bz = fd_bundle(lambda s, t: complex_Z(cw, s, t), S, T, hs, ht, order)
+        bqr, bqi, bz = _grid_fd_bundles(
+            lambda s, t: (*eval_complex_Q(cw, s, t), complex_Z(cw, s, t)), grid, order)
     r1, r2, r3 = complex_residuals_from_bundles(bqr, bqi, bz, cw.alpha)
     phi = bz.s + bz.t
     pr, pi_ = bqr.s + bqr.t, bqi.s + bqi.t

@@ -1,5 +1,7 @@
 """Residual measurement machinery: analytic vs finite-difference derivative routes."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,18 @@ from relaxwave import (
     system_eqq11_residual,
 )
 from relaxwave.dispersion import ComplexWave
-from relaxwave.soliton import FieldBundle, eval_uZ, real_bundles, sigma_tau_from_xi_zeta
+import relaxwave.verify
+from relaxwave.soliton import (
+    FieldBundle,
+    complex_Z,
+    eval_complex_Q,
+    eval_uZ,
+    real_bundles,
+    sigma_tau_from_xi_zeta,
+)
 from relaxwave.verify import (
     METHODS,
+    _grid_fd_bundles,
     fd_bundle,
     manufactured_bundles,
     phi_from_quadrature,
@@ -144,6 +155,66 @@ def test_complex_system_companion_equation_closes():
     assert rep.equations[2].linf < 1e-12
     for e in rep.equations[:2]:
         assert np.isfinite(e.linf) and e.linf > 0.0
+
+
+@pytest.mark.parametrize("order", (2, 4))
+def test_grid_fd_bundles_match_callable_stencil(order):
+    # grid-slice stencils against fd_bundle at S +- j*h: every node, edges
+    # included; the neighbour nodes differ from S +- j*h only by round-off
+    w = solve_real(0.24, 0.1)
+    cw = make_complex_wave(1.0 + 0.5j, 0.1)
+    S, T = SMALL_GRID.mesh()
+    hs, ht = SMALL_GRID.spacings()
+    cases = (
+        (lambda s, t: eval_uZ(w, s, t),
+         (lambda s, t: eval_uZ(w, s, t)[0], lambda s, t: eval_uZ(w, s, t)[1])),
+        (lambda s, t: (*eval_complex_Q(cw, s, t), complex_Z(cw, s, t)),
+         (lambda s, t: eval_complex_Q(cw, s, t)[0],
+          lambda s, t: eval_complex_Q(cw, s, t)[1],
+          lambda s, t: complex_Z(cw, s, t))),
+    )
+    for fields, parts in cases:
+        got = _grid_fd_bundles(fields, SMALL_GRID, order)
+        for g, part in zip(got, parts, strict=True):
+            ref = fd_bundle(part, S, T, hs, ht, order)
+            assert np.array_equal(g.f, ref.f)
+            for name in ("s", "t", "ss", "tt"):
+                a, b = getattr(g, name), getattr(ref, name)
+                assert a.shape == b.shape == S.shape
+                assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("method", ("fd2", "fd4"))
+def test_fd_grid_reports_evaluate_each_closed_form_once(monkeypatch, method):
+    calls = Counter()
+    for name in ("eval_uZ", "eval_complex_Q", "complex_Z"):
+        def counted(*a, _fn=getattr(relaxwave.verify, name), _name=name):
+            calls[_name] += 1
+            return _fn(*a)
+        monkeypatch.setattr(relaxwave.verify, name, counted)
+    w = solve_real(0.24, 0.1)
+    for report in (system19_residual, eq14_residual):
+        calls.clear()
+        report(w, SMALL_GRID, method)
+        assert calls == {"eval_uZ": 1}
+    calls.clear()
+    system_eqq11_residual(make_complex_wave(1.0 + 0.5j, 0.1), SMALL_GRID, method)
+    assert calls == {"eval_complex_Q": 1, "complex_Z": 1}
+
+
+def test_complex_companion_fd_residual_converges_at_nominal_order():
+    # the companion equation closes exactly, so its FD residual is pure
+    # truncation error, edge nodes (whose stencils reach the ghost ring)
+    # included; same 20 percent rule as the manufactured self-test
+    cw = make_complex_wave(1.0 + 0.5j, 0.1)
+
+    def z_linf(n, method):
+        grid = GridSpec(-10.0, 10.0, n, -10.0, 10.0, n)
+        return system_eqq11_residual(cw, grid, method).equations[2].linf
+
+    for method, expected in (("fd2", 4.0), ("fd4", 16.0)):
+        ratio = z_linf(121, method) / z_linf(241, method)
+        assert abs(ratio - expected) <= 0.2 * expected
 
 
 def test_complex_system_real_reduction():
