@@ -24,22 +24,28 @@ conserved to round-off; the integrator preserves this exactly because the
 zero mode has zero linear symbol and zero nonlinear tendency.
 
 Fixed-step schemes only: reports must be reproducible bit for bit.
+
+``scipy.sparse`` is imported only when :func:`evolve_system19` builds its
+derivative operator, so importing this module (and the CLI) does not load
+scipy; a ``simulate --system 19`` call pays that import inside the call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix, vstack
 
 from .dispersion import RealWave
 from .errors import DomainError, NumericalError
 from .medium import MediumParams, low_freq_coeffs
 from .soliton import eval_uZ, real_bundles
 from .verify import residuals_from_bundles
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 __all__ = [
     "SimState19",
@@ -160,6 +166,8 @@ def _deriv_matrix(n: int, h: float, deriv: int) -> csr_matrix:
 
     Rows 0 and n-1 are zero: the boundary values are prescribed, not evolved.
     """
+    from scipy.sparse import csr_matrix
+
     if n < 8:
         raise DomainError("order-4 stencils need at least 8 grid points")
     rows: list[int] = []
@@ -223,6 +231,8 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
 
     sigma = np.asarray(init.sigma, dtype=float)
     n = sigma.size
+    from scipy.sparse import vstack
+
     # Rows [0, n) of D take d/dsigma, rows [n, 2n) d2/dsigma2; one mat-vec
     # on the columns [u, Z] gives all four derivatives.
     D = vstack([_deriv_matrix(n, h, 1), _deriv_matrix(n, h, 2)], format="csr")

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dispersion import ComplexWave, RealWave, alpha_critical
 from .errors import DomainError
@@ -402,6 +401,29 @@ def sigma_tau_from_xi_zeta(xi, zeta):
     return xi - zeta, -xi - zeta
 
 
+def _quad_along_xi(w: RealWave, integrand, xi: float, zeta: float,
+                   theta_cut: float, what: str) -> float:
+    """Integral of ``integrand(xi')`` along fixed ``zeta`` up to ``xi``.
+
+    The lower end is where the phase drops below ``-theta_cut``, far enough
+    behind the pulse that the decaying integrands of the quadrature probes
+    are below double precision there.  ``scipy.integrate`` is imported here
+    only, so that importing the package does not load it.
+    """
+    kpw = w.k + w.omega
+    if kpw <= 0.0:
+        raise DomainError(f"{what} requires k + omega > 0")
+    # theta = (k+omega)*xi + (omega-k)*zeta + theta0 along fixed zeta.
+    xi_lower = (-theta_cut - w.theta0 - (w.omega - w.k) * zeta) / kpw
+    if xi <= xi_lower:
+        # empty interval; x + (-0.0) is x bit for bit, signed zeros included
+        return -0.0
+    from scipy.integrate import quad
+
+    val, _err = quad(integrand, xi_lower, xi, limit=200)
+    return val
+
+
 def hodograph_y_quadrature(w: RealWave, xi: float, zeta: float, y0: float = 0.0,
                            theta_cut: float = 45.0) -> float:
     """Hodograph reconstruction ``y = zeta + integral of (u + u**2/2) d xi' + y0``.
@@ -412,18 +434,11 @@ def hodograph_y_quadrature(w: RealWave, xi: float, zeta: float, y0: float = 0.0,
     probe the hodograph composition; for the candidate closed forms the
     mismatch against ``y = -Z + C`` is a measured finding.
     """
-    kpw = w.k + w.omega
-    if kpw <= 0.0:
-        raise DomainError("hodograph quadrature requires k + omega > 0")
 
     def integrand(x: float) -> float:
         sigma, tau = sigma_tau_from_xi_zeta(x, zeta)
         u, _ = eval_uZ(w, sigma, tau)
         return float(u + 0.5 * u * u)
 
-    # theta = (k+omega)*xi + (omega-k)*zeta + theta0 along fixed zeta.
-    xi_lower = (-theta_cut - w.theta0 - (w.omega - w.k) * zeta) / kpw
-    if xi <= xi_lower:
-        return float(zeta + y0)
-    val, _err = quad(integrand, xi_lower, xi, limit=200)
+    val = _quad_along_xi(w, integrand, xi, zeta, theta_cut, "hodograph quadrature")
     return float(zeta + val + y0)

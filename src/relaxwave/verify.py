@@ -27,13 +27,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dispersion import ComplexWave, RealWave
 from .errors import DomainError
 from .soliton import (
     FieldBundle,
     ProfileSamples,
+    _quad_along_xi,
     complex_bundles,
     complex_Z,
     eval_complex_Q,
@@ -204,13 +204,22 @@ def _stencil_half_width(order: int) -> int:
 
 def fd_bundle(fn: Callable, S, T, hs: float, ht: float, order: int) -> FieldBundle:
     """Finite-difference derivative bundle of a callable field on given points."""
+    return _fd_bundles(lambda s, t: (fn(s, t),), S, T, hs, ht, order)[0]
+
+
+def _fd_bundles(fields: Callable, S, T, hs: float, ht: float,
+                order: int) -> tuple[FieldBundle, ...]:
+    """:func:`fd_bundle` of every field ``fields(S, T)`` returns, one call per stencil point."""
     steps = range(1, _stencil_half_width(order) + 1)
     S = np.asarray(S, dtype=float)
     T = np.asarray(T, dtype=float)
-    return _stencil_bundle(fn(S, T),
-                           [(fn(S + j * hs, T), fn(S - j * hs, T)) for j in steps],
-                           [(fn(S, T + j * ht), fn(S, T - j * ht)) for j in steps],
-                           hs, ht)
+    f0 = fields(S, T)
+    s_shifts = [(fields(S + j * hs, T), fields(S - j * hs, T)) for j in steps]
+    t_shifts = [(fields(S, T + j * ht), fields(S, T - j * ht)) for j in steps]
+    return tuple(
+        _stencil_bundle(f0[i], [(p[i], m[i]) for p, m in s_shifts],
+                        [(p[i], m[i]) for p, m in t_shifts], hs, ht)
+        for i in range(len(f0)))
 
 
 def _grid_fd_bundles(fields: Callable, grid: GridSpec, order: int) -> tuple[FieldBundle, ...]:
@@ -261,16 +270,24 @@ def point_bundle(fn: Callable, sigma: float, tau: float, order: int,
     point values are limited only by round-off; this is what lets the
     finite-difference methods certify pointwise residuals to ``1e-10``.
     """
+    return _point_bundles(lambda s, t: (fn(s, t),), sigma, tau, order, h0, levels)[0]
+
+
+def _point_bundles(fields: Callable, sigma: float, tau: float, order: int,
+                   h0: float = 0.4, levels: int = 5) -> tuple[FieldBundle, ...]:
+    """:func:`point_bundle` of every field ``fields(S, T)`` returns, one call per stencil point."""
     start = 4.0 if order == 2 else 16.0
-    seq = [fd_bundle(fn, sigma, tau, h0 / 2.0**i, h0 / 2.0**i, order)
+    seq = [_fd_bundles(fields, sigma, tau, h0 / 2.0**i, h0 / 2.0**i, order)
            for i in range(levels)]
-    return FieldBundle(
-        f=float(np.asarray(seq[0].f)),
-        s=_richardson([float(b.s) for b in seq], start),
-        t=_richardson([float(b.t) for b in seq], start),
-        ss=_richardson([float(b.ss) for b in seq], start),
-        tt=_richardson([float(b.tt) for b in seq], start),
-    )
+    return tuple(
+        FieldBundle(
+            f=float(np.asarray(per_level[0].f)),
+            s=_richardson([float(b.s) for b in per_level], start),
+            t=_richardson([float(b.t) for b in per_level], start),
+            ss=_richardson([float(b.ss) for b in per_level], start),
+            tt=_richardson([float(b.tt) for b in per_level], start),
+        )
+        for per_level in zip(*seq))
 
 
 def _real_field_bundles(w: RealWave, grid: GridSpec, method: str):
@@ -312,8 +329,7 @@ def system19_point_residual(w: RealWave, sigma: float, tau: float,
         bu, bz = real_bundles(w, sigma, tau)
     else:
         order = 2 if method == "fd2" else 4
-        bu = point_bundle(lambda s, t: eval_uZ(w, s, t)[0], sigma, tau, order)
-        bz = point_bundle(lambda s, t: eval_uZ(w, s, t)[1], sigma, tau, order)
+        bu, bz = _point_bundles(lambda s, t: eval_uZ(w, s, t), sigma, tau, order)
     r1, r2 = residuals_from_bundles(bu, bz, w.alpha)
     return float(r1), float(r2)
 
@@ -347,20 +363,13 @@ def phi_from_quadrature(w: RealWave, xi: float, zeta: float,
     for the candidate closed forms the two disagree and the gap is a
     measured finding.
     """
-    kpw = w.k + w.omega
-    if kpw <= 0.0:
-        raise DomainError("quadrature requires k + omega > 0")
 
     def integrand(x: float) -> float:
         s, t = sigma_tau_from_xi_zeta(x, zeta)
         bu, _ = real_bundles(w, s, t)
         return float(-(bu.s + bu.t) * (1.0 + bu.f))
 
-    xi_lower = (-theta_cut - w.theta0 - (w.omega - w.k) * zeta) / kpw
-    if xi <= xi_lower:
-        return 1.0
-    val, _err = quad(integrand, xi_lower, xi, limit=200)
-    return 1.0 + val
+    return 1.0 + _quad_along_xi(w, integrand, xi, zeta, theta_cut, "quadrature")
 
 
 def system_eqq11_residual(cw: ComplexWave, grid: GridSpec = GridSpec(),

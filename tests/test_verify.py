@@ -202,6 +202,28 @@ def test_fd_grid_reports_evaluate_each_closed_form_once(monkeypatch, method):
     assert calls == {"eval_complex_Q": 1, "complex_Z": 1}
 
 
+@pytest.mark.parametrize(("method", "expected"), (("fd2", 25), ("fd4", 45)))
+def test_fd_point_residual_evaluates_closed_form_once_per_stencil_point(
+        monkeypatch, method, expected):
+    # 5 Richardson levels of a 5-point (fd2) or 9-point (fd4) stencil; u and
+    # Z come from the same eval_uZ call
+    w = solve_real(0.24, 0.1)
+    order = 2 if method == "fd2" else 4
+    ref = [point_bundle(lambda s, t, i=i: eval_uZ(w, s, t)[i], 0.7, -0.4, order)
+           for i in (0, 1)]
+    calls = Counter()
+
+    def counted(*a):
+        calls["eval_uZ"] += 1
+        return eval_uZ(*a)
+
+    monkeypatch.setattr(relaxwave.verify, "eval_uZ", counted)
+    got = system19_point_residual(w, 0.7, -0.4, method)
+    assert calls == {"eval_uZ": expected}
+    # the shared evaluation gives the per-field route's values bit for bit
+    assert got == tuple(float(r) for r in residuals_from_bundles(*ref, w.alpha))
+
+
 def test_complex_companion_fd_residual_converges_at_nominal_order():
     # the companion equation closes exactly, so its FD residual is pure
     # truncation error, edge nodes (whose stencils reach the ghost ring)
