@@ -13,11 +13,16 @@ the verifier itself: smooth fields with known forcing must reproduce that
 forcing to round-off on the analytic path and converge at nominal order on
 the finite-difference paths.
 
-Measured facts worth knowing up front: the candidate one-soliton does not
-annihilate the coupled characteristic system (its first-equation residual at
-the origin is exactly -1/2 for ``v = 0``, ``alpha = 0``), and the complex
-soliton satisfies only the reconstructed-companion equation of its system
-exactly.  These residuals are reported as findings.
+Facts worth knowing up front: the candidate one-soliton does not annihilate
+the coupled characteristic system.  With ``T = tanh(theta)`` its
+first-equation residual is
+``r1 = 4*(k+omega)**2 * (-(k-omega)*(alpha+2*(k+omega))*T**2 - T + c)`` with
+``c = alpha*(k-omega) + 2*(k**2-omega**2) - 1``, and the dispersion relation
+makes ``c = -1/2``; so ``r1 = -2*(k+omega)**2`` wherever ``theta = 0``, for
+every ``(v, alpha)`` on the branch (-1/2 at the origin for ``v = 0``,
+``alpha = 0``, where ``k = 1/2``).  The complex soliton satisfies only the
+reconstructed-companion equation of its system exactly.  These residuals
+are reported as findings.
 """
 
 from __future__ import annotations
@@ -222,34 +227,45 @@ def _fd_bundles(fields: Callable, S, T, hs: float, ht: float,
         for i in range(len(f0)))
 
 
-def _grid_fd_bundles(fields: Callable, grid: GridSpec, order: int) -> tuple[FieldBundle, ...]:
-    """Finite-difference bundles on ``grid`` of every field ``fields(S, T)`` returns.
+def _grid_fd_rows(fields: Callable, grid: GridSpec,
+                  order: int) -> Callable[[int, int], tuple[FieldBundle, ...]]:
+    """Row-block finite-difference bundles of every field ``fields(S, T)`` returns.
 
-    The steps are the grid spacings, so every stencil neighbour is a node of
-    the grid padded with ``order/2`` ghost nodes per side.  ``fields`` is
-    called once, on the open mesh of those padded axes (interior nodes
-    bit-identical to :meth:`GridSpec.axes`), and each shifted stencil value
-    is a slice of its output.  A neighbour ``S + j*hs`` and the grid node it
-    stands for differ only by the round-off of the coordinates (at most 2
-    ulps of the largest coordinate on the grids tried).
+    Returns ``rows(i0, i1)``, the bundles on grid rows ``i0:i1``.  The steps
+    are the grid spacings, so every stencil neighbour is a node of the grid
+    padded with ``order/2`` ghost nodes per side.  ``fields`` is called
+    once, here, on the open mesh of those padded axes (interior nodes
+    bit-identical to :meth:`GridSpec.axes`); ``rows`` takes each shifted
+    stencil value of a block as a slice of that output.  A neighbour
+    ``S + j*hs`` and the grid node it stands for differ only by the
+    round-off of the coordinates (at most 2 ulps of the largest coordinate on
+    the grids tried).
     """
     pad = _stencil_half_width(order)
     hs, ht = grid.spacings()
     ghosts = np.arange(1.0, pad + 1.0)
     axes = [np.concatenate((a[0] - h * ghosts[::-1], a, a[-1] + h * ghosts))
             for a, h in zip(grid.axes(), (hs, ht))]
-    S, T = np.meshgrid(*axes, indexing="ij", sparse=True)
-    ns, nt = grid.n_sigma, grid.n_tau
+    padded = fields(*np.meshgrid(*axes, indexing="ij", sparse=True))
+    nt = grid.n_tau
     steps = range(1, pad + 1)
 
-    def at(F, i: int, j: int):
-        # F shifted by i nodes in sigma and j in tau, on the unpadded grid
-        return F[pad + i:pad + i + ns, pad + j:pad + j + nt]
+    def rows(i0: int, i1: int) -> tuple[FieldBundle, ...]:
+        def at(F, i: int, j: int):
+            # F shifted by i nodes in sigma and j in tau, on grid rows i0:i1
+            return F[pad + i0 + i:pad + i1 + i, pad + j:pad + j + nt]
 
-    return tuple(
-        _stencil_bundle(at(F, 0, 0), [(at(F, j, 0), at(F, -j, 0)) for j in steps],
-                        [(at(F, 0, j), at(F, 0, -j)) for j in steps], hs, ht)
-        for F in fields(S, T))
+        return tuple(
+            _stencil_bundle(at(F, 0, 0), [(at(F, j, 0), at(F, -j, 0)) for j in steps],
+                            [(at(F, 0, j), at(F, 0, -j)) for j in steps], hs, ht)
+            for F in padded)
+
+    return rows
+
+
+def _grid_fd_bundles(fields: Callable, grid: GridSpec, order: int) -> tuple[FieldBundle, ...]:
+    """:func:`_grid_fd_rows` on the whole grid as one block."""
+    return _grid_fd_rows(fields, grid, order)(0, grid.n_sigma)
 
 
 def _richardson(values: list[float], start: float, step: float = 4.0) -> float:
@@ -290,12 +306,50 @@ def _point_bundles(fields: Callable, sigma: float, tau: float, order: int,
         for per_level in zip(*seq))
 
 
-def _real_field_bundles(w: RealWave, grid: GridSpec, method: str):
+# Grid points per row block of a grid report: about 64 KB per float64
+# temporary, so a block's whole residual chain stays in cache.
+_BLOCK_POINTS = 8192
+
+
+def _grid_report(system: str, grid: GridSpec, method: str, bundles: Callable,
+                 fields: Callable, equations: Callable) -> ResidualReport:
+    """Residual report of one system on ``grid``, computed in row blocks.
+
+    The sigma axis is walked in blocks of ``_BLOCK_POINTS // n_tau`` rows (at
+    least one).  Per block, ``bundles(S, T)`` (analytic: on the block's mesh)
+    or the slices of one ghost-padded evaluation of ``fields`` (``fd2``/
+    ``fd4``) feed ``equations(*bundles)``, which returns one
+    ``(name, total, terms)`` per equation.  The sup norms of ``total`` and
+    of every term are the maxima over the block maxima; the squares of
+    ``total`` fill one whole-grid array, whose one mean gives ``l2`` with the
+    summation order of an unblocked report.
+    """
+    ns, nt = grid.n_sigma, grid.n_tau
     if method == "analytic":
-        S, T = grid.mesh()
-        return real_bundles(w, S, T)
-    order = 2 if method == "fd2" else 4
-    return _grid_fd_bundles(lambda s, t: eval_uZ(w, s, t), grid, order)
+        sig, tau = grid.axes()
+
+        def block(i0: int, i1: int):
+            return bundles(*np.meshgrid(sig[i0:i1], tau, indexing="ij"))
+    else:
+        block = _grid_fd_rows(fields, grid, 2 if method == "fd2" else 4)
+    rows = max(1, _BLOCK_POINTS // nt)
+    names, squares, peaks = [], [], []
+    for i0 in range(0, ns, rows):
+        i1 = min(i0 + rows, ns)
+        for e, (name, total, terms) in enumerate(equations(*block(i0, i1))):
+            if i0 == 0:
+                names.append(name)
+                squares.append(np.empty((ns, nt)))
+                peaks.append([])
+            np.square(total, out=squares[e][i0:i1])
+            peaks[e].append([np.max(np.abs(x)) for x in (total, *terms)])
+    out = []
+    for name, sq, pk in zip(names, squares, peaks):
+        linf, *norms = np.max(pk, axis=0)
+        out.append(EquationResidual(equation=name, linf=float(linf),
+                                    l2=float(np.sqrt(np.mean(sq))),
+                                    normalization=max(float(n) for n in norms)))
+    return ResidualReport(system=system, method=method, grid=grid, equations=tuple(out))
 
 
 def _entry(name: str, total: np.ndarray, terms: list[np.ndarray]) -> EquationResidual:
@@ -313,12 +367,15 @@ def system19_residual(w: RealWave, grid: GridSpec = GridSpec(),
     nodes reach ``order/2`` ghost nodes outside the grid.
     """
     _check_method(method)
-    bu, bz = _real_field_bundles(w, grid, method)
-    r1, r2 = residuals_from_bundles(bu, bz, w.alpha)
-    pi = bu.s + bu.t
-    e1 = _entry("u", r1, [bu.ss, -bu.tt, -(bz.s + bz.t) * bu.f, w.alpha * pi])
-    e2 = _entry("Z", r2, [bz.ss, -bz.tt, bu.f * pi, pi])
-    return ResidualReport(system="coupled", method=method, grid=grid, equations=(e1, e2))
+
+    def equations(bu, bz):
+        r1, r2 = residuals_from_bundles(bu, bz, w.alpha)
+        pi = bu.s + bu.t
+        return (("u", r1, [bu.ss, -bu.tt, -(bz.s + bz.t) * bu.f, w.alpha * pi]),
+                ("Z", r2, [bz.ss, -bz.tt, bu.f * pi, pi]))
+
+    return _grid_report("coupled", grid, method, lambda s, t: real_bundles(w, s, t),
+                        lambda s, t: eval_uZ(w, s, t), equations)
 
 
 def system19_point_residual(w: RealWave, sigma: float, tau: float,
@@ -345,13 +402,16 @@ def eq14_residual(w: RealWave, grid: GridSpec = GridSpec(),
     ``fd2``/``fd4`` steps are the grid spacings, with ghost nodes at the edges.
     """
     _check_method(method)
-    bu, bz = _real_field_bundles(w, grid, method)
-    u_xz = -(bu.ss - bu.tt)
-    u_zeta = -(bu.s + bu.t)
-    phi = bz.s + bz.t
-    r = u_xz + w.alpha * u_zeta + phi * bu.f
-    e = _entry("u-factored", r, [u_xz, w.alpha * u_zeta, phi * bu.f])
-    return ResidualReport(system="factored", method=method, grid=grid, equations=(e,))
+
+    def equations(bu, bz):
+        u_xz = -(bu.ss - bu.tt)
+        u_zeta = -(bu.s + bu.t)
+        phi = bz.s + bz.t
+        r = u_xz + w.alpha * u_zeta + phi * bu.f
+        return (("u-factored", r, [u_xz, w.alpha * u_zeta, phi * bu.f]),)
+
+    return _grid_report("factored", grid, method, lambda s, t: real_bundles(w, s, t),
+                        lambda s, t: eval_uZ(w, s, t), equations)
 
 
 def phi_from_quadrature(w: RealWave, xi: float, zeta: float,
@@ -384,20 +444,18 @@ def system_eqq11_residual(cw: ComplexWave, grid: GridSpec = GridSpec(),
     _check_method(method)
     if cw.k.real == 0.0 and (cw.k.real + cw.omega.real) != 0.0:
         raise DomainError("companion-field quadrature requires decaying |Q| (Re k != 0)")
-    if method == "analytic":
-        bqr, bqi, bz = complex_bundles(cw, *grid.mesh())
-    else:
-        order = 2 if method == "fd2" else 4
-        bqr, bqi, bz = _grid_fd_bundles(
-            lambda s, t: (*eval_complex_Q(cw, s, t), complex_Z(cw, s, t)), grid, order)
-    r1, r2, r3 = complex_residuals_from_bundles(bqr, bqi, bz, cw.alpha)
-    phi = bz.s + bz.t
-    pr, pi_ = bqr.s + bqr.t, bqi.s + bqi.t
-    e1 = _entry("Q_re", r1, [bqr.ss, -bqr.tt, phi * bqr.f, cw.alpha * pr])
-    e2 = _entry("Q_im", r2, [bqi.ss, -bqi.tt, phi * bqi.f, cw.alpha * pi_])
-    e3 = _entry("Z", r3, [bz.ss, -bz.tt, bqr.f * pr, bqi.f * pi_])
-    return ResidualReport(system="complex", method=method, grid=grid,
-                          equations=(e1, e2, e3))
+
+    def equations(bqr, bqi, bz):
+        r1, r2, r3 = complex_residuals_from_bundles(bqr, bqi, bz, cw.alpha)
+        phi = bz.s + bz.t
+        pr, pi_ = bqr.s + bqr.t, bqi.s + bqi.t
+        return (("Q_re", r1, [bqr.ss, -bqr.tt, phi * bqr.f, cw.alpha * pr]),
+                ("Q_im", r2, [bqi.ss, -bqi.tt, phi * bqi.f, cw.alpha * pi_]),
+                ("Z", r3, [bz.ss, -bz.tt, bqr.f * pr, bqi.f * pi_]))
+
+    return _grid_report(
+        "complex", grid, method, lambda s, t: complex_bundles(cw, s, t),
+        lambda s, t: (*eval_complex_Q(cw, s, t), complex_Z(cw, s, t)), equations)
 
 
 def physical_operator_pointwise(u, u_y, u_eta, u_yy, u_yeta, alpha: float,

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaxwave import (
     DomainError,
@@ -22,6 +24,7 @@ from relaxwave.dispersion import ComplexWave
 import relaxwave.verify
 from relaxwave.soliton import (
     FieldBundle,
+    complex_bundles,
     complex_Z,
     eval_complex_Q,
     eval_uZ,
@@ -30,7 +33,10 @@ from relaxwave.soliton import (
 )
 from relaxwave.verify import (
     METHODS,
+    EquationResidual,
     _grid_fd_bundles,
+    _stencil_bundle,
+    complex_residuals_from_bundles,
     fd_bundle,
     manufactured_bundles,
     phi_from_quadrature,
@@ -74,6 +80,19 @@ def test_origin_point_residual_all_methods():
         r1, r2 = system19_point_residual(w0, 0.0, 0.0, method=method)
         assert r1 == pytest.approx(-0.5, abs=1e-10)
         assert r2 == pytest.approx(1.0, abs=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(v=st.floats(-0.9, 0.9), alpha=st.floats(0.0, 5.0), tau=st.floats(-5.0, 5.0))
+def test_point_residual_at_zero_phase_is_minus_two_k_plus_omega_squared(v, alpha, tau):
+    # r1 = 4(k+w)^2 [-(k-w)(alpha+2k+2w) T^2 - T + alpha(k-w) + 2(k^2-w^2) - 1]
+    # with T = tanh(theta); on the dispersion branch the constant term is
+    # -1/2, so r1 = -2(k+w)^2 wherever theta = 0, e.g. on sigma = v*tau
+    w = solve_real(v, alpha)
+    exact = -2.0 * (w.k + w.omega) ** 2
+    for method, rel in (("analytic", 1e-13), ("fd2", 1e-9), ("fd4", 1e-9)):
+        r1, _r2 = system19_point_residual(w, v * tau, tau, method)
+        assert abs(r1 - exact) <= rel * abs(exact)
 
 
 def test_point_residual_method_agreement():
@@ -222,6 +241,109 @@ def test_fd_point_residual_evaluates_closed_form_once_per_stencil_point(
     assert calls == {"eval_uZ": expected}
     # the shared evaluation gives the per-field route's values bit for bit
     assert got == tuple(float(r) for r in residuals_from_bundles(*ref, w.alpha))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_analytic_and_fd_reports_on_a_multi_block_grid_evaluate_each_point_once(
+        monkeypatch, method):
+    grid = GridSpec()
+    assert grid.n_sigma * grid.n_tau > relaxwave.verify._BLOCK_POINTS
+    calls, points = Counter(), Counter()
+    for name in ("eval_uZ", "eval_complex_Q", "complex_Z", "real_bundles",
+                 "complex_bundles"):
+        def counted(wave, s, t, _fn=getattr(relaxwave.verify, name), _name=name):
+            calls[_name] += 1
+            points[_name] += np.broadcast(s, t).size
+            return _fn(wave, s, t)
+        monkeypatch.setattr(relaxwave.verify, name, counted)
+    w, cw = solve_real(0.24, 0.1), make_complex_wave(1.0 + 0.5j, 0.1)
+    cases = ((system19_residual, w, {"eval_uZ": 1}, "real_bundles"),
+             (eq14_residual, w, {"eval_uZ": 1}, "real_bundles"),
+             (system_eqq11_residual, cw, {"eval_complex_Q": 1, "complex_Z": 1},
+              "complex_bundles"))
+    for report, wave, fd_calls, analytic in cases:
+        calls.clear()
+        points.clear()
+        report(wave, grid, method)
+        if method == "analytic":
+            assert set(calls) == {analytic} and calls[analytic] > 1
+            assert points == {analytic: grid.n_sigma * grid.n_tau}
+        else:
+            assert calls == fd_calls
+
+
+def _whole_grid_bundles(bundles, fields, grid, method):
+    """Unblocked reference: analytic bundles on ``grid.mesh()``, or the
+    stencils taken as slices of one evaluation on the ghost-padded mesh."""
+    if method == "analytic":
+        return bundles(*grid.mesh())
+    pad = 1 if method == "fd2" else 2
+    hs, ht = grid.spacings()
+    ghosts = np.arange(1.0, pad + 1.0)
+    axes = [np.concatenate((a[0] - h * ghosts[::-1], a, a[-1] + h * ghosts))
+            for a, h in zip(grid.axes(), (hs, ht))]
+    padded = fields(*np.meshgrid(*axes, indexing="ij", sparse=True))
+    ns, nt = grid.n_sigma, grid.n_tau
+
+    def at(F, i, j):
+        return F[pad + i:pad + i + ns, pad + j:pad + j + nt]
+
+    steps = range(1, pad + 1)
+    return tuple(
+        _stencil_bundle(at(F, 0, 0), [(at(F, j, 0), at(F, -j, 0)) for j in steps],
+                        [(at(F, 0, j), at(F, 0, -j)) for j in steps], hs, ht)
+        for F in padded)
+
+
+def _whole_grid_report(system, grid, method, wave):
+    if system == "complex":
+        bqr, bqi, bz = _whole_grid_bundles(
+            lambda s, t: complex_bundles(wave, s, t),
+            lambda s, t: (*eval_complex_Q(wave, s, t), complex_Z(wave, s, t)), grid, method)
+        r1, r2, r3 = complex_residuals_from_bundles(bqr, bqi, bz, wave.alpha)
+        phi = bz.s + bz.t
+        pr, pi_ = bqr.s + bqr.t, bqi.s + bqi.t
+        eqs = (("Q_re", r1, [bqr.ss, -bqr.tt, phi * bqr.f, wave.alpha * pr]),
+               ("Q_im", r2, [bqi.ss, -bqi.tt, phi * bqi.f, wave.alpha * pi_]),
+               ("Z", r3, [bz.ss, -bz.tt, bqr.f * pr, bqi.f * pi_]))
+    else:
+        bu, bz = _whole_grid_bundles(lambda s, t: real_bundles(wave, s, t),
+                                     lambda s, t: eval_uZ(wave, s, t), grid, method)
+        pi = bu.s + bu.t
+        if system == "coupled":
+            r1, r2 = residuals_from_bundles(bu, bz, wave.alpha)
+            eqs = (("u", r1, [bu.ss, -bu.tt, -(bz.s + bz.t) * bu.f, wave.alpha * pi]),
+                   ("Z", r2, [bz.ss, -bz.tt, bu.f * pi, pi]))
+        else:
+            u_xz, u_zeta, phi = -(bu.ss - bu.tt), -pi, bz.s + bz.t
+            r = u_xz + wave.alpha * u_zeta + phi * bu.f
+            eqs = (("u-factored", r, [u_xz, wave.alpha * u_zeta, phi * bu.f]),)
+    return tuple(
+        EquationResidual(name, float(np.max(np.abs(total))),
+                         float(np.sqrt(np.mean(np.square(total)))),
+                         max(float(np.max(np.abs(t))) for t in terms))
+        for name, total, terms in eqs)
+
+
+@pytest.mark.parametrize(("grid", "shape"), (
+    (GridSpec(), "default"),
+    (GridSpec(-12.0, 9.0, 137, -10.0, 14.0, 1201), "ragged last block"),
+    (GridSpec(-5.0, 5.0, 12, -4.0, 6.0, 9001), "one row per block"),
+), ids=("default", "ragged-last-block", "one-row-blocks"))
+def test_blocked_grid_reports_equal_the_whole_grid_reference(grid, shape):
+    rows = max(1, relaxwave.verify._BLOCK_POINTS // grid.n_tau)
+    assert grid.n_sigma > rows
+    assert {"ragged last block": grid.n_sigma % rows != 0,
+            "one row per block": rows == 1}.get(shape, True)
+    w = solve_real(0.24, 0.1, theta0=0.3)
+    cw = make_complex_wave(1.0 + 0.5j, 0.1)
+    for report, system, wave in ((system19_residual, "coupled", w),
+                                 (eq14_residual, "factored", w),
+                                 (system_eqq11_residual, "complex", cw)):
+        for method in METHODS:
+            got = report(wave, grid, method)
+            assert (got.system, got.method, got.grid) == (system, method, grid)
+            assert got.equations == _whole_grid_report(system, grid, method, wave)
 
 
 def test_complex_companion_fd_residual_converges_at_nominal_order():

@@ -1,0 +1,136 @@
+"""Check that two checkouts write the same bytes for every benchmark job.
+
+    python3 tools/compare_artifacts.py OLD_TREE NEW_TREE
+    python3 tools/compare_artifacts.py OLD NEW --workloads integrate --seeds 1 2 3 --json out.json
+
+Each tree's own ``perfbench/jobs.py`` generates the jobs of its check pass
+for every (workload, seed), and a fresh interpreter per tree runs them
+through that tree's ``relaxwave.cli.main`` under ``src/``.  Both trees run
+the jobs in the same directories, one after the other, so paths written
+into outputs match.  For each job the exit code, the ``jobs.digest`` of its
+artifacts, its captured stdout/stderr and the list of problems its
+harness check reports must be equal.  Prints one line per workload and one
+per differing job; exits 1 on any difference, 0 when every job is
+identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+FIELDS = ("rc", "digest", "output", "problems")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_tree(tree: Path, work: Path, workloads: list[str], seeds: list[int]) -> dict:
+    """Run every check-pass job of ``tree``; one record per job (in the worker)."""
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import jobs as jobmod
+    import relaxwave.cli as cli
+
+    if Path(cli.__file__).resolve().parent != (tree / "src" / "relaxwave").resolve():
+        raise RuntimeError(f"imported relaxwave from {cli.__file__}, not {tree}")
+    records = {}
+    for workload in workloads:
+        for seed in seeds:
+            for index, job in enumerate(jobmod.make_pass(workload, seed)):
+                d = work / f"{workload}-seed{seed}" / f"{index:02d}-{job.name}"
+                d.mkdir(parents=True)
+                if job.config is not None:
+                    (d / jobmod.CONFIG_NAME).write_text(job.config, encoding="utf-8")
+                sink = io.StringIO()
+                with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                    try:
+                        rc = cli.main(job.resolved_argv(d))
+                    except SystemExit as exc:
+                        rc = exc.code
+                    except Exception as exc:  # a crash is a result to compare
+                        rc = f"crash {type(exc).__name__}: {exc}"
+                records[f"{workload} seed {seed} {index:02d}-{job.name}"] = {
+                    "workload": workload, "rc": rc, "digest": jobmod.digest(d),
+                    "files": len(jobmod.artifacts(d)), "output": sink.getvalue(),
+                    "problems": jobmod.check_job(job, rc, d)}
+    return records
+
+
+def launch(tree: Path, work: Path, workloads: list[str], seeds: list[int]) -> dict:
+    """Run :func:`run_tree` for ``tree`` in a fresh interpreter."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env.update(dict.fromkeys(THREAD_VARS, "1"))
+    out = subprocess.run(
+        [sys.executable, __file__, "--worker", str(tree), str(work),
+         "--workloads", *workloads, "--seeds", *map(str, seeds)],
+        cwd=tree, env=env, capture_output=True, text=True, check=False)
+    if out.returncode != 0:
+        raise RuntimeError(f"worker for {tree} exited {out.returncode}:\n{out.stderr}")
+    return json.loads(out.stdout)
+
+
+def compare(old: dict, new: dict, workloads: list[str]) -> tuple[dict, list[str]]:
+    """Per-workload counts and one line per job that differs."""
+    summary = {w: {"jobs": 0, "identical": 0, "files": 0, "check_failures": [0, 0]}
+               for w in workloads}
+    diffs = []
+    for key in sorted(old.keys() | new.keys()):
+        a, b = old.get(key), new.get(key)
+        if a is None or b is None:
+            diffs.append(f"{key}: only in the {'new' if a is None else 'old'} tree")
+            continue
+        s = summary[a["workload"]]
+        s["jobs"] += 1
+        s["files"] += b["files"]
+        s["check_failures"][0] += bool(a["problems"])
+        s["check_failures"][1] += bool(b["problems"])
+        moved = [f for f in FIELDS if a[f] != b[f]]
+        if moved:
+            diffs.append(f"{key}: {', '.join(moved)} differ"
+                         + "".join(f"\n    {f}: {a[f]!r} -> {b[f]!r}"
+                                   for f in moved if f != "output"))
+        else:
+            s["identical"] += 1
+    return summary, diffs
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("old", type=Path, help="reference checkout")
+    ap.add_argument("new", type=Path, help="checkout under test")
+    ap.add_argument("--workloads", nargs="+", default=["closed-form-sweep", "integrate"])
+    ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
+    ap.add_argument("--json", type=Path, default=None, help="also write the summary here")
+    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.worker:  # old = the tree to run, new = its work directory
+        json.dump(run_tree(args.old.resolve(), args.new, args.workloads, args.seeds),
+                  sys.stdout)
+        return 0
+
+    with tempfile.TemporaryDirectory(prefix="compare-artifacts-") as tmp:
+        work = Path(tmp) / "jobs"
+        runs = []
+        for tree in (args.old, args.new):
+            runs.append(launch(tree.resolve(), work, args.workloads, args.seeds))
+            shutil.rmtree(work)
+    summary, diffs = compare(*runs, args.workloads)
+    for workload, s in summary.items():
+        print(f"{workload}: {s['identical']}/{s['jobs']} jobs identical, {s['files']} files, "
+              f"check failures old/new {s['check_failures'][0]}/{s['check_failures'][1]}")
+    for line in diffs:
+        print("DIFF " + line)
+    if args.json:
+        args.json.write_text(json.dumps({"seeds": args.seeds, "workloads": summary,
+                                         "differences": diffs}, indent=1) + "\n")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
