@@ -64,9 +64,11 @@ from .verify import (
     GridSpec,
     ResidualReport,
     SelftestReport,
+    complex_residual_reports,
     eq11_residual_physical,
     eq14_residual,
     manufactured_selftest,
+    real_residual_reports,
     system19_point_residual,
     system19_residual,
     system_eqq11_residual,
@@ -118,6 +120,8 @@ __all__ = [
     "system19_point_residual",
     "eq14_residual",
     "system_eqq11_residual",
+    "real_residual_reports",
+    "complex_residual_reports",
     "eq11_residual_physical",
     "manufactured_selftest",
     "SimState19",

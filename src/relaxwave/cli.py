@@ -61,12 +61,11 @@ from .soliton import classify, profile
 from .verify import (
     GridSpec,
     ResidualReport,
+    complex_residual_reports,
     eq11_residual_physical,
-    eq14_residual,
     manufactured_selftest,
+    real_residual_reports,
     system19_point_residual,
-    system19_residual,
-    system_eqq11_residual,
 )
 
 __all__ = ["FigureSpec", "figure", "run_report", "main"]
@@ -233,8 +232,7 @@ def _cmd_verify(args) -> int:
                     "omega": {"re": cw.omega.real, "im": cw.omega.imag},
                     "dispersion_residual": abs(complex_dispersion_residual(
                         cw.k, cw.omega, cw.alpha))})
-        for m in methods:
-            obj["reports"].append(_report_obj(system_eqq11_residual(cw, grid, m)))
+        obj["reports"] = [_report_obj(r) for r in complex_residual_reports(cw, grid, methods)]
     elif token == "physical":
         w = solve_real(args.v, args.alpha)
         samples = profile(w, tau=args.tau_point,
@@ -245,9 +243,8 @@ def _cmd_verify(args) -> int:
     else:
         w = solve_real(args.v, args.alpha)
         obj.update({"v": args.v, "alpha": args.alpha, "k": w.k, "omega": w.omega})
-        fn = system19_residual if token == "coupled" else eq14_residual
-        for m in methods:
-            obj["reports"].append(_report_obj(fn(w, grid, m)))
+        obj["reports"] = [_report_obj(r)
+                          for r in real_residual_reports(w, grid, methods, (token,))]
         if token == "coupled" and args.point is not None:
             s0, t0 = args.point
             pts = {}
@@ -350,9 +347,9 @@ def run_report(cfg: dict[str, str], seed: int = 0) -> tuple[dict, int]:
                 "class": sc.shape, "momentum_shape": sc.momentum_shape,
                 "singular_thetas": list(sc.singular_thetas)}
             entry["bilinear"] = [_bilinear_obj(w, var) for var in VARIANTS]
-            entry["verify"] = {
-                "coupled": _report_obj(system19_residual(w, grid, "analytic")),
-                "factored": _report_obj(eq14_residual(w, grid, "analytic"))}
+            coupled, factored = real_residual_reports(w, grid, ("analytic",))
+            entry["verify"] = {"coupled": _report_obj(coupled),
+                               "factored": _report_obj(factored)}
         except ToolkitError as exc:
             entry["error"] = {"type": type(exc).__name__, "message": str(exc)}
         entries.append(entry)

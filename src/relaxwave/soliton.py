@@ -210,16 +210,35 @@ def Z_from_tau_pair(pair: TauPair, sigma, tau):
         + 2.0 * logderiv
 
 
+def _complex_phase(cw: ComplexWave, sigma, tau):
+    """``Re theta`` and ``cos``/``sin`` of ``Im theta`` for the complex phase.
+
+    ``Im theta = a - b`` with ``a = Im k*sigma + Im theta0`` and
+    ``b = Im omega*tau``; its cosine and sine come from the angle-addition
+    formulas on ``cos``/``sin`` of ``a`` and ``b``, so on an open mesh
+    (``sigma`` of shape ``(n, 1)``, ``tau`` of shape ``(1, m)``) the
+    trigonometric calls see ``n + m`` points and the full mesh only products.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    thr = cw.k.real * sigma - cw.omega.real * tau + cw.theta0.real
+    a = cw.k.imag * sigma + cw.theta0.imag
+    b = cw.omega.imag * tau
+    ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
+    return thr, ca * cb + sa * sb, sa * cb - ca * sb
+
+
 def eval_complex_Q(cw: ComplexWave, sigma, tau):
     """Real and imaginary parts of ``Q = A*sech(Re theta)*exp(i*Im theta)``.
 
-    ``A = 4*(Re k + Re omega)``.
+    ``A = 4*(Re k + Re omega)``.  The arithmetic is real: ``cos``/``sin`` of
+    ``Im theta`` come from 1-D factors by angle addition, which pays off on
+    open meshes (``np.meshgrid(..., sparse=True)``), where those factors
+    stay 1-D; full meshes give the same values at more cost.
     """
-    th = cw.k * np.asarray(sigma, dtype=complex) - cw.omega * np.asarray(tau, dtype=complex) \
-        + cw.theta0
-    A = 4.0 * (cw.k.real + cw.omega.real)
-    mag = A * sech(th.real)
-    return mag * np.cos(th.imag), mag * np.sin(th.imag)
+    thr, c, s = _complex_phase(cw, sigma, tau)
+    mag = 4.0 * (cw.k.real + cw.omega.real) * sech(thr)
+    return mag * c, mag * s
 
 
 def _complex_zeta_coeff(cw: ComplexWave) -> float:
@@ -257,34 +276,44 @@ def complex_Z(cw: ComplexWave, sigma, tau):
 
 
 def complex_bundles(cw: ComplexWave, sigma, tau):
-    """Analytic derivative bundles ``(Re Q, Im Q, Z)`` of the complex soliton."""
+    """Analytic derivative bundles ``(Re Q, Im Q, Z)`` of the complex soliton.
+
+    Each derivative of ``Q`` is ``(U + i*V)*exp(i*Im theta)`` with real
+    ``U``, ``V`` built from ``sech``/``tanh`` of ``Re theta``; its parts are
+    ``U*c - V*s`` and ``U*s + V*c`` with ``c``/``s`` from the angle addition
+    of :func:`eval_complex_Q`, so no complex array is formed and open meshes
+    are the inputs that gain.  The ``Z`` bundle depends on ``Re theta`` only.
+    """
     sigma = np.asarray(sigma, dtype=float)
     tau = np.asarray(tau, dtype=float)
     kr, ki = cw.k.real, cw.k.imag
     wr, wi = cw.omega.real, cw.omega.imag
-    thr = kr * sigma - wr * tau + cw.theta0.real
-    thi = ki * sigma - wi * tau + cw.theta0.imag
+    thr, c, s = _complex_phase(cw, sigma, tau)
     S0 = sech(thr)
     T = np.tanh(thr)
-    S1 = -S0 * T
-    S2d = S0 - 2.0 * S0 ** 3
-    A = 4.0 * (kr + wr)
-    phase = np.exp(1j * thi)
-    Q = A * S0 * phase
-    Q_s = A * (kr * S1 + 1j * ki * S0) * phase
-    Q_t = A * (-wr * S1 - 1j * wi * S0) * phase
-    Q_ss = A * (kr * kr * S2d + 2j * kr * ki * S1 - ki * ki * S0) * phase
-    Q_tt = A * (wr * wr * S2d + 2j * wr * wi * S1 - wi * wi * S0) * phase
-    bqr = FieldBundle(f=Q.real, s=Q_s.real, t=Q_t.real, ss=Q_ss.real, tt=Q_tt.real)
-    bqi = FieldBundle(f=Q.imag, s=Q_s.imag, t=Q_t.imag, ss=Q_ss.imag, tt=Q_tt.imag)
-    c = _complex_zeta_coeff(cw)
     S0sq = S0 * S0
+    A = 4.0 * (kr + wr)
+    P0 = A * S0                # A*sech
+    P1 = P0 * T                # -A*sech'
+    P2 = P0 - 2.0 * P0 * S0sq  # A*sech''
+
+    def parts(U, V):
+        return U * c - V * s, U * s + V * c
+
+    f = (P0 * c, P0 * s)
+    d_s = parts(-kr * P1, ki * P0)
+    d_t = parts(wr * P1, -wi * P0)
+    d_ss = parts(kr * kr * P2 - ki * ki * P0, -2.0 * kr * ki * P1)
+    d_tt = parts(wr * wr * P2 - wi * wi * P0, -2.0 * wr * wi * P1)
+    bqr, bqi = (FieldBundle(f=f[i], s=d_s[i], t=d_t[i], ss=d_ss[i], tt=d_tt[i])
+                for i in (0, 1))
+    cz = _complex_zeta_coeff(cw)
     bz = FieldBundle(
-        f=0.5 * (sigma + tau) - c * (T + 1.0),
-        s=0.5 - c * kr * S0sq,
-        t=0.5 + c * wr * S0sq,
-        ss=2.0 * c * kr * kr * S0sq * T,
-        tt=2.0 * c * wr * wr * S0sq * T,
+        f=0.5 * (sigma + tau) - cz * (T + 1.0),
+        s=0.5 - cz * kr * S0sq,
+        t=0.5 + cz * wr * S0sq,
+        ss=2.0 * cz * kr * kr * S0sq * T,
+        tt=2.0 * cz * wr * wr * S0sq * T,
     )
     return bqr, bqi, bz
 

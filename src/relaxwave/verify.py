@@ -8,10 +8,15 @@ differences) so that any nonzero residual can be attributed to the formulas
 rather than to the numerics.  On a grid the finite-difference steps are the
 grid spacings: each closed form is evaluated once on the grid padded with
 ``order/2`` ghost nodes per side, and every stencil value is a slice of that
-one evaluation.  A manufactured-solution self-test calibrates
-the verifier itself: smooth fields with known forcing must reproduce that
-forcing to round-off on the analytic path and converge at nominal order on
-the finite-difference paths.
+one evaluation.  :func:`real_residual_reports` and
+:func:`complex_residual_reports` give several methods (and, for the real
+wave, both systems) from one call: the ``fd2`` and ``fd4`` reports slice one
+padded evaluation at ``fd4`` width, whose inner ghost nodes are the same
+floats as the ``fd2`` padding, and one analytic bundle per row block feeds
+the coupled and the factored equations.  A manufactured-solution self-test
+calibrates the verifier itself: smooth fields with known forcing must
+reproduce that forcing to round-off on the analytic path and converge at
+nominal order on the finite-difference paths.
 
 Facts worth knowing up front: the candidate one-soliton does not annihilate
 the coupled characteristic system.  With ``T = tanh(theta)`` its
@@ -57,6 +62,9 @@ __all__ = [
     "complex_residuals_from_bundles",
     "fd_bundle",
     "point_bundle",
+    "REAL_SYSTEMS",
+    "real_residual_reports",
+    "complex_residual_reports",
     "system19_residual",
     "system19_point_residual",
     "eq14_residual",
@@ -73,6 +81,7 @@ __all__ = [
 ]
 
 METHODS = ("analytic", "fd2", "fd4")
+REAL_SYSTEMS = ("coupled", "factored")
 
 _GRID_BOUND = 50.0
 
@@ -180,25 +189,41 @@ def _stencil_bundle(f0, s_shifts, t_shifts, hs: float, ht: float) -> FieldBundle
     ``j = 1 .. order/2`` and ``t_shifts`` the same in ``tau``; one pair per
     axis gives the order-2 stencil, two pairs the order-4 stencil.
     """
-    if len(s_shifts) == 1:
-        ((fp, fm),) = s_shifts
-        ((tp, tm),) = t_shifts
-        return FieldBundle(
-            f=f0,
-            s=(fp - fm) / (2.0 * hs),
-            t=(tp - tm) / (2.0 * ht),
-            ss=(fp - 2.0 * f0 + fm) / hs**2,
-            tt=(tp - 2.0 * f0 + tm) / ht**2,
-        )
-    (fp, fm), (fp2, fm2) = s_shifts
-    (tp, tm), (tp2, tm2) = t_shifts
-    return FieldBundle(
-        f=f0,
-        s=(-fp2 + 8.0 * fp - 8.0 * fm + fm2) / (12.0 * hs),
-        t=(-tp2 + 8.0 * tp - 8.0 * tm + tm2) / (12.0 * ht),
-        ss=(-fp2 + 16.0 * fp - 30.0 * f0 + 16.0 * fm - fm2) / (12.0 * hs**2),
-        tt=(-tp2 + 16.0 * tp - 30.0 * f0 + 16.0 * tm - tm2) / (12.0 * ht**2),
-    )
+    s, ss = _central_differences(f0, s_shifts, hs)
+    t, tt = _central_differences(f0, t_shifts, ht)
+    return FieldBundle(f=f0, s=s, t=t, ss=ss, tt=tt)
+
+
+def _central_differences(f0, shifts, h: float):
+    """First and second central differences along one axis, order 2 or 4.
+
+    The order-4 pair is ``(-p2 + 8*p - 8*m + m2)/(12*h)`` and
+    ``(-p2 + 16*p - 30*f0 + 16*m - m2)/(12*h**2)``.  Each is accumulated in
+    place, term by term in that order (``8*p - p2`` is ``-p2 + 8*p`` bit for
+    bit), so an array input costs one new array per derivative and one per
+    scaled term; the inputs are never written.
+    """
+    if len(shifts) == 1:
+        ((p, m),) = shifts
+        d1 = p - m
+        d1 /= 2.0 * h
+        d2 = p - 2.0 * f0
+        d2 += m
+        d2 /= h**2
+        return d1, d2
+    (p, m), (p2, m2) = shifts
+    d1 = 8.0 * p
+    d1 -= p2
+    d1 -= 8.0 * m
+    d1 += m2
+    d1 /= 12.0 * h
+    d2 = 16.0 * p
+    d2 -= p2
+    d2 -= 30.0 * f0
+    d2 += 16.0 * m
+    d2 -= m2
+    d2 /= 12.0 * h**2
+    return d1, d2
 
 
 def _stencil_half_width(order: int) -> int:
@@ -228,18 +253,21 @@ def _fd_bundles(fields: Callable, S, T, hs: float, ht: float,
 
 
 def _grid_fd_rows(fields: Callable, grid: GridSpec,
-                  order: int) -> Callable[[int, int], tuple[FieldBundle, ...]]:
+                  order: int) -> Callable[[int, int, int], tuple[FieldBundle, ...]]:
     """Row-block finite-difference bundles of every field ``fields(S, T)`` returns.
 
-    Returns ``rows(i0, i1)``, the bundles on grid rows ``i0:i1``.  The steps
-    are the grid spacings, so every stencil neighbour is a node of the grid
-    padded with ``order/2`` ghost nodes per side.  ``fields`` is called
-    once, here, on the open mesh of those padded axes (interior nodes
-    bit-identical to :meth:`GridSpec.axes`); ``rows`` takes each shifted
-    stencil value of a block as a slice of that output.  A neighbour
-    ``S + j*hs`` and the grid node it stands for differ only by the
-    round-off of the coordinates (at most 2 ulps of the largest coordinate on
-    the grids tried).
+    Returns ``rows(i0, i1, m)``, the order-``m`` bundles on grid rows
+    ``i0:i1`` for any ``m`` up to ``order``.  The steps are the grid
+    spacings, so every stencil neighbour is a node of the grid padded with
+    ``order/2`` ghost nodes per side.  ``fields`` is called once, here, on
+    the open mesh of those padded axes (interior nodes bit-identical to
+    :meth:`GridSpec.axes`); ``rows`` takes each shifted stencil value of a
+    block as a slice of that output.  A narrower stencil uses the inner ghost
+    nodes, which are the same floats (``a[0] - j*h``) as in its own padding,
+    so one evaluation at ``order`` serves every order below it bit for bit.
+    A neighbour ``S + j*hs`` and the grid node it stands for differ only by
+    the round-off of the coordinates (at most 2 ulps of the largest
+    coordinate on the grids tried).
     """
     pad = _stencil_half_width(order)
     hs, ht = grid.spacings()
@@ -248,9 +276,10 @@ def _grid_fd_rows(fields: Callable, grid: GridSpec,
             for a, h in zip(grid.axes(), (hs, ht))]
     padded = fields(*np.meshgrid(*axes, indexing="ij", sparse=True))
     nt = grid.n_tau
-    steps = range(1, pad + 1)
 
-    def rows(i0: int, i1: int) -> tuple[FieldBundle, ...]:
+    def rows(i0: int, i1: int, m: int) -> tuple[FieldBundle, ...]:
+        steps = range(1, _stencil_half_width(m) + 1)
+
         def at(F, i: int, j: int):
             # F shifted by i nodes in sigma and j in tau, on grid rows i0:i1
             return F[pad + i0 + i:pad + i1 + i, pad + j:pad + j + nt]
@@ -265,7 +294,7 @@ def _grid_fd_rows(fields: Callable, grid: GridSpec,
 
 def _grid_fd_bundles(fields: Callable, grid: GridSpec, order: int) -> tuple[FieldBundle, ...]:
     """:func:`_grid_fd_rows` on the whole grid as one block."""
-    return _grid_fd_rows(fields, grid, order)(0, grid.n_sigma)
+    return _grid_fd_rows(fields, grid, order)(0, grid.n_sigma, order)
 
 
 def _richardson(values: list[float], start: float, step: float = 4.0) -> float:
@@ -310,46 +339,75 @@ def _point_bundles(fields: Callable, sigma: float, tau: float, order: int,
 # temporary, so a block's whole residual chain stays in cache.
 _BLOCK_POINTS = 8192
 
+_FD_ORDERS = {"fd2": 2, "fd4": 4}
 
-def _grid_report(system: str, grid: GridSpec, method: str, bundles: Callable,
-                 fields: Callable, equations: Callable) -> ResidualReport:
-    """Residual report of one system on ``grid``, computed in row blocks.
 
-    The sigma axis is walked in blocks of ``_BLOCK_POINTS // n_tau`` rows (at
-    least one).  Per block, ``bundles(S, T)`` (analytic: on the block's mesh)
-    or the slices of one ghost-padded evaluation of ``fields`` (``fd2``/
-    ``fd4``) feed ``equations(*bundles)``, which returns one
-    ``(name, total, terms)`` per equation.  The sup norms of ``total`` and
-    of every term are the maxima over the block maxima; the squares of
-    ``total`` fill one whole-grid array, whose one mean gives ``l2`` with the
-    summation order of an unblocked report.
+def _grid_reports(grid: GridSpec, methods, bundles: Callable, fields: Callable,
+                  equations: Callable) -> dict[tuple[str, str], ResidualReport]:
+    """Residual reports on ``grid`` under every method of ``methods``.
+
+    ``equations(*bundles)`` returns one ``(system, name, total, terms)`` per
+    equation; the result maps each ``(system, method)`` to its report, with
+    the equations in the order given.  The methods run one after the other,
+    each walked in row blocks by :func:`_block_norms`.  Their blocks are
+    ``bundles(S, T)`` on the block's open mesh (``analytic``) or slices of
+    one ghost-padded evaluation of ``fields`` at the widest requested order,
+    which ``fd2`` and ``fd4`` share; it is made at the first of them, after
+    the analytic pass has freed its arrays.
+    """
+    sig, tau = grid.axes()
+    widest = max((_FD_ORDERS[m] for m in methods if m != "analytic"), default=0)
+    fd_rows = None
+    reports: dict[tuple[str, str], ResidualReport] = {}
+    for method in methods:
+        order = _FD_ORDERS.get(method)
+        if order is not None and fd_rows is None:
+            fd_rows = _grid_fd_rows(fields, grid, widest)
+
+        def block(i0: int, i1: int, order=order):
+            if order is None:
+                return bundles(*np.meshgrid(sig[i0:i1], tau, indexing="ij", sparse=True))
+            return fd_rows(i0, i1, order)
+
+        by_system: dict[str, list[EquationResidual]] = {}
+        for system, entry in _block_norms(grid, block, equations):
+            by_system.setdefault(system, []).append(entry)
+        for system, eqs in by_system.items():
+            reports[system, method] = ResidualReport(system=system, method=method,
+                                                     grid=grid, equations=tuple(eqs))
+    return reports
+
+
+def _block_norms(grid: GridSpec, block: Callable,
+                 equations: Callable) -> list[tuple[str, EquationResidual]]:
+    """Norms of every equation over ``grid``, computed in row blocks.
+
+    The sigma axis is walked in blocks of ``_BLOCK_POINTS // n_tau`` rows
+    (at least one); ``equations(*block(i0, i1))`` gives the residuals of rows
+    ``i0:i1``.  The sup norms of ``total`` and of every term are the maxima
+    over the block maxima; the squares of ``total`` fill one whole-grid
+    array, whose one mean gives ``l2`` with the summation order of an
+    unblocked report.
     """
     ns, nt = grid.n_sigma, grid.n_tau
-    if method == "analytic":
-        sig, tau = grid.axes()
-
-        def block(i0: int, i1: int):
-            return bundles(*np.meshgrid(sig[i0:i1], tau, indexing="ij"))
-    else:
-        block = _grid_fd_rows(fields, grid, 2 if method == "fd2" else 4)
     rows = max(1, _BLOCK_POINTS // nt)
-    names, squares, peaks = [], [], []
+    keys, squares, peaks = [], [], []
     for i0 in range(0, ns, rows):
         i1 = min(i0 + rows, ns)
-        for e, (name, total, terms) in enumerate(equations(*block(i0, i1))):
+        for e, (system, name, total, terms) in enumerate(equations(*block(i0, i1))):
             if i0 == 0:
-                names.append(name)
+                keys.append((system, name))
                 squares.append(np.empty((ns, nt)))
                 peaks.append([])
             np.square(total, out=squares[e][i0:i1])
-            peaks[e].append([np.max(np.abs(x)) for x in (total, *terms)])
+            peaks[e].append([np.abs(x).max() for x in (total, *terms)])
     out = []
-    for name, sq, pk in zip(names, squares, peaks):
+    for (system, name), sq, pk in zip(keys, squares, peaks):
         linf, *norms = np.max(pk, axis=0)
-        out.append(EquationResidual(equation=name, linf=float(linf),
-                                    l2=float(np.sqrt(np.mean(sq))),
-                                    normalization=max(float(n) for n in norms)))
-    return ResidualReport(system=system, method=method, grid=grid, equations=tuple(out))
+        out.append((system, EquationResidual(
+            equation=name, linf=float(linf), l2=float(np.sqrt(np.mean(sq))),
+            normalization=max(float(n) for n in norms))))
+    return out
 
 
 def _entry(name: str, total: np.ndarray, terms: list[np.ndarray]) -> EquationResidual:
@@ -359,6 +417,48 @@ def _entry(name: str, total: np.ndarray, terms: list[np.ndarray]) -> EquationRes
     return EquationResidual(equation=name, linf=linf, l2=l2, normalization=norm)
 
 
+def real_residual_reports(w: RealWave, grid: GridSpec = GridSpec(), methods=METHODS,
+                          systems=REAL_SYSTEMS) -> tuple[ResidualReport, ...]:
+    """Residual reports of the candidate one-soliton under several methods and systems.
+
+    ``systems`` names any of ``"coupled"`` (:func:`system19_residual`) and
+    ``"factored"`` (:func:`eq14_residual`).  The reports come system by
+    system, each in the order of ``methods``, and each equals the
+    single-report function's result for its system and method.  They share
+    one evaluation of the closed forms: one :func:`real_bundles` call per
+    analytic row block feeds every system, and ``fd2`` and ``fd4`` slice one
+    ghost-padded :func:`eval_uZ` call.
+    """
+    for m in methods:
+        _check_method(m)
+    if len(set(systems)) != len(systems) or not set(systems) <= set(REAL_SYSTEMS):
+        raise DomainError(f"systems must be distinct names from {REAL_SYSTEMS}, "
+                          f"got {tuple(systems)}")
+    alpha = w.alpha
+
+    def equations(bu, bz):
+        pi = bu.s + bu.t
+        d = bu.ss - bu.tt
+        phi_u = (bz.s + bz.t) * bu.f
+        api = alpha * pi
+        out = []
+        for system in systems:
+            if system == "coupled":
+                # summed as in residuals_from_bundles
+                out += [(system, "u", d - phi_u + api, (bu.ss, bu.tt, phi_u, api)),
+                        (system, "Z", bz.ss - bz.tt + (bu.f + 1.0) * pi,
+                         (bz.ss, bz.tt, bu.f * pi, pi))]
+            else:
+                # -(u_ss - u_tt) + alpha*(-(u_s + u_t)) + phi*u is -(d + api - phi_u)
+                # bit for bit up to the sign of a zero; the norms see only |r| and r**2
+                out.append((system, "u-factored", d + api - phi_u, (d, api, phi_u)))
+        return out
+
+    reports = _grid_reports(grid, methods, lambda s, t: real_bundles(w, s, t),
+                            lambda s, t: eval_uZ(w, s, t), equations)
+    return tuple(reports[system, m] for system in systems for m in methods)
+
+
 def system19_residual(w: RealWave, grid: GridSpec = GridSpec(),
                       method: str = "analytic") -> ResidualReport:
     """Residual report of the candidate one-soliton in the coupled system.
@@ -366,16 +466,7 @@ def system19_residual(w: RealWave, grid: GridSpec = GridSpec(),
     The ``fd2``/``fd4`` steps are the grid spacings; stencils at the edge
     nodes reach ``order/2`` ghost nodes outside the grid.
     """
-    _check_method(method)
-
-    def equations(bu, bz):
-        r1, r2 = residuals_from_bundles(bu, bz, w.alpha)
-        pi = bu.s + bu.t
-        return (("u", r1, [bu.ss, -bu.tt, -(bz.s + bz.t) * bu.f, w.alpha * pi]),
-                ("Z", r2, [bz.ss, -bz.tt, bu.f * pi, pi]))
-
-    return _grid_report("coupled", grid, method, lambda s, t: real_bundles(w, s, t),
-                        lambda s, t: eval_uZ(w, s, t), equations)
+    return real_residual_reports(w, grid, (method,), ("coupled",))[0]
 
 
 def system19_point_residual(w: RealWave, sigma: float, tau: float,
@@ -401,17 +492,7 @@ def eq14_residual(w: RealWave, grid: GridSpec = GridSpec(),
     first coupled-system residual up to the constant Jacobian sign.  The
     ``fd2``/``fd4`` steps are the grid spacings, with ghost nodes at the edges.
     """
-    _check_method(method)
-
-    def equations(bu, bz):
-        u_xz = -(bu.ss - bu.tt)
-        u_zeta = -(bu.s + bu.t)
-        phi = bz.s + bz.t
-        r = u_xz + w.alpha * u_zeta + phi * bu.f
-        return (("u-factored", r, [u_xz, w.alpha * u_zeta, phi * bu.f]),)
-
-    return _grid_report("factored", grid, method, lambda s, t: real_bundles(w, s, t),
-                        lambda s, t: eval_uZ(w, s, t), equations)
+    return real_residual_reports(w, grid, (method,), ("factored",))[0]
 
 
 def phi_from_quadrature(w: RealWave, xi: float, zeta: float,
@@ -432,6 +513,37 @@ def phi_from_quadrature(w: RealWave, xi: float, zeta: float,
     return 1.0 + _quad_along_xi(w, integrand, xi, zeta, theta_cut, "quadrature")
 
 
+def complex_residual_reports(cw: ComplexWave, grid: GridSpec = GridSpec(),
+                             methods=METHODS) -> tuple[ResidualReport, ...]:
+    """:func:`system_eqq11_residual` under each method of ``methods``, in that order.
+
+    The reports share one evaluation of the closed forms: ``fd2`` and ``fd4``
+    slice one ghost-padded :func:`eval_complex_Q` and :func:`complex_Z`
+    call each.
+    """
+    for m in methods:
+        _check_method(m)
+    if cw.k.real == 0.0 and (cw.k.real + cw.omega.real) != 0.0:
+        raise DomainError("companion-field quadrature requires decaying |Q| (Re k != 0)")
+    alpha = cw.alpha
+
+    def equations(bqr, bqi, bz):
+        phi = bz.s + bz.t
+        pr, pi_ = bqr.s + bqr.t, bqi.s + bqi.t
+        phi_r, phi_i = phi * bqr.f, phi * bqi.f
+        a_r, a_i = alpha * pr, alpha * pi_
+        q_r, q_i = bqr.f * pr, bqi.f * pi_
+        # summed as in complex_residuals_from_bundles
+        return (("complex", "Q_re", bqr.ss - bqr.tt - phi_r + a_r, (bqr.ss, bqr.tt, phi_r, a_r)),
+                ("complex", "Q_im", bqi.ss - bqi.tt - phi_i + a_i, (bqi.ss, bqi.tt, phi_i, a_i)),
+                ("complex", "Z", bz.ss - bz.tt + q_r + q_i, (bz.ss, bz.tt, q_r, q_i)))
+
+    reports = _grid_reports(
+        grid, methods, lambda s, t: complex_bundles(cw, s, t),
+        lambda s, t: (*eval_complex_Q(cw, s, t), complex_Z(cw, s, t)), equations)
+    return tuple(reports["complex", m] for m in methods)
+
+
 def system_eqq11_residual(cw: ComplexWave, grid: GridSpec = GridSpec(),
                           method: str = "analytic") -> ResidualReport:
     """Residual report of the complex soliton in the complex short-pulse system.
@@ -441,21 +553,7 @@ def system_eqq11_residual(cw: ComplexWave, grid: GridSpec = GridSpec(),
     construction, the other two residuals are findings.  The ``fd2``/``fd4``
     steps are the grid spacings, with ghost nodes at the edges.
     """
-    _check_method(method)
-    if cw.k.real == 0.0 and (cw.k.real + cw.omega.real) != 0.0:
-        raise DomainError("companion-field quadrature requires decaying |Q| (Re k != 0)")
-
-    def equations(bqr, bqi, bz):
-        r1, r2, r3 = complex_residuals_from_bundles(bqr, bqi, bz, cw.alpha)
-        phi = bz.s + bz.t
-        pr, pi_ = bqr.s + bqr.t, bqi.s + bqi.t
-        return (("Q_re", r1, [bqr.ss, -bqr.tt, phi * bqr.f, cw.alpha * pr]),
-                ("Q_im", r2, [bqi.ss, -bqi.tt, phi * bqi.f, cw.alpha * pi_]),
-                ("Z", r3, [bz.ss, -bz.tt, bqr.f * pr, bqi.f * pi_]))
-
-    return _grid_report(
-        "complex", grid, method, lambda s, t: complex_bundles(cw, s, t),
-        lambda s, t: (*eval_complex_Q(cw, s, t), complex_Z(cw, s, t)), equations)
+    return complex_residual_reports(cw, grid, (method,))[0]
 
 
 def physical_operator_pointwise(u, u_y, u_eta, u_yy, u_yeta, alpha: float,

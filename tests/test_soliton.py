@@ -3,11 +3,13 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
 from relaxwave import (
     DomainError,
+    GridSpec,
     classify,
     eval_complex_Q,
     eval_uZ,
@@ -312,3 +314,50 @@ def test_complex_bundles_match_finite_differences():
         assert b.t == pytest.approx(fd1(lambda x: field(s0, x), t0), abs=1e-7)
         assert b.ss == pytest.approx(fd2(lambda x: field(x, t0), s0), abs=1e-5)
         assert b.tt == pytest.approx(fd2(lambda x: field(s0, x), t0), abs=1e-5)
+
+
+@pytest.mark.parametrize(("k", "alpha", "root", "theta0"), (
+    (1.2 + 0.4j, 0.3, 1, 0j),
+    (0.8 + 0.6j, 0.9, 0, 0.3 - 0.7j),
+    (1.6 + 0.05j, 0.0, 1, 0j),
+))
+def test_complex_kernels_match_a_50_digit_oracle(k, alpha, root, theta0):
+    # Q = A*sech(Re theta)*exp(i*Im theta) and its sigma, tau, sigma-sigma
+    # and tau-tau partials by mpmath at 50 digits, against eval_complex_Q and
+    # complex_bundles on the default grid's open mesh, at sampled nodes that
+    # include the largest |Im theta|
+    cw = make_complex_wave(k, alpha, root=root, theta0=theta0)
+    sig, tau = GridSpec().axes()
+    S, T = np.meshgrid(sig, tau, indexing="ij", sparse=True)
+    qr, qi = eval_complex_Q(cw, S, T)
+    bqr, bqi, _bz = complex_bundles(cw, S, T)
+    im_theta = np.abs(cw.k.imag * S - cw.omega.imag * T + cw.theta0.imag)
+    rng = np.random.default_rng(7)
+    nodes = {np.unravel_index(np.argmax(im_theta), im_theta.shape), (150, 150),
+             (0, 0), (0, 300), (300, 0), (300, 300),
+             *zip(rng.integers(0, 301, 12).tolist(), rng.integers(0, 301, 12).tolist())}
+    assert max(im_theta[n] for n in nodes) == im_theta.max()
+
+    with mpmath.workdps(50):
+        kk, ww, t0 = (mpmath.mpc(z.real, z.imag) for z in (cw.k, cw.omega, cw.theta0))
+        A = 4 * (kk.real + ww.real)
+
+        def Q(s, t):
+            th = kk * s - ww * t + t0
+            return A * mpmath.sech(th.real) * mpmath.expj(th.imag)
+
+        for i, j in nodes:
+            s0, t0_ = mpmath.mpf(sig[i]), mpmath.mpf(tau[j])
+            exact = {
+                "f": Q(s0, t0_),
+                "s": mpmath.diff(lambda x: Q(x, t0_), s0),
+                "t": mpmath.diff(lambda x: Q(s0, x), t0_),
+                "ss": mpmath.diff(lambda x: Q(x, t0_), s0, 2),
+                "tt": mpmath.diff(lambda x: Q(s0, x), t0_, 2),
+            }
+            tol = 1e-13 * float(A)
+            assert abs(qr[i, j] - exact["f"].real) <= tol
+            assert abs(qi[i, j] - exact["f"].imag) <= tol
+            for name, q in exact.items():
+                assert abs(getattr(bqr, name)[i, j] - q.real) <= tol, name
+                assert abs(getattr(bqi, name)[i, j] - q.imag) <= tol, name

@@ -10,17 +10,20 @@ from hypothesis import strategies as st
 from relaxwave import (
     DomainError,
     GridSpec,
+    complex_residual_reports,
     eq11_residual_physical,
     eq14_residual,
     make_complex_wave,
     manufactured_selftest,
     profile,
+    real_residual_reports,
     solve_real,
     system19_point_residual,
     system19_residual,
     system_eqq11_residual,
 )
 from relaxwave.dispersion import ComplexWave
+import relaxwave.cli
 import relaxwave.verify
 from relaxwave.soliton import (
     FieldBundle,
@@ -174,6 +177,13 @@ def test_complex_system_companion_equation_closes():
     assert rep.equations[2].linf < 1e-12
     for e in rep.equations[:2]:
         assert np.isfinite(e.linf) and e.linf > 0.0
+    # on the default grid the analytic Z residual stays at round-off of its
+    # largest term, out to the largest |Im theta|
+    for k, alpha, root, theta0 in ((1.2 + 0.4j, 0.3, 1, 0j), (0.8 + 0.6j, 0.9, 0, 0.3 - 0.7j),
+                                   (1.6 + 0.05j, 0.0, 1, 0j), (1.0 + 0.5j, 0.1, 0, 0j)):
+        cw = make_complex_wave(k, alpha, root=root, theta0=theta0)
+        z = system_eqq11_residual(cw, GridSpec(), "analytic").equations[2]
+        assert z.linf <= 1e-14 * z.normalization
 
 
 @pytest.mark.parametrize("order", (2, 4))
@@ -203,14 +213,19 @@ def test_grid_fd_bundles_match_callable_stencil(order):
                 assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
 
 
-@pytest.mark.parametrize("method", ("fd2", "fd4"))
-def test_fd_grid_reports_evaluate_each_closed_form_once(monkeypatch, method):
+def _count_closed_form_calls(monkeypatch) -> Counter:
     calls = Counter()
     for name in ("eval_uZ", "eval_complex_Q", "complex_Z"):
         def counted(*a, _fn=getattr(relaxwave.verify, name), _name=name):
             calls[_name] += 1
             return _fn(*a)
         monkeypatch.setattr(relaxwave.verify, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("method", ("fd2", "fd4"))
+def test_fd_grid_reports_evaluate_each_closed_form_once(monkeypatch, method):
+    calls = _count_closed_form_calls(monkeypatch)
     w = solve_real(0.24, 0.1)
     for report in (system19_residual, eq14_residual):
         calls.clear()
@@ -344,6 +359,57 @@ def test_blocked_grid_reports_equal_the_whole_grid_reference(grid, shape):
             got = report(wave, grid, method)
             assert (got.system, got.method, got.grid) == (system, method, grid)
             assert got.equations == _whole_grid_report(system, grid, method, wave)
+
+
+@pytest.mark.parametrize("grid", (SMALL_GRID, GridSpec(-12.0, 9.0, 137, -10.0, 14.0, 1201)),
+                         ids=("small", "137x1201"))
+def test_all_method_reports_equal_single_method_reports(monkeypatch, grid):
+    # one computation serves every method, with one padded evaluation for
+    # fd2 and fd4 together; each report is bit-identical to its own call
+    w = solve_real(0.24, 0.1, theta0=0.3)
+    cw = make_complex_wave(1.0 + 0.5j, 0.1)
+    single = {
+        "coupled": [system19_residual(w, grid, m) for m in METHODS],
+        "factored": [eq14_residual(w, grid, m) for m in METHODS],
+        "complex": [system_eqq11_residual(cw, grid, m) for m in METHODS],
+    }
+    calls = _count_closed_form_calls(monkeypatch)
+    for system in ("coupled", "factored"):
+        calls.clear()
+        assert list(real_residual_reports(w, grid, METHODS, (system,))) == single[system]
+        assert calls == {"eval_uZ": 1}
+    calls.clear()
+    assert list(complex_residual_reports(cw, grid, METHODS)) == single["complex"]
+    assert calls == {"eval_complex_Q": 1, "complex_Z": 1}
+    calls.clear()
+    both = real_residual_reports(w, grid, ("fd4", "analytic", "fd2"))
+    assert calls == {"eval_uZ": 1}
+    assert list(both) == [single[s][METHODS.index(m)] for s in ("coupled", "factored")
+                          for m in ("fd4", "analytic", "fd2")]
+
+
+def test_run_report_builds_each_alpha_s_analytic_bundles_once(monkeypatch):
+    # coupled and factored entries come from one real_bundles pass per alpha
+    # and equal the standalone reports
+    cfg = {"v": "0.3", "alphas": "0.05, 0.4", "n_samples": "2"}
+    grid = GridSpec()
+    expect = []
+    for a in (0.05, 0.4):
+        w = solve_real(0.3, a)
+        expect.append({"coupled": relaxwave.cli._report_obj(system19_residual(w, grid)),
+                       "factored": relaxwave.cli._report_obj(
+                           eq14_residual(w, grid, "analytic"))})
+    points = Counter()
+
+    def counted(wave, s, t, _fn=relaxwave.verify.real_bundles):
+        points[wave.alpha] += np.broadcast(s, t).size
+        return _fn(wave, s, t)
+
+    monkeypatch.setattr(relaxwave.verify, "real_bundles", counted)
+    report, code = relaxwave.cli.run_report(cfg)
+    assert code == 0
+    assert [e["verify"] for e in report["entries"]] == expect
+    assert points == {0.05: grid.n_sigma * grid.n_tau, 0.4: grid.n_sigma * grid.n_tau}
 
 
 def test_complex_companion_fd_residual_converges_at_nominal_order():
@@ -496,5 +562,11 @@ def test_grid_and_method_validation():
         GridSpec(sigma_max=51.0)
     with pytest.raises(DomainError):
         system19_residual(solve_real(0.24, 0.1), method="spectral")
+    for systems in (("coupled", "coupled"), ("physical",)):
+        with pytest.raises(DomainError):
+            real_residual_reports(solve_real(0.24, 0.1), SMALL_GRID, METHODS, systems)
+    with pytest.raises(DomainError):
+        complex_residual_reports(make_complex_wave(1.0 + 0.5j, 0.1), SMALL_GRID,
+                                 ("analytic", "fd6"))
     with pytest.raises(DomainError):
         fd_bundle(lambda s, t: s, 0.0, 0.0, 0.1, 0.1, 3)

@@ -12,6 +12,13 @@ artifacts, its captured stdout/stderr and the list of problems its
 harness check reports must be equal.  Prints one line per workload and one
 per differing job; exits 1 on any difference, 0 when every job is
 identical.
+
+For a job whose JSON artifacts differ but keep their structure (same keys,
+list lengths and non-numeric values), the line also gives the size of the
+numeric change: the largest absolute difference over all numbers and, for
+numbers of an equation entry that carries a ``normalization`` (a residual
+report's ``linf``, ``l2`` and ``normalization``; not the dimensionless
+``normalized``), the largest difference divided by the old normalization.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -55,10 +63,13 @@ def run_tree(tree: Path, work: Path, workloads: list[str], seeds: list[int]) -> 
                         rc = exc.code
                     except Exception as exc:  # a crash is a result to compare
                         rc = f"crash {type(exc).__name__}: {exc}"
+                found = jobmod.artifacts(d)
                 records[f"{workload} seed {seed} {index:02d}-{job.name}"] = {
                     "workload": workload, "rc": rc, "digest": jobmod.digest(d),
-                    "files": len(jobmod.artifacts(d)), "output": sink.getvalue(),
-                    "problems": jobmod.check_job(job, rc, d)}
+                    "files": len(found), "output": sink.getvalue(),
+                    "problems": jobmod.check_job(job, rc, d),
+                    "json": {str(p.relative_to(d)): json.loads(p.read_text(encoding="utf-8"))
+                             for p in found if p.suffix == ".json"}}
     return records
 
 
@@ -73,6 +84,61 @@ def launch(tree: Path, work: Path, workloads: list[str], seeds: list[int]) -> di
     if out.returncode != 0:
         raise RuntimeError(f"worker for {tree} exited {out.returncode}:\n{out.stderr}")
     return json.loads(out.stdout)
+
+
+class StructureChanged(Exception):
+    """Two JSON documents differ in more than their numbers."""
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _walk(a, b, norm: float | None, in_entry: bool, acc: dict) -> None:
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            raise StructureChanged
+        own = a.get("normalization")
+        entry = _is_number(own)
+        for key in a:
+            _walk(a[key], b[key], own if entry and key != "normalized" else None,
+                  entry, acc)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            raise StructureChanged
+        for x, y in zip(a, b):
+            _walk(x, y, None, False, acc)
+    elif _is_number(a) and _is_number(b):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return
+        diff = abs(a - b)
+        acc["moved"] += 1
+        acc["outside"] += not in_entry
+        acc["abs"] = max(acc["abs"], diff)
+        if norm:
+            acc["rel"] = max(acc["rel"], diff / abs(norm))
+    elif a != b or type(a) is not type(b):
+        raise StructureChanged
+
+
+def numeric_change(old_docs: dict, new_docs: dict) -> str | None:
+    """Size of the change between two jobs' JSON artifacts, as one line.
+
+    ``None`` when no JSON artifact differs.
+    """
+    if old_docs == new_docs:
+        return None
+    if old_docs.keys() != new_docs.keys():
+        return "JSON artifacts: different files"
+    acc = {"moved": 0, "outside": 0, "abs": 0.0, "rel": 0.0}
+    for name in old_docs:
+        try:
+            _walk(old_docs[name], new_docs[name], None, False, acc)
+        except StructureChanged:
+            return f"JSON artifacts: structure or non-numeric values of {name} differ"
+    return (f"JSON numbers: {acc['moved']} moved ({acc['outside']} outside equation "
+            f"entries), max |diff| {acc['abs']:.3g}, "
+            f"max |diff|/normalization {acc['rel']:.3g}")
 
 
 def compare(old: dict, new: dict, workloads: list[str]) -> tuple[dict, list[str]]:
@@ -92,9 +158,11 @@ def compare(old: dict, new: dict, workloads: list[str]) -> tuple[dict, list[str]
         s["check_failures"][1] += bool(b["problems"])
         moved = [f for f in FIELDS if a[f] != b[f]]
         if moved:
+            size = numeric_change(a["json"], b["json"])
             diffs.append(f"{key}: {', '.join(moved)} differ"
                          + "".join(f"\n    {f}: {a[f]!r} -> {b[f]!r}"
-                                   for f in moved if f != "output"))
+                                   for f in moved if f != "output")
+                         + (f"\n    {size}" if size else ""))
         else:
             s["identical"] += 1
     return summary, diffs
