@@ -23,10 +23,12 @@ from .hirota import (
     BilinearReport,
     ExpAtom,
     TauFunction,
+    TauPair,
     bilinear_lines,
     bilinear_residual,
     d_op,
     d_op_fd,
+    tau_pair,
 )
 from .medium import (
     HighFreqCoeffs,
@@ -52,13 +54,11 @@ from .sim import (
 from .soliton import (
     ProfileSamples,
     ShapeClass,
-    TauPair,
     classify,
     eval_complex_Q,
     eval_uZ,
     profile,
     singular_thetas,
-    tau_pair,
 )
 from .verify import (
     GridSpec,

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 domain error, 3 numerical abort, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,12 +37,10 @@ from .medium import (
 )
 from .output import (
     canonical_json,
-    config_float,
-    config_float_list,
-    config_int,
-    config_str,
+    config_value,
     csv_text,
     fmt,
+    parse_config,
     to_jsonable,
     write_csv,
     write_json,
@@ -54,7 +53,6 @@ from .sim import (
     compare_to_exact,
     evolve_mkdvb,
     evolve_system19,
-    exactness_forcing,
     soliton_state19,
 )
 from .soliton import classify, profile
@@ -63,6 +61,7 @@ from .verify import (
     ResidualReport,
     complex_residual_reports,
     eq11_residual_physical,
+    exactness_forcing,
     manufactured_selftest,
     real_residual_reports,
     system19_point_residual,
@@ -148,21 +147,8 @@ def _bilinear_obj(w, variant: str) -> dict:
 def _config_from_path(path: str | None) -> dict[str, str]:
     if path is None:
         return {}
-    from .output import parse_config
-
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def _config_bool(cfg: dict[str, str], key: str, default: bool) -> bool:
-    if key not in cfg:
-        return default
-    val = cfg[key].strip().lower()
-    if val in ("1", "true", "yes", "on"):
-        return True
-    if val in ("0", "false", "no", "off"):
-        return False
-    raise DomainError(f"config key {key!r}: expected a boolean, got {cfg[key]!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +307,9 @@ def _cmd_figure(args) -> int:
 
 def run_report(cfg: dict[str, str], seed: int = 0) -> tuple[dict, int]:
     """Consolidated findings report; returns (document, exit_code)."""
-    v = config_float(cfg, "v", 0.24)
-    alphas = config_float_list(cfg, "alphas", _DEFAULT_FIGURE_ALPHAS)
-    n_samples = config_int(cfg, "n_samples", 200)
+    v = config_value(cfg, "v", float, 0.24)
+    alphas = config_value(cfg, "alphas", list, _DEFAULT_FIGURE_ALPHAS)
+    n_samples = config_value(cfg, "n_samples", int, 200)
     grid = GridSpec()
 
     rng = np.random.default_rng(seed)
@@ -380,19 +366,19 @@ def _cmd_run_report(args) -> int:
 
 
 def _simulate_system19(cfg: dict[str, str], out: Path, args) -> None:
-    v = config_float(cfg, "v", 0.24)
-    alpha = config_float(cfg, "alpha", 0.8)
-    theta0 = config_float(cfg, "theta0", 0.0)
-    sigma_min = config_float(cfg, "sigma_min", -15.0)
-    sigma_max = config_float(cfg, "sigma_max", 15.0)
-    n = config_int(cfg, "n", 301)
+    v = config_value(cfg, "v", float, 0.24)
+    alpha = config_value(cfg, "alpha", float, 0.8)
+    theta0 = config_value(cfg, "theta0", float, 0.0)
+    sigma_min = config_value(cfg, "sigma_min", float, -15.0)
+    sigma_max = config_value(cfg, "sigma_max", float, 15.0)
+    n = config_value(cfg, "n", int, 301)
     h = (sigma_max - sigma_min) / (n - 1)
-    T = config_float(cfg, "T", 5.0)
-    dt = config_float(cfg, "dt", 0.4 * h)
-    n_snapshots = config_int(cfg, "n_snapshots", 11)
-    bc_mode = config_str(cfg, "bc", "wave")
-    forcing_mode = config_str(cfg, "forcing", "none")
-    linearized = _config_bool(cfg, "linearized", False)
+    T = config_value(cfg, "T", float, 5.0)
+    dt = config_value(cfg, "dt", float, 0.4 * h)
+    n_snapshots = config_value(cfg, "n_snapshots", int, 11)
+    bc_mode = config_value(cfg, "bc", str, "wave")
+    forcing_mode = config_value(cfg, "forcing", str, "none")
+    linearized = config_value(cfg, "linearized", bool, False)
     if bc_mode not in ("wave", "frozen"):
         raise DomainError(f"config key 'bc': expected wave|frozen, got {bc_mode!r}")
     if forcing_mode not in ("none", "exactness"):
@@ -436,27 +422,27 @@ def _simulate_system19(cfg: dict[str, str], out: Path, args) -> None:
 
 def _simulate_mkdvb(cfg: dict[str, str], out: Path, args) -> None:
     if "tau" in cfg or "v_f" in cfg:
-        m = MediumParams(tau=config_float(cfg, "tau"),
-                         v_e=config_float(cfg, "v_e"),
-                         v_f=config_float(cfg, "v_f"),
-                         alpha_e=config_float(cfg, "alpha_e", 0.0),
-                         a_e=config_float(cfg, "a_e", 1.0))
+        m = MediumParams(tau=config_value(cfg, "tau", float),
+                         v_e=config_value(cfg, "v_e", float),
+                         v_f=config_value(cfg, "v_f", float),
+                         alpha_e=config_value(cfg, "alpha_e", float, 0.0),
+                         a_e=config_value(cfg, "a_e", float, 1.0))
         coeffs = MKdVBCoeffs.from_medium(m)
     else:
-        coeffs = MKdVBCoeffs(v_e=config_float(cfg, "v_e", 1.0),
-                             quad=config_float(cfg, "quad", 1.0),
-                             cubic=config_float(cfg, "cubic", 1.0),
-                             beta=config_float(cfg, "beta", 0.1),
-                             gamma=config_float(cfg, "gamma", 0.02))
-    length = config_float(cfg, "length", 50.0)
-    n = config_int(cfg, "n", 256)
-    T = config_float(cfg, "T", 1.0)
-    dt = config_float(cfg, "dt", 1e-3)
-    n_snapshots = config_int(cfg, "n_snapshots", 11)
-    ic = config_str(cfg, "ic", "gauss")
-    amp = config_float(cfg, "amp", 0.1)
-    width = config_float(cfg, "width", 2.0)
-    mode = config_int(cfg, "mode", 1)
+        coeffs = MKdVBCoeffs(v_e=config_value(cfg, "v_e", float, 1.0),
+                             quad=config_value(cfg, "quad", float, 1.0),
+                             cubic=config_value(cfg, "cubic", float, 1.0),
+                             beta=config_value(cfg, "beta", float, 0.1),
+                             gamma=config_value(cfg, "gamma", float, 0.02))
+    length = config_value(cfg, "length", float, 50.0)
+    n = config_value(cfg, "n", int, 256)
+    T = config_value(cfg, "T", float, 1.0)
+    dt = config_value(cfg, "dt", float, 1e-3)
+    n_snapshots = config_value(cfg, "n_snapshots", int, 11)
+    ic = config_value(cfg, "ic", str, "gauss")
+    amp = config_value(cfg, "amp", float, 0.1)
+    width = config_value(cfg, "width", float, 2.0)
+    mode = config_value(cfg, "mode", int, 1)
 
     x = length * np.arange(n) / n
     if ic == "gauss":
@@ -515,7 +501,7 @@ def _cmd_medium(args) -> int:
         flag = getattr(args, name)
         if flag is not None:
             return flag
-        return config_float(cfg, name, default)
+        return config_value(cfg, name, float, default)
 
     m = MediumParams(tau=pick("tau"), v_e=pick("v_e"), v_f=pick("v_f"),
                      alpha_e=pick("alpha_e", 0.0), a_e=pick("a_e", 1.0),
@@ -657,9 +643,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call only: building costs far more than parsing.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NumericalError as exc:

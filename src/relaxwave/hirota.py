@@ -16,7 +16,8 @@ of such atoms.  ``d_op_fd`` evaluates the shifted-argument definition
 directly by central differences and serves as the independent cross-check of
 the closed form.
 
-``bilinear_residual`` measures how far the one-soliton tau pair is from
+:func:`tau_pair` gives the one-soliton's tau functions as such sums, and
+``bilinear_residual`` measures how far that pair is from
 annihilating the two bilinear lines of the coupled characteristic system,
 under both conventional readings of the dissipative term (the mixed operator
 ``alpha*(D_sigma + D_tau)**2`` and the linear ``alpha*(D_sigma + D_tau)``).
@@ -26,7 +27,7 @@ The reported numbers are measurements, not asserted zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, exp
 from typing import Callable
 
 import numpy as np
@@ -37,6 +38,8 @@ from .errors import DomainError
 __all__ = [
     "ExpAtom",
     "TauFunction",
+    "TauPair",
+    "tau_pair",
     "d_op",
     "d_op_fd",
     "BilinearReport",
@@ -118,6 +121,23 @@ class TauFunction:
     __rmul__ = __mul__
 
 
+@dataclass(frozen=True)
+class TauPair:
+    """The tau-function pair whose ratio and log-derivative rebuild ``(u, Z)``."""
+
+    F: TauFunction
+    G: TauFunction
+
+
+def tau_pair(w: RealWave) -> TauPair:
+    """Tau pair ``F = 1 + E``, ``G = 8*(omega+k)**2*E`` with ``E = exp(2*theta)``."""
+    c = exp(2.0 * w.theta0)
+    a, b = 2.0 * w.k, -2.0 * w.omega
+    F = TauFunction.from_atoms([ExpAtom(1.0, 0.0, 0.0), ExpAtom(c, a, b)])
+    G = TauFunction.from_atoms([ExpAtom(8.0 * (w.omega + w.k) ** 2 * c, a, b)])
+    return TauPair(F=F, G=G)
+
+
 def d_op(m: int, n: int, f: TauFunction, g: TauFunction) -> TauFunction:
     """Closed-form bilinear derivative ``D_sigma^m D_tau^n (f.g)``.
 
@@ -136,25 +156,22 @@ def d_op(m: int, n: int, f: TauFunction, g: TauFunction) -> TauFunction:
     return TauFunction.from_atoms(atoms)
 
 
-def _richardson(values: list[float], factor: float) -> float:
-    # values[i] carries an error series in (h/2**i)**2; extrapolate the table.
-    # Round-off grows as the step shrinks, so rather than trusting the deepest
-    # entry blindly, return the diagonal value whose agreement with its
-    # predecessor is best (classic Ridders-style stopping rule).
-    table = [list(values)]
+def _richardson_diagonal(values: list[float], factor: float) -> list[float]:
+    """Diagonal of the Richardson table of step-halving estimates ``values``.
+
+    ``values[i]`` is an estimate at step ``h/2**i`` whose error series runs in
+    ``h**p, h**(p+2), ...`` with ``factor = 2**p``; column ``j`` of the table
+    removes ``j`` terms of it, its factor growing fourfold per column.  Entry
+    ``j`` of the result is the first value of column ``j``.
+    """
+    row = list(values)
+    diag = [row[0]]
     fac = factor
-    while len(table[-1]) > 1:
-        prev = table[-1]
-        table.append([(fac * prev[i + 1] - prev[i]) / (fac - 1.0)
-                      for i in range(len(prev) - 1)])
-        fac *= factor
-    diag = [table[k][0] for k in range(len(table))]
-    best, err = diag[-1], abs(diag[-1] - diag[-2]) if len(diag) > 1 else 0.0
-    for k in range(1, len(diag)):
-        e = abs(diag[k] - diag[k - 1])
-        if e <= err:
-            best, err = diag[k], e
-    return best
+    while len(row) > 1:
+        row = [(fac * row[i + 1] - row[i]) / (fac - 1.0) for i in range(len(row) - 1)]
+        diag.append(row[0])
+        fac *= 4.0
+    return diag
 
 
 def d_op_fd(m: int, n: int, f: Callable, g: Callable, sigma: float, tau: float,
@@ -195,8 +212,16 @@ def d_op_fd(m: int, n: int, f: Callable, g: Callable, sigma: float, tau: float,
                 total += cm[j] * cn[l] * pair
         return total / hh ** (m + n)
 
-    vals = [stencil(h / 2.0 ** i) for i in range(levels)]
-    return _richardson(vals, 4.0)
+    # Round-off grows as the step shrinks, so rather than trusting the deepest
+    # extrapolation blindly, return the diagonal value whose agreement with its
+    # predecessor is best (Ridders' stopping rule).
+    diag = _richardson_diagonal([stencil(h / 2.0 ** i) for i in range(levels)], 4.0)
+    best, err = diag[-1], abs(diag[-1] - diag[-2]) if len(diag) > 1 else 0.0
+    for k in range(1, len(diag)):
+        e = abs(diag[k] - diag[k - 1])
+        if e <= err:
+            best, err = diag[k], e
+    return best
 
 
 @dataclass(frozen=True)
@@ -220,8 +245,6 @@ class BilinearReport:
 
 
 def _line_terms(w: RealWave, variant: str):
-    from .soliton import tau_pair  # local import; soliton builds on this module
-
     if variant not in VARIANTS:
         raise DomainError(f"unknown bilinear variant {variant!r}; expected one of {VARIANTS}")
     pair = tau_pair(w)
@@ -243,13 +266,7 @@ def _line_terms(w: RealWave, variant: str):
 
 def bilinear_lines(w: RealWave, variant: str = "squared-alpha") -> tuple[TauFunction, TauFunction]:
     """Closed-form atom expansions of the two bilinear lines for one variant."""
-    line1_terms, line2_terms = _line_terms(w, variant)
-    line1 = line1_terms[0]
-    for t in line1_terms[1:]:
-        line1 = line1 + t
-    line2 = line2_terms[0]
-    for t in line2_terms[1:]:
-        line2 = line2 + t
+    line1, line2 = (sum(terms[1:], terms[0]) for terms in _line_terms(w, variant))
     return line1, line2
 
 

@@ -26,10 +26,7 @@ __all__ = [
     "canonical_json",
     "write_json",
     "parse_config",
-    "config_float",
-    "config_int",
-    "config_str",
-    "config_float_list",
+    "config_value",
     "write_svg",
 ]
 
@@ -145,47 +142,34 @@ def parse_config(text: str) -> dict[str, str]:
     return out
 
 
-def config_float(cfg: dict[str, str], key: str, default: float | None = None) -> float:
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+# How config_value parses each kind, and what its error says of a bad value.
+_CONFIG_KINDS = {
+    float: (float, "not a number: {!r}"),
+    int: (int, "not an integer: {!r}"),
+    str: (str, ""),
+    bool: (lambda text: _BOOLS[text.strip().lower()], "expected a boolean, got {!r}"),
+    list: (lambda text: [float(s) for s in text.split(",") if s.strip()], "not a number list"),
+}
+
+
+def config_value(cfg: dict[str, str], key: str, kind: type, default: Any = None) -> Any:
+    """``cfg[key]`` parsed as ``kind``: ``float``, ``int``, ``str``, ``bool``
+    (``1/true/yes/on`` or ``0/false/no/off``, any case) or ``list`` (a comma
+    list of floats).  A missing key gives ``default`` (copied for ``list``);
+    without a default it is required.  Raises :class:`DomainError`.
+    """
     if key not in cfg:
         if default is None:
             raise DomainError(f"config key {key!r} is required")
-        return default
+        return list(default) if kind is list else default
+    parse, problem = _CONFIG_KINDS[kind]
     try:
-        return float(cfg[key])
-    except ValueError as exc:
-        raise DomainError(f"config key {key!r}: not a number: {cfg[key]!r}") from exc
-
-
-def config_int(cfg: dict[str, str], key: str, default: int | None = None) -> int:
-    if key not in cfg:
-        if default is None:
-            raise DomainError(f"config key {key!r} is required")
-        return default
-    try:
-        return int(cfg[key])
-    except ValueError as exc:
-        raise DomainError(f"config key {key!r}: not an integer: {cfg[key]!r}") from exc
-
-
-def config_str(cfg: dict[str, str], key: str, default: str | None = None) -> str:
-    if key not in cfg:
-        if default is None:
-            raise DomainError(f"config key {key!r} is required")
-        return default
-    return cfg[key]
-
-
-def config_float_list(cfg: dict[str, str], key: str,
-                      default: Sequence[float] | None = None) -> list[float]:
-    if key not in cfg:
-        if default is None:
-            raise DomainError(f"config key {key!r} is required")
-        return list(default)
-    items = [s for s in cfg[key].split(",") if s.strip()]
-    try:
-        return [float(s) for s in items]
-    except ValueError as exc:
-        raise DomainError(f"config key {key!r}: not a number list") from exc
+        return parse(cfg[key])
+    except (ValueError, KeyError) as exc:
+        raise DomainError(f"config key {key!r}: " + problem.format(cfg[key])) from exc
 
 
 def _svg_coord(v: float) -> str:

@@ -25,6 +25,10 @@ zero mode has zero linear symbol and zero nonlinear tendency.
 
 Fixed-step schemes only: reports must be reproducible bit for bit.
 
+This module is a pure integrator and imports nothing from
+:mod:`relaxwave.verify`: forcings come in as callables, such as
+:func:`relaxwave.verify.exactness_forcing`.
+
 ``scipy.sparse`` is imported only when :func:`evolve_system19` builds its
 derivative operator, so importing this module (and the CLI) does not load
 scipy; a ``simulate --system 19`` call pays that import inside the call.
@@ -42,7 +46,6 @@ from .dispersion import RealWave
 from .errors import DomainError, NumericalError
 from .medium import MediumParams, low_freq_coeffs
 from .soliton import eval_uZ, real_bundles
-from .verify import residuals_from_bundles
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -55,7 +58,6 @@ __all__ = [
     "TrajectoryMKdVB",
     "soliton_state19",
     "boundary_from_wave",
-    "exactness_forcing",
     "evolve_system19",
     "compare_to_exact",
     "ErrorsVsTime",
@@ -136,22 +138,6 @@ def boundary_from_wave(w: RealWave, sigma_min: float, sigma_max: float) -> _Boun
     return bc
 
 
-def exactness_forcing(w: RealWave):
-    """Forcing that turns the closed-form soliton into an exact solution.
-
-    The returned callable gives ``(-r1, -r2)`` where ``(r1, r2)`` are the
-    closed-form residuals in the coupled system, so a run forced with it
-    should track the closed form to pure discretization error.
-    """
-
-    def forcing(sigma: np.ndarray, tau: float):
-        bu, bz = real_bundles(w, sigma, np.full_like(sigma, tau))
-        r1, r2 = residuals_from_bundles(bu, bz, w.alpha)
-        return -np.asarray(r1, dtype=float), -np.asarray(r2, dtype=float)
-
-    return forcing
-
-
 def _fd_weights(offsets: Sequence[int], deriv: int) -> np.ndarray:
     """Stencil weights on integer offsets for the requested derivative."""
     p = len(offsets)
@@ -194,7 +180,7 @@ def _deriv_matrix(n: int, h: float, deriv: int) -> csr_matrix:
 
 
 def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
-                    scheme: str = "rk4", bc: _BoundaryFn | None = None,
+                    bc: _BoundaryFn | None = None,
                     forcing: Callable | None = None, linearized: bool = False,
                     n_snapshots: int = 11) -> Trajectory19:
     """Advance the coupled system by classical 4th-order time stepping.
@@ -213,12 +199,10 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
     ------
     DomainError
         If the time step violates ``dt <= 0.5*h`` (unit characteristic
-        speed) or the scheme name is unknown.
+        speed).
     NumericalError
         If a non-finite value appears; the message carries the step index.
     """
-    if scheme != "rk4":
-        raise DomainError(f"unknown scheme {scheme!r}; only 'rk4' is available")
     h = init.h
     if dt <= 0.0:
         raise DomainError("dt must be positive")

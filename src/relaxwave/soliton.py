@@ -8,7 +8,8 @@ phase ``theta = k*sigma - omega*tau + theta0``,
 
 equivalently ``u = G/F`` and
 ``Z = (sigma+tau)/2 + 2*(d_tau - d_sigma) log F`` for the tau pair
-``F = 1 + exp(2*theta)``, ``G = 8*(omega+k)**2 * exp(2*theta)``.
+``F = 1 + exp(2*theta)``, ``G = 8*(omega+k)**2 * exp(2*theta)`` of
+:func:`relaxwave.hirota.tau_pair`.
 
 The physical-frame profile is the parametric curve ``(y, u)`` with
 ``y = -Z + C``.  Its shape is governed by the turning points of ``y`` along
@@ -33,11 +34,10 @@ import numpy as np
 
 from .dispersion import ComplexWave, RealWave, alpha_critical
 from .errors import DomainError
-from .hirota import ExpAtom, TauFunction
+from .hirota import TauPair
 
 __all__ = [
     "FieldBundle",
-    "TauPair",
     "ProfileSamples",
     "ShapeClass",
     "SHAPE_LOOP",
@@ -49,7 +49,6 @@ __all__ = [
     "momentum",
     "dZ_dsigma",
     "real_bundles",
-    "tau_pair",
     "u_from_tau_pair",
     "Z_from_tau_pair",
     "eval_complex_Q",
@@ -87,14 +86,6 @@ class FieldBundle:
     t: np.ndarray
     ss: np.ndarray
     tt: np.ndarray
-
-
-@dataclass(frozen=True)
-class TauPair:
-    """The tau-function pair whose ratio and log-derivative rebuild ``(u, Z)``."""
-
-    F: TauFunction
-    G: TauFunction
 
 
 @dataclass(frozen=True)
@@ -188,15 +179,6 @@ def real_bundles(w: RealWave, sigma, tau) -> tuple[FieldBundle, FieldBundle]:
     return bu, bz
 
 
-def tau_pair(w: RealWave) -> TauPair:
-    """Tau pair ``F = 1 + E``, ``G = 8*(omega+k)**2*E`` with ``E = exp(2*theta)``."""
-    c = math.exp(2.0 * w.theta0)
-    a, b = 2.0 * w.k, -2.0 * w.omega
-    F = TauFunction.from_atoms([ExpAtom(1.0, 0.0, 0.0), ExpAtom(c, a, b)])
-    G = TauFunction.from_atoms([ExpAtom(8.0 * (w.omega + w.k) ** 2 * c, a, b)])
-    return TauPair(F=F, G=G)
-
-
 def u_from_tau_pair(pair: TauPair, sigma, tau):
     """Field ``u = G/F`` evaluated pointwise."""
     return pair.G(sigma, tau) / pair.F(sigma, tau)
@@ -252,6 +234,11 @@ def _complex_zeta_coeff(cw: ComplexWave) -> float:
     return A * A / (2.0 * s)
 
 
+def _check_decaying(cw: ComplexWave) -> None:
+    if cw.k.real == 0.0 and (cw.k.real + cw.omega.real) != 0.0:
+        raise DomainError("companion-field quadrature requires decaying |Q| (Re k != 0)")
+
+
 def complex_Z(cw: ComplexWave, sigma, tau):
     """Companion field of the complex soliton, reconstructed by quadrature.
 
@@ -265,9 +252,7 @@ def complex_Z(cw: ComplexWave, sigma, tau):
         If ``Re k == 0`` while ``|Q|`` is nonzero, in which case ``|Q|`` does
         not decay along ``sigma`` and the quadrature has no decaying solution.
     """
-    if cw.k.real == 0.0 and (cw.k.real + cw.omega.real) != 0.0:
-        raise DomainError(
-            "companion-field quadrature requires decaying |Q| (Re k != 0)")
+    _check_decaying(cw)
     sigma = np.asarray(sigma, dtype=float)
     tau = np.asarray(tau, dtype=float)
     thr = cw.k.real * sigma - cw.omega.real * tau + cw.theta0.real

@@ -5,18 +5,22 @@ is substituted into the governing system it is claimed to solve and the
 pointwise residual is measured, never assumed.  Derivatives can be taken
 three ways (closed-form analytic, order-2 finite differences, order-4 finite
 differences) so that any nonzero residual can be attributed to the formulas
-rather than to the numerics.  On a grid the finite-difference steps are the
-grid spacings: each closed form is evaluated once on the grid padded with
-``order/2`` ghost nodes per side, and every stencil value is a slice of that
-one evaluation.  :func:`real_residual_reports` and
-:func:`complex_residual_reports` give several methods (and, for the real
-wave, both systems) from one call: the ``fd2`` and ``fd4`` reports slice one
-padded evaluation at ``fd4`` width, whose inner ghost nodes are the same
-floats as the ``fd2`` padding, and one analytic bundle per row block feeds
-the coupled and the factored equations.  A manufactured-solution self-test
-calibrates the verifier itself: smooth fields with known forcing must
-reproduce that forcing to round-off on the analytic path and converge at
-nominal order on the finite-difference paths.
+rather than to the numerics.  Each model system (coupled, factored,
+complex) is written once, as a function of the derivative bundles giving
+each equation's total and normalizing terms; every residual path and
+:func:`exactness_forcing` (the negated residual) evaluate it.
+
+On a grid the finite-difference steps are the grid spacings: each closed
+form is evaluated once on the grid padded with ``order/2`` ghost nodes per
+side, and every stencil value is a slice of that one evaluation.
+:func:`real_residual_reports` and :func:`complex_residual_reports` give
+several methods (and, for the real wave, both systems) from one call: the
+``fd2`` and ``fd4`` reports slice one padded evaluation at ``fd4`` width,
+whose inner ghost nodes are the same floats as the ``fd2`` padding, and one
+analytic bundle per row block feeds the coupled and the factored equations.
+A manufactured-solution self-test calibrates the verifier itself: smooth
+fields with known forcing must reproduce that forcing to round-off on the
+analytic path and converge at nominal order on the finite-difference paths.
 
 Facts worth knowing up front: the candidate one-soliton does not annihilate
 the coupled characteristic system.  With ``T = tanh(theta)`` its
@@ -25,14 +29,15 @@ first-equation residual is
 ``c = alpha*(k-omega) + 2*(k**2-omega**2) - 1``, and the dispersion relation
 makes ``c = -1/2``; so ``r1 = -2*(k+omega)**2`` wherever ``theta = 0``, for
 every ``(v, alpha)`` on the branch (-1/2 at the origin for ``v = 0``,
-``alpha = 0``, where ``k = 1/2``).  The complex soliton satisfies only the
-reconstructed-companion equation of its system exactly.  These residuals
-are reported as findings.
+``alpha = 0``, where ``k = 1/2``).  The second residual is
+``r2 = 4*(k-omega)*(k+omega)**2*(1 + 4*(k+omega)**2)*(1+T)*(1-T**2)``.
+``tests/test_exact_residual.py`` derives both polynomials with sympy.  The
+complex soliton satisfies only the reconstructed-companion equation of its
+system exactly.  These residuals are reported as findings.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,9 +45,11 @@ import numpy as np
 
 from .dispersion import ComplexWave, RealWave
 from .errors import DomainError
+from .hirota import _richardson_diagonal
 from .soliton import (
     FieldBundle,
     ProfileSamples,
+    _check_decaying,
     _quad_along_xi,
     complex_bundles,
     complex_Z,
@@ -77,11 +84,13 @@ __all__ = [
     "manufactured_Z",
     "manufactured_bundles",
     "manufactured_forcing",
+    "exactness_forcing",
     "manufactured_selftest",
 ]
 
 METHODS = ("analytic", "fd2", "fd4")
 REAL_SYSTEMS = ("coupled", "factored")
+_FD_ORDERS = {"fd2": 2, "fd4": 4}
 
 _GRID_BOUND = 50.0
 
@@ -158,28 +167,61 @@ def _check_method(method: str) -> None:
         raise DomainError(f"unknown derivative method {method!r}; expected one of {METHODS}")
 
 
-def residuals_from_bundles(bu: FieldBundle, bz: FieldBundle, alpha: float):
-    """Residual fields of the coupled characteristic system.
+def _coupled_equations(bu: FieldBundle, bz: FieldBundle, alpha: float):
+    """The coupled characteristic system, one ``(name, total, terms)`` per equation.
 
-    Equation 1: ``u_ss - u_tt - (Z_s + Z_t)*u + alpha*(u_s + u_t)``;
-    equation 2: ``Z_ss - Z_tt + (u + 1)*(u_s + u_t)``.
+    Equation ``u``: ``u_ss - u_tt - (Z_s + Z_t)*u + alpha*(u_s + u_t)``;
+    equation ``Z``: ``Z_ss - Z_tt + (u + 1)*(u_s + u_t)``.  ``terms`` are the
+    constituents whose largest sup norm normalizes the equation's report.
     """
     pi = bu.s + bu.t
-    r1 = bu.ss - bu.tt - (bz.s + bz.t) * bu.f + alpha * pi
-    r2 = bz.ss - bz.tt + (bu.f + 1.0) * pi
-    return r1, r2
+    phi_u = (bz.s + bz.t) * bu.f
+    api = alpha * pi
+    return (("u", bu.ss - bu.tt - phi_u + api, (bu.ss, bu.tt, phi_u, api)),
+            ("Z", bz.ss - bz.tt + (bu.f + 1.0) * pi, (bz.ss, bz.tt, bu.f * pi, pi)))
+
+
+def _factored_equations(bu: FieldBundle, bz: FieldBundle, alpha: float):
+    """The factored-frame equation ``-(u_ss - u_tt) - alpha*(u_s + u_t) + (Z_s + Z_t)*u``.
+
+    Its total is summed negated, as ``d + alpha*pi - phi*u``: bit for bit
+    the same up to the sign of a zero, and the norms see only ``|r|`` and ``r**2``.
+    """
+    d = bu.ss - bu.tt
+    api = alpha * (bu.s + bu.t)
+    phi_u = (bz.s + bz.t) * bu.f
+    return (("u-factored", d + api - phi_u, (d, api, phi_u)),)
+
+
+def _complex_equations(bqr: FieldBundle, bqi: FieldBundle, bz: FieldBundle, alpha: float):
+    """The complex short-pulse system, one ``(name, total, terms)`` per equation.
+
+    With ``phi = Z_s + Z_t``: ``Q_ss - Q_tt - phi*Q + alpha*(Q_s + Q_t)`` split
+    into real and imaginary parts, and the companion equation
+    ``Z_ss - Z_tt + Re Q*(Re Q_s + Re Q_t) + Im Q*(Im Q_s + Im Q_t)``.
+    """
+    phi = bz.s + bz.t
+    pr, pi_ = bqr.s + bqr.t, bqi.s + bqi.t
+    phi_r, phi_i = phi * bqr.f, phi * bqi.f
+    a_r, a_i = alpha * pr, alpha * pi_
+    q_r, q_i = bqr.f * pr, bqi.f * pi_
+    return (("Q_re", bqr.ss - bqr.tt - phi_r + a_r, (bqr.ss, bqr.tt, phi_r, a_r)),
+            ("Q_im", bqi.ss - bqi.tt - phi_i + a_i, (bqi.ss, bqi.tt, phi_i, a_i)),
+            ("Z", bz.ss - bz.tt + q_r + q_i, (bz.ss, bz.tt, q_r, q_i)))
+
+
+_REAL_EQUATIONS = {"coupled": _coupled_equations, "factored": _factored_equations}
+
+
+def residuals_from_bundles(bu: FieldBundle, bz: FieldBundle, alpha: float):
+    """Residual fields ``(r1, r2)`` of the coupled characteristic system."""
+    return tuple(total for _name, total, _terms in _coupled_equations(bu, bz, alpha))
 
 
 def complex_residuals_from_bundles(bqr: FieldBundle, bqi: FieldBundle,
                                    bz: FieldBundle, alpha: float):
     """Residual fields of the complex short-pulse system (three equations)."""
-    pr = bqr.s + bqr.t
-    pi_ = bqi.s + bqi.t
-    phi = bz.s + bz.t
-    r1 = bqr.ss - bqr.tt - phi * bqr.f + alpha * pr
-    r2 = bqi.ss - bqi.tt - phi * bqi.f + alpha * pi_
-    r3 = bz.ss - bz.tt + bqr.f * pr + bqi.f * pi_
-    return r1, r2, r3
+    return tuple(total for _name, total, _terms in _complex_equations(bqr, bqi, bz, alpha))
 
 
 def _stencil_bundle(f0, s_shifts, t_shifts, hs: float, ht: float) -> FieldBundle:
@@ -226,12 +268,6 @@ def _central_differences(f0, shifts, h: float):
     return d1, d2
 
 
-def _stencil_half_width(order: int) -> int:
-    if order not in (2, 4):
-        raise DomainError(f"finite-difference order must be 2 or 4, got {order}")
-    return order // 2
-
-
 def fd_bundle(fn: Callable, S, T, hs: float, ht: float, order: int) -> FieldBundle:
     """Finite-difference derivative bundle of a callable field on given points."""
     return _fd_bundles(lambda s, t: (fn(s, t),), S, T, hs, ht, order)[0]
@@ -240,7 +276,10 @@ def fd_bundle(fn: Callable, S, T, hs: float, ht: float, order: int) -> FieldBund
 def _fd_bundles(fields: Callable, S, T, hs: float, ht: float,
                 order: int) -> tuple[FieldBundle, ...]:
     """:func:`fd_bundle` of every field ``fields(S, T)`` returns, one call per stencil point."""
-    steps = range(1, _stencil_half_width(order) + 1)
+    if order not in _FD_ORDERS.values():
+        raise DomainError(f"finite-difference order must be one of "
+                          f"{tuple(_FD_ORDERS.values())}, got {order}")
+    steps = range(1, order // 2 + 1)
     S = np.asarray(S, dtype=float)
     T = np.asarray(T, dtype=float)
     f0 = fields(S, T)
@@ -269,7 +308,7 @@ def _grid_fd_rows(fields: Callable, grid: GridSpec,
     the round-off of the coordinates (at most 2 ulps of the largest
     coordinate on the grids tried).
     """
-    pad = _stencil_half_width(order)
+    pad = order // 2
     hs, ht = grid.spacings()
     ghosts = np.arange(1.0, pad + 1.0)
     axes = [np.concatenate((a[0] - h * ghosts[::-1], a, a[-1] + h * ghosts))
@@ -278,7 +317,7 @@ def _grid_fd_rows(fields: Callable, grid: GridSpec,
     nt = grid.n_tau
 
     def rows(i0: int, i1: int, m: int) -> tuple[FieldBundle, ...]:
-        steps = range(1, _stencil_half_width(m) + 1)
+        steps = range(1, m // 2 + 1)
 
         def at(F, i: int, j: int):
             # F shifted by i nodes in sigma and j in tau, on grid rows i0:i1
@@ -297,16 +336,6 @@ def _grid_fd_bundles(fields: Callable, grid: GridSpec, order: int) -> tuple[Fiel
     return _grid_fd_rows(fields, grid, order)(0, grid.n_sigma, order)
 
 
-def _richardson(values: list[float], start: float, step: float = 4.0) -> float:
-    table = list(values)
-    fac = start
-    while len(table) > 1:
-        table = [(fac * table[i + 1] - table[i]) / (fac - 1.0)
-                 for i in range(len(table) - 1)]
-        fac *= step
-    return table[0]
-
-
 def point_bundle(fn: Callable, sigma: float, tau: float, order: int,
                  h0: float = 0.4, levels: int = 5) -> FieldBundle:
     """Richardson-extrapolated finite-difference bundle at a single point.
@@ -321,16 +350,20 @@ def point_bundle(fn: Callable, sigma: float, tau: float, order: int,
 def _point_bundles(fields: Callable, sigma: float, tau: float, order: int,
                    h0: float = 0.4, levels: int = 5) -> tuple[FieldBundle, ...]:
     """:func:`point_bundle` of every field ``fields(S, T)`` returns, one call per stencil point."""
-    start = 4.0 if order == 2 else 16.0
     seq = [_fd_bundles(fields, sigma, tau, h0 / 2.0**i, h0 / 2.0**i, order)
            for i in range(levels)]
+
+    def extrapolated(values) -> float:
+        # halving the step divides the leading error term by 2**order
+        return _richardson_diagonal([float(x) for x in values], 2.0**order)[-1]
+
     return tuple(
         FieldBundle(
             f=float(np.asarray(per_level[0].f)),
-            s=_richardson([float(b.s) for b in per_level], start),
-            t=_richardson([float(b.t) for b in per_level], start),
-            ss=_richardson([float(b.ss) for b in per_level], start),
-            tt=_richardson([float(b.tt) for b in per_level], start),
+            s=extrapolated(b.s for b in per_level),
+            t=extrapolated(b.t for b in per_level),
+            ss=extrapolated(b.ss for b in per_level),
+            tt=extrapolated(b.tt for b in per_level),
         )
         for per_level in zip(*seq))
 
@@ -338,8 +371,6 @@ def _point_bundles(fields: Callable, sigma: float, tau: float, order: int,
 # Grid points per row block of a grid report: about 64 KB per float64
 # temporary, so a block's whole residual chain stays in cache.
 _BLOCK_POINTS = 8192
-
-_FD_ORDERS = {"fd2": 2, "fd4": 4}
 
 
 def _grid_reports(grid: GridSpec, methods, bundles: Callable, fields: Callable,
@@ -434,25 +465,9 @@ def real_residual_reports(w: RealWave, grid: GridSpec = GridSpec(), methods=METH
     if len(set(systems)) != len(systems) or not set(systems) <= set(REAL_SYSTEMS):
         raise DomainError(f"systems must be distinct names from {REAL_SYSTEMS}, "
                           f"got {tuple(systems)}")
-    alpha = w.alpha
-
     def equations(bu, bz):
-        pi = bu.s + bu.t
-        d = bu.ss - bu.tt
-        phi_u = (bz.s + bz.t) * bu.f
-        api = alpha * pi
-        out = []
-        for system in systems:
-            if system == "coupled":
-                # summed as in residuals_from_bundles
-                out += [(system, "u", d - phi_u + api, (bu.ss, bu.tt, phi_u, api)),
-                        (system, "Z", bz.ss - bz.tt + (bu.f + 1.0) * pi,
-                         (bz.ss, bz.tt, bu.f * pi, pi))]
-            else:
-                # -(u_ss - u_tt) + alpha*(-(u_s + u_t)) + phi*u is -(d + api - phi_u)
-                # bit for bit up to the sign of a zero; the norms see only |r| and r**2
-                out.append((system, "u-factored", d + api - phi_u, (d, api, phi_u)))
-        return out
+        return [(system, *eq) for system in systems
+                for eq in _REAL_EQUATIONS[system](bu, bz, w.alpha)]
 
     reports = _grid_reports(grid, methods, lambda s, t: real_bundles(w, s, t),
                             lambda s, t: eval_uZ(w, s, t), equations)
@@ -476,8 +491,7 @@ def system19_point_residual(w: RealWave, sigma: float, tau: float,
     if method == "analytic":
         bu, bz = real_bundles(w, sigma, tau)
     else:
-        order = 2 if method == "fd2" else 4
-        bu, bz = _point_bundles(lambda s, t: eval_uZ(w, s, t), sigma, tau, order)
+        bu, bz = _point_bundles(lambda s, t: eval_uZ(w, s, t), sigma, tau, _FD_ORDERS[method])
     r1, r2 = residuals_from_bundles(bu, bz, w.alpha)
     return float(r1), float(r2)
 
@@ -523,20 +537,9 @@ def complex_residual_reports(cw: ComplexWave, grid: GridSpec = GridSpec(),
     """
     for m in methods:
         _check_method(m)
-    if cw.k.real == 0.0 and (cw.k.real + cw.omega.real) != 0.0:
-        raise DomainError("companion-field quadrature requires decaying |Q| (Re k != 0)")
-    alpha = cw.alpha
-
+    _check_decaying(cw)
     def equations(bqr, bqi, bz):
-        phi = bz.s + bz.t
-        pr, pi_ = bqr.s + bqr.t, bqi.s + bqi.t
-        phi_r, phi_i = phi * bqr.f, phi * bqi.f
-        a_r, a_i = alpha * pr, alpha * pi_
-        q_r, q_i = bqr.f * pr, bqi.f * pi_
-        # summed as in complex_residuals_from_bundles
-        return (("complex", "Q_re", bqr.ss - bqr.tt - phi_r + a_r, (bqr.ss, bqr.tt, phi_r, a_r)),
-                ("complex", "Q_im", bqi.ss - bqi.tt - phi_i + a_i, (bqi.ss, bqi.tt, phi_i, a_i)),
-                ("complex", "Z", bz.ss - bz.tt + q_r + q_i, (bz.ss, bz.tt, q_r, q_i)))
+        return [("complex", *eq) for eq in _complex_equations(bqr, bqi, bz, cw.alpha)]
 
     reports = _grid_reports(
         grid, methods, lambda s, t: complex_bundles(cw, s, t),
@@ -724,6 +727,23 @@ def manufactured_forcing(S, T, alpha: float):
     """Exact forcing that the manufactured pair induces in the coupled system."""
     bu, bz = manufactured_bundles(S, T)
     return residuals_from_bundles(bu, bz, alpha)
+
+
+def exactness_forcing(w: RealWave):
+    """Forcing that turns the closed-form soliton into an exact solution.
+
+    The returned callable gives ``(-r1, -r2)`` where ``(r1, r2)`` are the
+    closed-form residuals in the coupled system, so a run of
+    :func:`relaxwave.sim.evolve_system19` forced with it should track the
+    closed form to pure discretization error.
+    """
+
+    def forcing(sigma: np.ndarray, tau: float):
+        bu, bz = real_bundles(w, sigma, np.full_like(sigma, tau))
+        r1, r2 = residuals_from_bundles(bu, bz, w.alpha)
+        return -np.asarray(r1, dtype=float), -np.asarray(r2, dtype=float)
+
+    return forcing
 
 
 def manufactured_selftest(alpha: float = 0.3) -> SelftestReport:

@@ -33,14 +33,14 @@ from relaxwave import (
 )
 from relaxwave.cli import main as cli_main
 from relaxwave.hirota import ExpAtom, TauFunction, d_op, d_op_fd
-from relaxwave.sim import boundary_from_wave, exactness_forcing
+from relaxwave.sim import boundary_from_wave
 from relaxwave.soliton import (
     count_turning_points,
     singular_thetas,
     u_from_tau_pair,
     Z_from_tau_pair,
 )
-from relaxwave.verify import METHODS
+from relaxwave.verify import METHODS, exactness_forcing
 
 
 @pytest.fixture

@@ -1,9 +1,14 @@
 """End-to-end command-line checks: outputs, file artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import relaxwave.cli
 from relaxwave import MediumParams, reduce_swsp
 from relaxwave.cli import main
 
@@ -235,3 +240,29 @@ def test_exit_codes(tmp_path, capsys):
     missing = tmp_path / "no" / "dir" / "x.txt"
     assert main(["critical-alpha", "--v", "0.5", "--out", str(missing)]) == 4
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
+    builds = []
+    build = relaxwave.cli.build_parser
+    monkeypatch.setattr(relaxwave.cli, "build_parser", lambda: builds.append(1) or build())
+    relaxwave.cli._parser.cache_clear()
+    argvs = [["classify", "--v", "0.24", "--alpha", "0.1"],
+             ["dispersion", "--v", "2", "--alpha", "0.1"],
+             ["classify", "--v", "0.24", "--alpha", "0.1"]]
+    try:
+        got = []
+        for argv in argvs:
+            code = main(argv)
+            got.append((code, *capsys.readouterr()))
+        assert len(builds) == 1
+    finally:
+        relaxwave.cli._parser.cache_clear()
+    assert [g[0] for g in got] == [0, 2, 0]
+    src = str(Path(relaxwave.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    for argv, expected in zip(argvs, got):
+        proc = subprocess.run([sys.executable, "-m", "relaxwave.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected

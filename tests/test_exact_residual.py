@@ -1,0 +1,117 @@
+"""Exact oracle for the central finding: the coupled-system residual of the
+candidate one-soliton.
+
+Every real closed-form field depends on ``(sigma, tau)`` only through
+``theta = k*sigma - omega*tau + theta0``, apart from the ``(sigma+tau)/2`` in
+``Z``.  With ``T = tanh(theta)``, ``d/dsigma = k*(1-T**2)*d/dT`` and
+``d/dtau = -omega*(1-T**2)*d/dT``, so sympy derives the derivative bundles
+and both residuals as exact polynomials in ``T``.  The float code is then
+checked against those polynomials evaluated with mpmath at 50 digits.
+"""
+
+import functools
+
+import mpmath
+import numpy as np
+import pytest
+import sympy as sp
+
+from relaxwave import solve_real, system19_point_residual
+from relaxwave.soliton import real_bundles
+
+k, om, al, T = sp.symbols("k omega alpha T")
+BUNDLE = ("f", "s", "t", "ss", "tt")
+
+
+@functools.cache
+def symbolic():
+    """Bundles of ``u`` and ``Z - (sigma+tau)/2``, and ``(r1, r2)``, in ``T``."""
+
+    def d_s(f):
+        return sp.expand(k * (1 - T**2) * sp.diff(f, T))
+
+    def d_t(f):
+        return sp.expand(-om * (1 - T**2) * sp.diff(f, T))
+
+    def bundle(f, linear):
+        # linear: the partials of the (sigma+tau)/2 part, first order only
+        return {"f": f, "s": d_s(f) + linear, "t": d_t(f) + linear,
+                "ss": d_s(d_s(f)), "tt": d_t(d_t(f))}
+
+    bu = bundle(4 * (k + om)**2 * (T + 1), 0)
+    bz = bundle(-2 * (k + om) * (T + 1), sp.Rational(1, 2))
+    pi = bu["s"] + bu["t"]
+    r1 = sp.expand(bu["ss"] - bu["tt"] - (bz["s"] + bz["t"]) * bu["f"] + al * pi)
+    r2 = sp.expand(bz["ss"] - bz["tt"] + (bu["f"] + 1) * pi)
+    terms = ((bu["ss"], bu["tt"], (bz["s"] + bz["t"]) * bu["f"], al * pi),
+             (bz["ss"], bz["tt"], bu["f"] * pi, pi))
+    return bu, bz, (r1, r2), terms
+
+
+def test_residuals_are_the_stated_polynomials_in_tanh_theta():
+    _bu, _bz, (r1, r2), _terms = symbolic()
+    c = al * (k - om) + 2 * (k**2 - om**2) - 1
+    assert sp.expand(r1 - 4 * (k + om)**2 * (-(k - om) * (al + 2 * k + 2 * om) * T**2
+                                             - T + c)) == 0
+    assert sp.expand(r2 - 4 * (k - om) * (k + om)**2 * (1 + 4 * (k + om)**2)
+                     * (1 + T) * (1 - T**2)) == 0
+    # On the dispersion branch (D = 1) the value at theta = 0 is -2*(k+omega)**2.
+    D = 4 * (k**2 - om**2) + 2 * al * (k - om)
+    assert sp.expand(r1.subs(T, 0) + 2 * (k + om)**2 - 2 * (k + om)**2 * (D - 1)) == 0
+    # The T coefficient -4*(k+omega)**2 vanishes only at k = -omega (u = 0).
+    assert sp.factor(sp.Poly(r1, T).coeff_monomial(T)) == -4 * (k + om)**2
+
+
+WAVES = [(0.24, 0.1, 0.0), (0.24, 0.35164827554715933, 0.0), (0.24, 0.8, 0.0),
+         (0.0, 0.0, 0.0), (-0.6, 1.7, 0.4), (0.9, 4.5, -1.3), (0.5, 0.05, 2.0)]
+
+
+def sample_nodes(w, rng):
+    """Corners and random nodes of the default grid plus nodes on theta lines
+    through the pulse, every one inside ``[-15, 15]**2``."""
+    nodes = [(-15.0, -15.0), (-15.0, 15.0), (15.0, -15.0), (15.0, 15.0), (0.0, 0.0)]
+    nodes += [tuple(p) for p in rng.uniform(-15.0, 15.0, size=(12, 2))]
+    for th in (-4.0, -2.0, -1.0, -0.5, 0.0, 0.3, 0.7, 1.5, 3.0):
+        for tau in rng.uniform(-3.0, 3.0, size=2):
+            sigma = (th - w.theta0 + w.omega * tau) / w.k
+            if abs(sigma) <= 15.0:
+                nodes.append((float(sigma), float(tau)))
+    return nodes
+
+
+@pytest.mark.parametrize("v,alpha,theta0", WAVES)
+def test_analytic_bundles_and_point_residual_match_a_50_digit_oracle(v, alpha, theta0):
+    w = solve_real(v, alpha, theta0=theta0)
+    bu_sym, bz_sym, r_sym, terms_sym = symbolic()
+    args = (k, om, al, T)
+    exact_fields = [sp.lambdify(args, b[c], "mpmath") for b in (bu_sym, bz_sym) for c in BUNDLE]
+    exact_residuals = [sp.lambdify(args, r, "mpmath") for r in r_sym]
+    exact_terms = [[sp.lambdify(args, t, "mpmath") for t in ts] for ts in terms_sym]
+    nodes = sample_nodes(w, np.random.default_rng(7))
+    S = np.array([s for s, _ in nodes])
+    Tau = np.array([t for _, t in nodes])
+    bu, bz = real_bundles(w, S, Tau)
+    got_fields = [getattr(b, c) for b in (bu, bz) for c in BUNDLE]
+    got_residuals = list(zip(*(system19_point_residual(w, s, t, "analytic")
+                               for s, t in nodes)))
+
+    with mpmath.workdps(50):
+        kk, ww, aa = mpmath.mpf(w.k), mpmath.mpf(w.omega), mpmath.mpf(w.alpha)
+        fields, residuals, scales = [], [], []
+        for s, t in nodes:
+            s, t = mpmath.mpf(s), mpmath.mpf(t)
+            x = (kk, ww, aa, mpmath.tanh(kk * s - ww * t + mpmath.mpf(w.theta0)))
+            fields.append([f(*x) for f in exact_fields])
+            fields[-1][5] += (s + t) / 2  # Z itself, not only its theta part
+            residuals.append([r(*x) for r in exact_residuals])
+            scales.append([max(abs(term(*x)) for term in terms) for terms in exact_terms])
+        # Each number is held to 1e-13 of the sup over the nodes of its own
+        # kind: a bundle component's values, or an equation's largest term
+        # (the pointwise analogue of a report's normalization).
+        checks = [(got, ref, max(map(abs, ref)))
+                  for got, ref in zip(got_fields, zip(*fields))]
+        checks += [(got, ref, max(scale))
+                   for got, ref, scale in zip(got_residuals, zip(*residuals), zip(*scales))]
+        for j, (got, ref, scale) in enumerate(checks):
+            err = max(abs(mpmath.mpf(float(a)) - b) for a, b in zip(got, ref))
+            assert err <= 1e-13 * scale, (j, float(err / scale))

@@ -11,10 +11,7 @@ import pytest
 from relaxwave import DomainError
 from relaxwave.output import (
     canonical_json,
-    config_float,
-    config_float_list,
-    config_int,
-    config_str,
+    config_value,
     csv_text,
     fmt,
     parse_config,
@@ -138,29 +135,35 @@ def test_parse_config_errors_carry_line_numbers():
 
 
 def test_config_accessors():
-    cfg = parse_config("x = 2.5\nn = 7\nname = abc\nlist = 1, 2.5, 3\n")
-    assert config_float(cfg, "x") == 2.5
-    assert config_float(cfg, "missing", 1.5) == 1.5
-    assert config_int(cfg, "n") == 7
-    assert config_int(cfg, "missing", 3) == 3
-    assert config_str(cfg, "name") == "abc"
-    assert config_str(cfg, "missing", "d") == "d"
-    assert config_float_list(cfg, "list") == [1.0, 2.5, 3.0]
-    assert config_float_list(cfg, "missing", (1.0,)) == [1.0]
+    cfg = parse_config("x = 2.5\nn = 7\nname = abc\nlist = 1, 2.5, 3\n"
+                       "on = Yes\noff = 0\n")
+    assert config_value(cfg, "x", float) == 2.5
+    assert config_value(cfg, "missing", float, 1.5) == 1.5
+    assert config_value(cfg, "n", int) == 7
+    assert config_value(cfg, "missing", int, 3) == 3
+    assert config_value(cfg, "name", str) == "abc"
+    assert config_value(cfg, "missing", str, "d") == "d"
+    assert config_value(cfg, "list", list) == [1.0, 2.5, 3.0]
+    assert config_value(cfg, "missing", list, (1.0,)) == [1.0]
+    assert config_value(cfg, "on", bool) is True
+    assert config_value(cfg, "off", bool) is False
+    assert config_value(cfg, "missing", bool, False) is False
 
 
 def test_config_accessor_errors():
-    cfg = parse_config("x = hello\nn = 2.5\nlist = 1, two\n")
+    cfg = parse_config("x = hello\nn = 2.5\nlist = 1, two\nflag = maybe\n")
     with pytest.raises(DomainError, match="required"):
-        config_float(cfg, "absent")
-    with pytest.raises(DomainError, match="not a number"):
-        config_float(cfg, "x")
+        config_value(cfg, "absent", float)
+    with pytest.raises(DomainError, match="'x': not a number: 'hello'"):
+        config_value(cfg, "x", float)
     with pytest.raises(DomainError, match="not an integer"):
-        config_int(cfg, "n")
+        config_value(cfg, "n", int)
     with pytest.raises(DomainError, match="number list"):
-        config_float_list(cfg, "list")
+        config_value(cfg, "list", list)
     with pytest.raises(DomainError, match="required"):
-        config_str(cfg, "absent")
+        config_value(cfg, "absent", str)
+    with pytest.raises(DomainError, match="'flag': expected a boolean, got 'maybe'"):
+        config_value(cfg, "flag", bool)
 
 
 def test_write_svg_structure(tmp_path):
