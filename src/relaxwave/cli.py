@@ -55,8 +55,9 @@ from .sim import (
     evolve_system19,
     soliton_state19,
 )
-from .soliton import classify, profile
+from .soliton import ShapeClass, classify, profile
 from .verify import (
+    METHODS,
     GridSpec,
     ResidualReport,
     complex_residual_reports,
@@ -70,6 +71,11 @@ from .verify import (
 __all__ = ["FigureSpec", "figure", "run_report", "main"]
 
 _DEFAULT_FIGURE_ALPHAS = (alpha_critical(0.24), 0.1, 0.8)
+
+# verify --system token -> system name
+_SYSTEM_TOKENS = {"19": "coupled", "coupled": "coupled", "14": "factored",
+                  "factored": "factored", "eqq11": "complex", "complex": "complex",
+                  "11": "physical", "physical": "physical"}
 
 
 @dataclass(frozen=True)
@@ -144,6 +150,11 @@ def _bilinear_obj(w, variant: str) -> dict:
                      "n_sigma": rep.n_sigma, "n_tau": rep.n_tau}}
 
 
+def _shape_obj(sc: ShapeClass) -> dict:
+    return {"class": sc.shape, "momentum_shape": sc.momentum_shape,
+            "singular_thetas": list(sc.singular_thetas)}
+
+
 def _config_from_path(path: str | None) -> dict[str, str]:
     if path is None:
         return {}
@@ -187,9 +198,7 @@ def _cmd_soliton_profile(args) -> int:
 def _cmd_classify(args) -> int:
     w = solve_real(args.v, args.alpha)
     sc = classify(w, tol=args.tol)
-    _emit_json(args, {"v": args.v, "alpha": args.alpha, "class": sc.shape,
-                      "momentum_shape": sc.momentum_shape,
-                      "singular_thetas": list(sc.singular_thetas),
+    _emit_json(args, {"v": args.v, "alpha": args.alpha, **_shape_obj(sc),
                       "alpha_critical": sc.alpha_critical})
     return 0
 
@@ -204,10 +213,8 @@ def _cmd_bilinear(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    token = {"19": "coupled", "coupled": "coupled", "14": "factored",
-             "factored": "factored", "eqq11": "complex", "complex": "complex",
-             "11": "physical", "physical": "physical"}[args.system]
-    methods = ("analytic", "fd2", "fd4") if args.method == "all" else (args.method,)
+    token = _SYSTEM_TOKENS[args.system]
+    methods = METHODS if args.method == "all" else (args.method,)
     grid = _grid_from_args(args)
     obj: dict = {"system": token, "reports": []}
     if token == "complex":
@@ -281,10 +288,7 @@ def figure(spec: FigureSpec, out_dir: str | Path) -> dict:
             write_svg(out / sp, [(p.y, p.pi, label)], "y", "pi")
             files["svg_u"] = su
             files["svg_pi"] = sp
-        panels.append({"alpha": a, "class": sc.shape,
-                       "momentum_shape": sc.momentum_shape,
-                       "singular_thetas": list(sc.singular_thetas),
-                       "files": files})
+        panels.append({"alpha": a, **_shape_obj(sc), "files": files})
     manifest = {"schema_version": 1, "v": spec.v, "tau": spec.tau,
                 "sigma_min": spec.sigma_min, "sigma_max": spec.sigma_max,
                 "n": spec.n, "format": spec.fmt, "panels": panels}
@@ -328,10 +332,7 @@ def run_report(cfg: dict[str, str], seed: int = 0) -> tuple[dict, int]:
             entry["dispersion"] = {
                 "k": w.k, "omega": w.omega,
                 "residual": real_dispersion_residual(w.k, w.omega, a)}
-            sc = classify(w)
-            entry["classification"] = {
-                "class": sc.shape, "momentum_shape": sc.momentum_shape,
-                "singular_thetas": list(sc.singular_thetas)}
+            entry["classification"] = _shape_obj(classify(w))
             entry["bilinear"] = [_bilinear_obj(w, var) for var in VARIANTS]
             coupled, factored = real_residual_reports(w, grid, ("analytic",))
             entry["verify"] = {"coupled": _report_obj(coupled),
@@ -588,13 +589,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="residual report of a candidate solution")
-    p.add_argument("--system", required=True,
-                   choices=("19", "coupled", "14", "factored",
-                            "eqq11", "complex", "11", "physical"))
+    p.add_argument("--system", required=True, choices=tuple(_SYSTEM_TOKENS))
     p.add_argument("--v", type=float, default=0.24)
     p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--method", choices=("analytic", "fd2", "fd4", "all"),
-                   default="analytic")
+    p.add_argument("--method", choices=(*METHODS, "all"), default="analytic")
     p.add_argument("--k-re", type=float, default=1.25,
                    help="complex system: real part of k")
     p.add_argument("--k-im", type=float, default=0.0,

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _MAX_DOP_ORDER = 8
+_BILINEAR_RANGE = (-10.0, 10.0)
 
 VARIANTS = ("squared-alpha", "linear-alpha")
 
@@ -174,11 +175,11 @@ def _richardson_diagonal(values: list[float], factor: float) -> list[float]:
     return diag
 
 
-def d_op_fd(m: int, n: int, f: Callable, g: Callable, sigma: float, tau: float,
-            h: float = 0.25, levels: int = 6) -> float:
+def d_op_fd(m: int, n: int, f: Callable, g: Callable, sigma: float, tau: float) -> float:
     """Evaluate ``D_sigma^m D_tau^n (f.g)`` at one point from the definition.
 
-    Central differences in the shift variables with Richardson extrapolation;
+    Central differences in the shift variables at the steps ``0.25/2**i``,
+    ``i = 0 .. 5``, with Richardson extrapolation;
     ``f`` and ``g`` may be :class:`TauFunction` instances or any callables of
     ``(sigma, tau)``.  This route is independent of the closed-form atom rule
     and is the oracle used to validate it.
@@ -215,7 +216,7 @@ def d_op_fd(m: int, n: int, f: Callable, g: Callable, sigma: float, tau: float,
     # Round-off grows as the step shrinks, so rather than trusting the deepest
     # extrapolation blindly, return the diagonal value whose agreement with its
     # predecessor is best (Ridders' stopping rule).
-    diag = _richardson_diagonal([stencil(h / 2.0 ** i) for i in range(levels)], 4.0)
+    diag = _richardson_diagonal([stencil(0.25 / 2.0 ** i) for i in range(6)], 4.0)
     best, err = diag[-1], abs(diag[-1] - diag[-2]) if len(diag) > 1 else 0.0
     for k in range(1, len(diag)):
         e = abs(diag[k] - diag[k - 1])
@@ -271,10 +272,10 @@ def bilinear_lines(w: RealWave, variant: str = "squared-alpha") -> tuple[TauFunc
 
 
 def bilinear_residual(w: RealWave, variant: str = "squared-alpha",
-                      sigma_range: tuple[float, float] = (-10.0, 10.0),
-                      tau_range: tuple[float, float] = (-10.0, 10.0),
                       n_sigma: int = 101, n_tau: int = 101) -> BilinearReport:
     """Measure both bilinear lines of the one-soliton tau pair on a grid.
+
+    The grid spans ``[-10, 10]`` on both axes with ``n_sigma`` by ``n_tau`` nodes.
 
     The residual values are findings about the closed forms under test, not
     asserted zeros.
@@ -282,8 +283,8 @@ def bilinear_residual(w: RealWave, variant: str = "squared-alpha",
     if n_sigma < 2 or n_tau < 2:
         raise DomainError("bilinear residual grid needs at least 2 points per axis")
     line1_terms, line2_terms = _line_terms(w, variant)
-    sig = np.linspace(sigma_range[0], sigma_range[1], n_sigma)
-    tau = np.linspace(tau_range[0], tau_range[1], n_tau)
+    sig = np.linspace(*_BILINEAR_RANGE, n_sigma)
+    tau = np.linspace(*_BILINEAR_RANGE, n_tau)
     S, T = np.meshgrid(sig, tau, indexing="ij")
 
     def normalized_linf(terms) -> tuple[float, float]:
@@ -305,8 +306,8 @@ def bilinear_residual(w: RealWave, variant: str = "squared-alpha",
         line2_linf=l2,
         line1_normalization=n1,
         line2_normalization=n2,
-        sigma_range=(float(sigma_range[0]), float(sigma_range[1])),
-        tau_range=(float(tau_range[0]), float(tau_range[1])),
+        sigma_range=_BILINEAR_RANGE,
+        tau_range=_BILINEAR_RANGE,
         n_sigma=n_sigma,
         n_tau=n_tau,
     )

@@ -177,13 +177,15 @@ def _svg_coord(v: float) -> str:
 
 
 def write_svg(path: str | Path, curves: Sequence[tuple[np.ndarray, np.ndarray, str]],
-              xlabel: str, ylabel: str, width: int = 640, height: int = 480) -> None:
+              xlabel: str, ylabel: str) -> None:
     """Plot parametric curves as native SVG polylines with axis labels.
 
-    ``curves`` is a sequence of ``(x, y, label)`` triples sharing one frame.
+    ``curves`` is a sequence of ``(x, y, label)`` triples sharing one frame
+    of 640 by 480 pixels.
     """
     if not curves:
         raise DomainError("write_svg needs at least one curve")
+    width, height = 640, 480
     margin = 56.0
     xs = np.concatenate([np.asarray(c[0], dtype=float) for c in curves])
     ys = np.concatenate([np.asarray(c[1], dtype=float) for c in curves])

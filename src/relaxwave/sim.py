@@ -179,6 +179,18 @@ def _deriv_matrix(n: int, h: float, deriv: int) -> csr_matrix:
     return csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
+def _schedule(T: float, dt: float, n_snapshots: int) -> tuple[int, list[int]]:
+    """Validated step count of a run over ``T`` and the steps that take snapshots."""
+    if dt <= 0.0:
+        raise DomainError("dt must be positive")
+    if T < 0.0:
+        raise DomainError("T must be nonnegative")
+    if n_snapshots < 2:
+        raise DomainError("need at least 2 snapshots")
+    steps = max(1, int(round(T / dt))) if T > 0.0 else 0
+    return steps, sorted({round(i * steps / (n_snapshots - 1)) for i in range(n_snapshots)})
+
+
 def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
                     bc: _BoundaryFn | None = None,
                     forcing: Callable | None = None, linearized: bool = False,
@@ -204,14 +216,10 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
         If a non-finite value appears; the message carries the step index.
     """
     h = init.h
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
+    # a nonpositive dt passes this check and is rejected by _schedule
     if dt > 0.5 * h + 1e-15:
         raise DomainError(f"CFL violation: dt={dt} exceeds 0.5*h={0.5 * h}")
-    if T < 0.0:
-        raise DomainError("T must be nonnegative")
-    if n_snapshots < 2:
-        raise DomainError("need at least 2 snapshots")
+    steps, snap_at = _schedule(T, dt, n_snapshots)
 
     sigma = np.asarray(init.sigma, dtype=float)
     n = sigma.size
@@ -260,9 +268,6 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
         K[::2, ends] = rate
         K[1::2, ends] = 0.0
         return K
-
-    steps = max(1, int(round(T / dt))) if T > 0.0 else 0
-    snap_at = sorted({round(i * steps / (n_snapshots - 1)) for i in range(n_snapshots)})
 
     tau0 = float(init.tau)
     tau = tau0
@@ -433,12 +438,7 @@ def evolve_mkdvb(init: SimStateMKdVB, T: float, dt: float,
     NumericalError
         On non-finite values (blow-up), with the step index.
     """
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
-    if T < 0.0:
-        raise DomainError("T must be nonnegative")
-    if n_snapshots < 2:
-        raise DomainError("need at least 2 snapshots")
+    steps, snap_at = _schedule(T, dt, n_snapshots)
     c = init.coeffs
     n = init.x.size
     dx = float(init.x[1] - init.x[0])
@@ -457,9 +457,6 @@ def evolve_mkdvb(init: SimStateMKdVB, T: float, dt: float,
         np.multiply(powers[0], pd, out=powers[1])
         fp = np.fft.rfft(powers)
         return sym_quad * fp[0] + sym_cubic * fp[1]
-
-    steps = max(1, int(round(T / dt))) if T > 0.0 else 0
-    snap_at = sorted({round(i * steps / (n_snapshots - 1)) for i in range(n_snapshots)})
 
     v = np.fft.rfft(np.asarray(init.p, dtype=float))
     t = float(init.t)

@@ -123,44 +123,71 @@ class ProfileSamples:
     dZdsigma: np.ndarray
 
 
+def _phase(k: float, omega: float, theta0: float, sigma, tau):
+    """``k*sigma - omega*tau + theta0`` on float arrays, the phase of every closed form."""
+    return k * np.asarray(sigma, dtype=float) - omega * np.asarray(tau, dtype=float) + theta0
+
+
 def theta(w: RealWave, sigma, tau):
     """Traveling phase ``k*sigma - omega*tau + theta0``."""
-    return w.k * np.asarray(sigma, dtype=float) - w.omega * np.asarray(tau, dtype=float) \
-        + w.theta0
+    return _phase(w.k, w.omega, w.theta0, sigma, tau)
+
+
+def _z_field(sigma, tau, c: float, T):
+    """Field ``Z = (sigma+tau)/2 - c*(T + 1)`` with ``T = tanh`` of the phase."""
+    return 0.5 * (np.asarray(sigma, dtype=float) + np.asarray(tau, dtype=float)) \
+        - c * (T + 1.0)
+
+
+def _z_bundle(sigma, tau, c: float, k: float, omega: float, T, S2) -> FieldBundle:
+    """Bundle of :func:`_z_field` with ``T``, ``S2 = tanh``, ``sech**2`` of the
+    phase ``k*sigma - omega*tau + theta0``; it serves the real and the complex wave."""
+    return FieldBundle(
+        f=_z_field(sigma, tau, c, T),
+        s=0.5 - c * k * S2,
+        t=0.5 + c * omega * S2,
+        ss=2.0 * c * k * k * S2 * T,
+        tt=2.0 * c * omega * omega * S2 * T,
+    )
+
+
+def _uZ(w: RealWave, sigma, tau, T):
+    # (u, Z) of eval_uZ from T = tanh(theta)
+    return (4.0 * (w.omega + w.k) ** 2 * (T + 1.0),
+            _z_field(sigma, tau, 2.0 * (w.omega + w.k), T))
+
+
+def _momentum(w: RealWave, S2):
+    # momentum density from S2 = sech(theta)**2
+    return 4.0 * (w.omega + w.k) ** 2 * (w.k - w.omega) * S2
+
+
+def _slope(w: RealWave, S2):
+    # dZ/dsigma from S2 = sech(theta)**2
+    return 0.5 * (1.0 - 4.0 * (w.omega + w.k) * w.k * S2)
 
 
 def eval_uZ(w: RealWave, sigma, tau):
     """Closed-form ``(u, Z)`` of the candidate one-soliton."""
-    th = theta(w, sigma, tau)
-    bump = np.tanh(th) + 1.0
-    amp = 4.0 * (w.omega + w.k) ** 2
-    u = amp * bump
-    Z = 0.5 * (np.asarray(sigma, dtype=float) + np.asarray(tau, dtype=float)) \
-        - 2.0 * (w.omega + w.k) * bump
-    return u, Z
+    return _uZ(w, sigma, tau, np.tanh(theta(w, sigma, tau)))
 
 
 def momentum(w: RealWave, sigma, tau):
     """Momentum density ``u_sigma + u_tau = 4*(omega+k)**2*(k-omega)*sech(theta)**2``."""
-    th = theta(w, sigma, tau)
-    return 4.0 * (w.omega + w.k) ** 2 * (w.k - w.omega) * sech(th) ** 2
+    return _momentum(w, sech(theta(w, sigma, tau)) ** 2)
 
 
 def dZ_dsigma(w: RealWave, sigma, tau):
     """Profile slope factor ``(1 - 4*(omega+k)*k*sech(theta)**2)/2``."""
-    th = theta(w, sigma, tau)
-    return 0.5 * (1.0 - 4.0 * (w.omega + w.k) * w.k * sech(th) ** 2)
+    return _slope(w, sech(theta(w, sigma, tau)) ** 2)
 
 
 def real_bundles(w: RealWave, sigma, tau) -> tuple[FieldBundle, FieldBundle]:
     """Analytic derivative bundles of ``(u, Z)`` (first and pure second partials)."""
-    sigma = np.asarray(sigma, dtype=float)
-    tau = np.asarray(tau, dtype=float)
     th = theta(w, sigma, tau)
     T = np.tanh(th)
     S2 = sech(th) ** 2
     A = 4.0 * (w.omega + w.k) ** 2
-    B = 2.0 * (w.omega + w.k)
     k, om = w.k, w.omega
     bu = FieldBundle(
         f=A * (T + 1.0),
@@ -169,14 +196,7 @@ def real_bundles(w: RealWave, sigma, tau) -> tuple[FieldBundle, FieldBundle]:
         ss=-2.0 * A * k * k * S2 * T,
         tt=-2.0 * A * om * om * S2 * T,
     )
-    bz = FieldBundle(
-        f=0.5 * (sigma + tau) - B * (T + 1.0),
-        s=0.5 - B * k * S2,
-        t=0.5 + B * om * S2,
-        ss=2.0 * B * k * k * S2 * T,
-        tt=2.0 * B * om * om * S2 * T,
-    )
-    return bu, bz
+    return bu, _z_bundle(sigma, tau, 2.0 * (w.omega + w.k), k, om, T, S2)
 
 
 def u_from_tau_pair(pair: TauPair, sigma, tau):
@@ -201,11 +221,9 @@ def _complex_phase(cw: ComplexWave, sigma, tau):
     (``sigma`` of shape ``(n, 1)``, ``tau`` of shape ``(1, m)``) the
     trigonometric calls see ``n + m`` points and the full mesh only products.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    thr = cw.k.real * sigma - cw.omega.real * tau + cw.theta0.real
-    a = cw.k.imag * sigma + cw.theta0.imag
-    b = cw.omega.imag * tau
+    thr = _phase(cw.k.real, cw.omega.real, cw.theta0.real, sigma, tau)
+    a = cw.k.imag * np.asarray(sigma, dtype=float) + cw.theta0.imag
+    b = cw.omega.imag * np.asarray(tau, dtype=float)
     ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
     return thr, ca * cb + sa * sb, sa * cb - ca * sb
 
@@ -253,11 +271,8 @@ def complex_Z(cw: ComplexWave, sigma, tau):
         not decay along ``sigma`` and the quadrature has no decaying solution.
     """
     _check_decaying(cw)
-    sigma = np.asarray(sigma, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    thr = cw.k.real * sigma - cw.omega.real * tau + cw.theta0.real
-    c = _complex_zeta_coeff(cw)
-    return 0.5 * (sigma + tau) - c * (np.tanh(thr) + 1.0)
+    thr = _phase(cw.k.real, cw.omega.real, cw.theta0.real, sigma, tau)
+    return _z_field(sigma, tau, _complex_zeta_coeff(cw), np.tanh(thr))
 
 
 def complex_bundles(cw: ComplexWave, sigma, tau):
@@ -269,8 +284,6 @@ def complex_bundles(cw: ComplexWave, sigma, tau):
     of :func:`eval_complex_Q`, so no complex array is formed and open meshes
     are the inputs that gain.  The ``Z`` bundle depends on ``Re theta`` only.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    tau = np.asarray(tau, dtype=float)
     kr, ki = cw.k.real, cw.k.imag
     wr, wi = cw.omega.real, cw.omega.imag
     thr, c, s = _complex_phase(cw, sigma, tau)
@@ -292,15 +305,7 @@ def complex_bundles(cw: ComplexWave, sigma, tau):
     d_tt = parts(wr * wr * P2 - wi * wi * P0, -2.0 * wr * wi * P1)
     bqr, bqi = (FieldBundle(f=f[i], s=d_s[i], t=d_t[i], ss=d_ss[i], tt=d_tt[i])
                 for i in (0, 1))
-    cz = _complex_zeta_coeff(cw)
-    bz = FieldBundle(
-        f=0.5 * (sigma + tau) - cz * (T + 1.0),
-        s=0.5 - cz * kr * S0sq,
-        t=0.5 + cz * wr * S0sq,
-        ss=2.0 * cz * kr * kr * S0sq * T,
-        tt=2.0 * cz * wr * wr * S0sq * T,
-    )
-    return bqr, bqi, bz
+    return bqr, bqi, _z_bundle(sigma, tau, _complex_zeta_coeff(cw), kr, wr, T, S0sq)
 
 
 def singular_thetas(w: RealWave, tol: float = 1e-9) -> tuple[float, ...]:
@@ -356,7 +361,8 @@ def profile(w: RealWave, tau: float = 0.0, sigma_min: float = -15.0,
         raise DomainError(f"need at least 2 samples, got n={n}")
     sigma = np.linspace(sigma_min, sigma_max, n)
     th = theta(w, sigma, tau)
-    u, Z = eval_uZ(w, sigma, tau)
+    S2 = sech(th) ** 2
+    u, Z = _uZ(w, sigma, tau, np.tanh(th))
     return ProfileSamples(
         wave=w,
         tau=float(tau),
@@ -366,8 +372,8 @@ def profile(w: RealWave, tau: float = 0.0, sigma_min: float = -15.0,
         u=u,
         Z=Z,
         y=C - Z,
-        pi=momentum(w, sigma, tau),
-        dZdsigma=dZ_dsigma(w, sigma, tau),
+        pi=_momentum(w, S2),
+        dZdsigma=_slope(w, S2),
     )
 
 
@@ -415,11 +421,10 @@ def sigma_tau_from_xi_zeta(xi, zeta):
     return xi - zeta, -xi - zeta
 
 
-def _quad_along_xi(w: RealWave, integrand, xi: float, zeta: float,
-                   theta_cut: float, what: str) -> float:
+def _quad_along_xi(w: RealWave, integrand, xi: float, zeta: float, what: str) -> float:
     """Integral of ``integrand(xi')`` along fixed ``zeta`` up to ``xi``.
 
-    The lower end is where the phase drops below ``-theta_cut``, far enough
+    The lower end is where the phase drops below ``-45``, far enough
     behind the pulse that the decaying integrands of the quadrature probes
     are below double precision there.  ``scipy.integrate`` is imported here
     only, so that importing the package does not load it.
@@ -428,7 +433,7 @@ def _quad_along_xi(w: RealWave, integrand, xi: float, zeta: float,
     if kpw <= 0.0:
         raise DomainError(f"{what} requires k + omega > 0")
     # theta = (k+omega)*xi + (omega-k)*zeta + theta0 along fixed zeta.
-    xi_lower = (-theta_cut - w.theta0 - (w.omega - w.k) * zeta) / kpw
+    xi_lower = (-45.0 - w.theta0 - (w.omega - w.k) * zeta) / kpw
     if xi <= xi_lower:
         # empty interval; x + (-0.0) is x bit for bit, signed zeros included
         return -0.0
@@ -438,12 +443,11 @@ def _quad_along_xi(w: RealWave, integrand, xi: float, zeta: float,
     return val
 
 
-def hodograph_y_quadrature(w: RealWave, xi: float, zeta: float, y0: float = 0.0,
-                           theta_cut: float = 45.0) -> float:
+def hodograph_y_quadrature(w: RealWave, xi: float, zeta: float, y0: float = 0.0) -> float:
     """Hodograph reconstruction ``y = zeta + integral of (u + u**2/2) d xi' + y0``.
 
     The integral runs over the fixed-``zeta`` line from far behind the pulse
-    (phase below ``-theta_cut``, where the integrand has decayed past double
+    (phase below ``-45``, where the integrand has decayed past double
     precision) up to ``xi``.  This is the independent quadrature route used to
     probe the hodograph composition; for the candidate closed forms the
     mismatch against ``y = -Z + C`` is a measured finding.
@@ -454,5 +458,5 @@ def hodograph_y_quadrature(w: RealWave, xi: float, zeta: float, y0: float = 0.0,
         u, _ = eval_uZ(w, sigma, tau)
         return float(u + 0.5 * u * u)
 
-    val = _quad_along_xi(w, integrand, xi, zeta, theta_cut, "hodograph quadrature")
+    val = _quad_along_xi(w, integrand, xi, zeta, "hodograph quadrature")
     return float(zeta + val + y0)

@@ -17,7 +17,8 @@ side, and every stencil value is a slice of that one evaluation.
 several methods (and, for the real wave, both systems) from one call: the
 ``fd2`` and ``fd4`` reports slice one padded evaluation at ``fd4`` width,
 whose inner ghost nodes are the same floats as the ``fd2`` padding, and one
-analytic bundle per row block feeds the coupled and the factored equations.
+analytic bundle per row block feeds the coupled and the factored equations,
+whose shared terms are computed once.
 A manufactured-solution self-test calibrates the verifier itself: smooth
 fields with known forcing must reproduce that forcing to round-off on the
 analytic path and converge at nominal order on the finite-difference paths.
@@ -167,30 +168,31 @@ def _check_method(method: str) -> None:
         raise DomainError(f"unknown derivative method {method!r}; expected one of {METHODS}")
 
 
-def _coupled_equations(bu: FieldBundle, bz: FieldBundle, alpha: float):
-    """The coupled characteristic system, one ``(name, total, terms)`` per equation.
+def _real_equations(bu: FieldBundle, bz: FieldBundle, alpha: float, systems):
+    """The real model equations of each of ``systems``, in that order.
 
-    Equation ``u``: ``u_ss - u_tt - (Z_s + Z_t)*u + alpha*(u_s + u_t)``;
-    equation ``Z``: ``Z_ss - Z_tt + (u + 1)*(u_s + u_t)``.  ``terms`` are the
+    One ``(system, name, total, terms)`` per equation; ``terms`` are the
     constituents whose largest sup norm normalizes the equation's report.
+    With ``d = u_ss - u_tt``, ``pi = u_s + u_t`` and ``phi = Z_s + Z_t``, all
+    computed once: ``"coupled"`` has equation ``u``,
+    ``d - phi*u + alpha*pi``, and equation ``Z``, ``Z_ss - Z_tt + (u + 1)*pi``;
+    ``"factored"`` has ``u-factored``, ``-d - alpha*pi + phi*u`` summed
+    negated as ``d + alpha*pi - phi*u``: bit for bit the same up to the sign
+    of a zero, and the norms see only ``|r|`` and ``r**2``.
     """
     pi = bu.s + bu.t
     phi_u = (bz.s + bz.t) * bu.f
     api = alpha * pi
-    return (("u", bu.ss - bu.tt - phi_u + api, (bu.ss, bu.tt, phi_u, api)),
-            ("Z", bz.ss - bz.tt + (bu.f + 1.0) * pi, (bz.ss, bz.tt, bu.f * pi, pi)))
-
-
-def _factored_equations(bu: FieldBundle, bz: FieldBundle, alpha: float):
-    """The factored-frame equation ``-(u_ss - u_tt) - alpha*(u_s + u_t) + (Z_s + Z_t)*u``.
-
-    Its total is summed negated, as ``d + alpha*pi - phi*u``: bit for bit
-    the same up to the sign of a zero, and the norms see only ``|r|`` and ``r**2``.
-    """
     d = bu.ss - bu.tt
-    api = alpha * (bu.s + bu.t)
-    phi_u = (bz.s + bz.t) * bu.f
-    return (("u-factored", d + api - phi_u, (d, api, phi_u)),)
+    out = []
+    for system in systems:
+        if system == "coupled":
+            out += [("coupled", "u", d - phi_u + api, (bu.ss, bu.tt, phi_u, api)),
+                    ("coupled", "Z", bz.ss - bz.tt + (bu.f + 1.0) * pi,
+                     (bz.ss, bz.tt, bu.f * pi, pi))]
+        else:
+            out.append(("factored", "u-factored", d + api - phi_u, (d, api, phi_u)))
+    return out
 
 
 def _complex_equations(bqr: FieldBundle, bqi: FieldBundle, bz: FieldBundle, alpha: float):
@@ -210,12 +212,9 @@ def _complex_equations(bqr: FieldBundle, bqi: FieldBundle, bz: FieldBundle, alph
             ("Z", bz.ss - bz.tt + q_r + q_i, (bz.ss, bz.tt, q_r, q_i)))
 
 
-_REAL_EQUATIONS = {"coupled": _coupled_equations, "factored": _factored_equations}
-
-
 def residuals_from_bundles(bu: FieldBundle, bz: FieldBundle, alpha: float):
     """Residual fields ``(r1, r2)`` of the coupled characteristic system."""
-    return tuple(total for _name, total, _terms in _coupled_equations(bu, bz, alpha))
+    return tuple(eq[2] for eq in _real_equations(bu, bz, alpha, ("coupled",)))
 
 
 def complex_residuals_from_bundles(bqr: FieldBundle, bqi: FieldBundle,
@@ -331,27 +330,22 @@ def _grid_fd_rows(fields: Callable, grid: GridSpec,
     return rows
 
 
-def _grid_fd_bundles(fields: Callable, grid: GridSpec, order: int) -> tuple[FieldBundle, ...]:
-    """:func:`_grid_fd_rows` on the whole grid as one block."""
-    return _grid_fd_rows(fields, grid, order)(0, grid.n_sigma, order)
-
-
-def point_bundle(fn: Callable, sigma: float, tau: float, order: int,
-                 h0: float = 0.4, levels: int = 5) -> FieldBundle:
+def point_bundle(fn: Callable, sigma: float, tau: float, order: int) -> FieldBundle:
     """Richardson-extrapolated finite-difference bundle at a single point.
 
-    Extrapolation over step halvings removes the truncation series, so the
-    point values are limited only by round-off; this is what lets the
-    finite-difference methods certify pointwise residuals to ``1e-10``.
+    Extrapolation over the steps ``0.4/2**i``, ``i = 0 .. 4``, removes the
+    truncation series, so the point values are limited only by round-off;
+    this is what lets the finite-difference methods certify pointwise
+    residuals to ``1e-10``.
     """
-    return _point_bundles(lambda s, t: (fn(s, t),), sigma, tau, order, h0, levels)[0]
+    return _point_bundles(lambda s, t: (fn(s, t),), sigma, tau, order)[0]
 
 
-def _point_bundles(fields: Callable, sigma: float, tau: float, order: int,
-                   h0: float = 0.4, levels: int = 5) -> tuple[FieldBundle, ...]:
+def _point_bundles(fields: Callable, sigma: float, tau: float,
+                   order: int) -> tuple[FieldBundle, ...]:
     """:func:`point_bundle` of every field ``fields(S, T)`` returns, one call per stencil point."""
-    seq = [_fd_bundles(fields, sigma, tau, h0 / 2.0**i, h0 / 2.0**i, order)
-           for i in range(levels)]
+    seq = [_fd_bundles(fields, sigma, tau, 0.4 / 2.0**i, 0.4 / 2.0**i, order)
+           for i in range(5)]
 
     def extrapolated(values) -> float:
         # halving the step divides the leading error term by 2**order
@@ -465,12 +459,9 @@ def real_residual_reports(w: RealWave, grid: GridSpec = GridSpec(), methods=METH
     if len(set(systems)) != len(systems) or not set(systems) <= set(REAL_SYSTEMS):
         raise DomainError(f"systems must be distinct names from {REAL_SYSTEMS}, "
                           f"got {tuple(systems)}")
-    def equations(bu, bz):
-        return [(system, *eq) for system in systems
-                for eq in _REAL_EQUATIONS[system](bu, bz, w.alpha)]
-
     reports = _grid_reports(grid, methods, lambda s, t: real_bundles(w, s, t),
-                            lambda s, t: eval_uZ(w, s, t), equations)
+                            lambda s, t: eval_uZ(w, s, t),
+                            lambda bu, bz: _real_equations(bu, bz, w.alpha, systems))
     return tuple(reports[system, m] for system in systems for m in methods)
 
 
@@ -509,8 +500,7 @@ def eq14_residual(w: RealWave, grid: GridSpec = GridSpec(),
     return real_residual_reports(w, grid, (method,), ("factored",))[0]
 
 
-def phi_from_quadrature(w: RealWave, xi: float, zeta: float,
-                        theta_cut: float = 45.0) -> float:
+def phi_from_quadrature(w: RealWave, xi: float, zeta: float) -> float:
     """Nonlocal auxiliary field ``phi = 1 + integral of u_zeta*(1+u) d xi'``.
 
     The integral runs along fixed ``zeta`` from far behind the pulse.  This
@@ -524,7 +514,7 @@ def phi_from_quadrature(w: RealWave, xi: float, zeta: float,
         bu, _ = real_bundles(w, s, t)
         return float(-(bu.s + bu.t) * (1.0 + bu.f))
 
-    return 1.0 + _quad_along_xi(w, integrand, xi, zeta, theta_cut, "quadrature")
+    return 1.0 + _quad_along_xi(w, integrand, xi, zeta, "quadrature")
 
 
 def complex_residual_reports(cw: ComplexWave, grid: GridSpec = GridSpec(),

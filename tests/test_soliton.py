@@ -1,6 +1,7 @@
 """Closed-form soliton fields, shape classification, and hodograph probes."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import mpmath
@@ -19,6 +20,7 @@ from relaxwave import (
     solve_real,
     tau_pair,
 )
+from relaxwave import soliton
 from relaxwave.dispersion import ComplexWave, RealWave
 from relaxwave.soliton import (
     SHAPE_CUSP,
@@ -176,6 +178,37 @@ def test_profile_rows_consistent(w_loop):
     u, Z = eval_uZ(w_loop, p.sigma, 0.3)
     assert np.array_equal(p.u, u)
     assert np.array_equal(p.Z, Z)
+
+
+@pytest.mark.parametrize(("v", "alpha", "theta0", "span"), (
+    (0.24, 0.1, 0.0, 15.0), (0.24, 0.8, -2.0, 15.0), (0.5, 0.05, 3.0, 800.0)))
+def test_profile_columns_equal_the_pointwise_kernels(v, alpha, theta0, span):
+    # bit for bit, also where |theta| > 360 and sech(theta)**2 is subnormal
+    w = solve_real(v, alpha, theta0=theta0)
+    p = profile(w, tau=0.3, sigma_min=-span, sigma_max=span, n=2001)
+    s2 = soliton.sech(p.theta) ** 2
+    assert np.any((s2 > 0.0) & (s2 < np.finfo(float).tiny)) == (span > 15.0)
+    assert np.array_equal(p.theta, soliton.theta(w, p.sigma, 0.3))
+    u, Z = eval_uZ(w, p.sigma, 0.3)
+    for got, want in ((p.u, u), (p.Z, Z), (p.pi, momentum(w, p.sigma, 0.3)),
+                      (p.dZdsigma, dZ_dsigma(w, p.sigma, 0.3))):
+        assert np.array_equal(got, want)
+
+
+def test_profile_evaluates_phase_tanh_and_sech_once(monkeypatch, w_loop):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(soliton, "theta", counted("theta", soliton.theta))
+    monkeypatch.setattr(soliton, "sech", counted("sech", soliton.sech))
+    monkeypatch.setattr(np, "tanh", counted("tanh", np.tanh))
+    profile(w_loop, n=101)
+    assert calls == {"theta": 1, "tanh": 1, "sech": 1}
 
 
 def test_profile_validation(w_loop):

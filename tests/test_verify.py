@@ -37,7 +37,7 @@ from relaxwave.soliton import (
 from relaxwave.verify import (
     METHODS,
     EquationResidual,
-    _grid_fd_bundles,
+    _grid_fd_rows,
     _stencil_bundle,
     complex_residuals_from_bundles,
     fd_bundle,
@@ -203,7 +203,7 @@ def test_grid_fd_bundles_match_callable_stencil(order):
           lambda s, t: complex_Z(cw, s, t))),
     )
     for fields, parts in cases:
-        got = _grid_fd_bundles(fields, SMALL_GRID, order)
+        got = _grid_fd_rows(fields, SMALL_GRID, order)(0, SMALL_GRID.n_sigma, order)
         for g, part in zip(got, parts, strict=True):
             ref = fd_bundle(part, S, T, hs, ht, order)
             assert np.array_equal(g.f, ref.f)
@@ -326,7 +326,8 @@ def _whole_grid_report(system, grid, method, wave):
                                      lambda s, t: eval_uZ(wave, s, t), grid, method)
         pi = bu.s + bu.t
         if system == "coupled":
-            r1, r2 = residuals_from_bundles(bu, bz, wave.alpha)
+            r1 = bu.ss - bu.tt - (bz.s + bz.t) * bu.f + wave.alpha * pi
+            r2 = bz.ss - bz.tt + (bu.f + 1.0) * pi
             eqs = (("u", r1, [bu.ss, -bu.tt, -(bz.s + bz.t) * bu.f, wave.alpha * pi]),
                    ("Z", r2, [bz.ss, -bz.tt, bu.f * pi, pi]))
         else:
@@ -386,6 +387,10 @@ def test_all_method_reports_equal_single_method_reports(monkeypatch, grid):
     assert calls == {"eval_uZ": 1}
     assert list(both) == [single[s][METHODS.index(m)] for s in ("coupled", "factored")
                           for m in ("fd4", "analytic", "fd2")]
+    calls.clear()
+    reverse = real_residual_reports(w, grid, METHODS, ("factored", "coupled"))
+    assert calls == {"eval_uZ": 1}
+    assert list(reverse) == single["factored"] + single["coupled"]
 
 
 def test_run_report_builds_each_alpha_s_analytic_bundles_once(monkeypatch):

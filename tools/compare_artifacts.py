@@ -5,13 +5,14 @@
 
 Each tree's own ``perfbench/jobs.py`` generates the jobs of its check pass
 for every (workload, seed), and a fresh interpreter per tree runs them
-through that tree's ``relaxwave.cli.main`` under ``src/``.  Both trees run
-the jobs in the same directories, one after the other, so paths written
-into outputs match.  For each job the exit code, the ``jobs.digest`` of its
-artifacts, its captured stdout/stderr and the list of problems its
-harness check reports must be equal.  Prints one line per workload and one
-per differing job; exits 1 on any difference, 0 when every job is
-identical.
+through that tree's ``relaxwave.cli.main`` under ``src/``.  The default
+workloads are every entry of ``jobs.WORKLOADS`` in the ``perfbench/`` next
+to this script.  Both trees run the jobs in the same directories, one after
+the other, so paths written into outputs match.  For each job the exit
+code, the ``jobs.digest`` of its artifacts, its captured stdout/stderr and
+the list of problems its harness check reports must be equal.  Prints one
+line per workload and one per differing job; exits 1 on any difference, 0
+when every job is identical.
 
 For a job whose JSON artifacts differ but keep their structure (same keys,
 list lengths and non-numeric values), the line also gives the size of the
@@ -36,6 +37,7 @@ import tempfile
 from pathlib import Path
 
 FIELDS = ("rc", "digest", "output", "problems")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -172,7 +174,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old", type=Path, help="reference checkout")
     ap.add_argument("new", type=Path, help="checkout under test")
-    ap.add_argument("--workloads", nargs="+", default=["closed-form-sweep", "integrate"])
+    ap.add_argument("--workloads", nargs="+", default=None,
+                    help="default: every workload of jobs.WORKLOADS")
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
     ap.add_argument("--json", type=Path, default=None, help="also write the summary here")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
@@ -181,6 +184,12 @@ def main(argv=None) -> int:
         json.dump(run_tree(args.old.resolve(), args.new, args.workloads, args.seeds),
                   sys.stdout)
         return 0
+    if args.workloads is None:
+        # here only: a worker must import its own tree's jobs module
+        sys.path.insert(0, str(PERFBENCH))
+        import jobs as jobmod
+
+        args.workloads = list(jobmod.WORKLOADS)
 
     with tempfile.TemporaryDirectory(prefix="compare-artifacts-") as tmp:
         work = Path(tmp) / "jobs"
