@@ -8,10 +8,14 @@ reduction in ``tau``:
     Z_tau = q,   q_tau = Z_ss + (u + 1)*(u_s + p),
 
 with time-dependent Dirichlet data for ``u`` and ``Z`` at both ends of the
-``sigma`` interval.  Characteristic coordinates are used deliberately: loop
-profiles are multivalued in the physical frame, so only this chart can
-represent their dynamics.  Periodic boundaries are invalid here because the
-kink-asymptotic ``u`` has unequal left/right limits.
+``sigma`` interval.  The data come from a plain callable
+``bc(tau) -> (trace, rate)`` that gives the boundary values and their exact
+tau-derivatives (:func:`boundary_from_wave`); without one the initial
+boundary values are held, with a rate of exactly zero.  Characteristic
+coordinates are used deliberately: loop profiles are multivalued in the
+physical frame, so only this chart can represent their dynamics.  Periodic
+boundaries are invalid here because the kink-asymptotic ``u`` has unequal
+left/right limits.
 
 The quadratic-cubic equation
 
@@ -19,9 +23,12 @@ The quadratic-cubic equation
 
 is advanced pseudospectrally on a periodic domain with exponential time
 differencing for the stiff linear part and 2/3-rule dealiasing for the
-products.  All its terms are exact ``x``-derivatives, so the spatial mean is
-conserved to round-off; the integrator preserves this exactly because the
-zero mode has zero linear symbol and zero nonlinear tendency.
+products.  The rule keeps the modes up to ``n/3``, which makes the quadratic
+product alias-free but not the cubic one: the modes of ``p**3`` in
+``[2n/3, n]`` fold onto the retained modes ``[0, n/3]``.  All its terms are
+exact ``x``-derivatives, so the spatial mean is conserved to round-off; the
+integrator preserves this exactly because the zero mode has zero linear
+symbol and zero nonlinear tendency.
 
 Fixed-step schemes only: reports must be reproducible bit for bit.
 
@@ -38,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -64,7 +71,7 @@ __all__ = [
     "evolve_mkdvb",
 ]
 
-_BoundaryFn = Callable[[float], tuple[tuple[float, float], tuple[float, float]]]
+_BoundaryFn = Callable[[float], tuple[np.ndarray, np.ndarray]]
 
 
 def _uniform_spacing(x: np.ndarray, label: str) -> float:
@@ -127,18 +134,26 @@ def soliton_state19(w: RealWave, sigma: np.ndarray, tau: float = 0.0) -> SimStat
 
 
 def boundary_from_wave(w: RealWave, sigma_min: float, sigma_max: float) -> _BoundaryFn:
-    """Dirichlet trace of the closed-form fields at the two interval ends."""
+    """Dirichlet trace of the closed-form fields at the two interval ends.
+
+    ``bc(tau)`` returns ``(trace, rate)``: the values of ``u`` and ``Z`` at
+    the two ends and their exact tau-derivatives ``u_tau = -omega*A*sech**2``
+    (``A = 4*(omega+k)**2``) and ``Z_tau = 1/2 + 2*(omega+k)*omega*sech**2``,
+    each a ``(2, 2)`` array with rows ``(u, Z)`` and columns
+    ``(left, right)``, both from one :func:`relaxwave.soliton.real_bundles`
+    call.
+    """
 
     ends = np.array([sigma_min, sigma_max], dtype=float)
 
     def bc(tau: float):
-        (uL, uR), (zL, zR) = eval_uZ(w, ends, tau)
-        return (float(uL), float(zL)), (float(uR), float(zR))
+        bu, bz = real_bundles(w, ends, tau)
+        return np.array([bu.f, bz.f]), np.array([bu.t, bz.t])
 
     return bc
 
 
-def _fd_weights(offsets: Sequence[int], deriv: int) -> np.ndarray:
+def _fd_weights(offsets: np.ndarray, deriv: int) -> np.ndarray:
     """Stencil weights on integer offsets for the requested derivative."""
     p = len(offsets)
     V = np.vander(np.asarray(offsets, dtype=float), p, increasing=True).T
@@ -156,26 +171,13 @@ def _deriv_matrix(n: int, h: float, deriv: int) -> csr_matrix:
 
     if n < 8:
         raise DomainError("order-4 stencils need at least 8 grid points")
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-
-    def put(i: int, offsets: Sequence[int]) -> None:
-        w = _fd_weights(offsets, deriv) / h**deriv
-        for o, c in zip(offsets, w):
-            rows.append(i)
-            cols.append(i + o)
-            vals.append(float(c))
-
-    put(1, (-1, 0, 1, 2, 3, 4))
-    put(n - 2, (-4, -3, -2, -1, 0, 1))
-    central = (-2, -1, 0, 1, 2)
-    wc = _fd_weights(central, deriv) / h**deriv
-    for i in range(2, n - 2):
-        for o, c in zip(central, wc):
-            rows.append(i)
-            cols.append(i + o)
-            vals.append(float(c))
+    # (stencil rows, offsets): one-sided rows 1 and n-2, central rows between
+    blocks = ((np.array([1]), np.arange(-1, 5)), (np.array([n - 2]), np.arange(-4, 2)),
+              (np.arange(2, n - 2), np.arange(-2, 3)))
+    rows = np.concatenate([np.repeat(r, o.size) for r, o in blocks])
+    cols = np.concatenate([(r[:, None] + o).ravel() for r, o in blocks])
+    vals = np.concatenate([np.tile(_fd_weights(o, deriv) / h**deriv, r.size)
+                           for r, o in blocks])
     return csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
@@ -197,15 +199,20 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
                     n_snapshots: int = 11) -> Trajectory19:
     """Advance the coupled system by classical 4th-order time stepping.
 
-    ``bc(tau)`` must return ``((u_left, Z_left), (u_right, Z_right))``; when
-    omitted, the initial boundary values are held fixed.  ``forcing`` may
-    supply ``(G_u, G_Z)`` arrays added to the two acceleration equations.
-    ``linearized`` freezes the auxiliary gradient at its quiescent value 1
-    and drops the quadratic coupling, leaving the small-amplitude system.
+    ``bc(tau)`` must return ``(trace, rate)``: the boundary values of ``u``
+    and ``Z`` and their exact tau-derivatives, each a ``(2, 2)`` array with
+    rows ``(u, Z)`` and columns ``(left, right)``, as
+    :func:`boundary_from_wave` gives them.  When ``bc`` is omitted, the
+    initial boundary values are held fixed and their rate is exactly 0.
+    ``forcing`` may supply ``(G_u, G_Z)`` arrays added to the two
+    acceleration equations.  ``linearized`` freezes the auxiliary gradient at
+    its quiescent value 1 and drops the quadratic coupling, leaving the
+    small-amplitude system.
 
     ``bc`` and ``forcing`` must be pure functions of ``tau`` (``forcing``
     also of the fixed ``sigma`` grid): each is evaluated once per distinct
-    stage time, and the result is shared by the stages at that time.
+    stage time, and the result is shared by the stages at that time and by
+    the boundary values imposed after the step.
 
     Raises
     ------
@@ -228,25 +235,24 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
     # Rows [0, n) of D take d/dsigma, rows [n, 2n) d2/dsigma2; one mat-vec
     # on the columns [u, Z] gives all four derivatives.
     D = vstack([_deriv_matrix(n, h, 1), _deriv_matrix(n, h, 2)], format="csr")
-    ends = [0, n - 1]
+    ends = np.s_[::n - 1]  # the columns 0 and n-1, as a view
 
+    tau0 = float(init.tau)
+    tau = tau0
+    Y = np.array([init.u, init.ut, init.Z, init.zt], dtype=float)
     if bc is None:
-        frozen = ((float(init.u[0]), float(init.Z[0])),
-                  (float(init.u[-1]), float(init.Z[-1])))
+        frozen = (Y[::2, ends].copy(), np.zeros((2, 2)))
         bc = lambda tau: frozen  # noqa: E731
 
     def stage_terms(tau: float):
         # Everything of the right-hand side that depends on tau alone: the
-        # 5-point tau-derivative of the boundary traces (full time order
-        # without demanding an analytic rate from callers) and the forcing.
-        d = 1e-3
-        vals = np.array([bc(tau + s * d) for s in (-2, -1, 1, 2)], dtype=float)
-        rate = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * d)
-        return rate.T, None if forcing is None else forcing(sigma, tau)
+        # boundary trace with its rate, and the forcing.
+        trace, rate = bc(tau)
+        return trace, rate, None if forcing is None else forcing(sigma, tau)
 
     def rhs(Y: np.ndarray, terms) -> np.ndarray:
         # Y holds the rows (u, u_tau, Z, Z_tau); K holds their tau-rates.
-        rate, G = terms
+        _trace, rate, G = terms
         u, ut, _, zt = Y
         DY = D @ Y[::2].T
         D1U, D1W, D2U, D2W = DY[:n, 0], DY[:n, 1], DY[n:, 0], DY[n:, 1]
@@ -269,10 +275,10 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
         K[1::2, ends] = 0.0
         return K
 
-    tau0 = float(init.tau)
-    tau = tau0
-    Y = np.array([init.u, init.ut, init.Z, init.zt], dtype=float)
-    Y[::2, ends] = np.array(bc(tau), dtype=float).T
+    # bc and forcing are evaluated once per distinct stage time: k2 and k3
+    # share the midpoint, and k4's time is the next step's k1 time.
+    terms = stage_terms(tau)
+    Y[::2, ends] = terms[0]
 
     taus: list[float] = []
     snaps: list[np.ndarray] = []
@@ -283,9 +289,6 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
 
     if 0 in snap_at:
         snapshot()
-    # bc and forcing are evaluated once per distinct stage time: k2 and k3
-    # share the midpoint, and k4's time is the next step's k1 time.
-    terms = stage_terms(tau) if steps else None
     for step in range(1, steps + 1):
         mid = stage_terms(tau + 0.5 * dt)
         tau_next = tau0 + step * dt
@@ -296,8 +299,8 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
         k4 = rhs(Y + dt * k3, nxt)
         Y = Y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         tau, terms = tau_next, nxt
-        Y[::2, ends] = np.array(bc(tau), dtype=float).T
-        if not np.all(np.isfinite(Y)):
+        Y[::2, ends] = terms[0]
+        if not np.isfinite(Y).all():
             raise NumericalError(f"non-finite state at step {step} (tau={tau:.6g})")
         if step in snap_at:
             snapshot()
@@ -445,18 +448,31 @@ def evolve_mkdvb(init: SimStateMKdVB, T: float, dt: float,
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
     L = -1j * c.v_e * k - c.beta * k * k + 1j * c.gamma * k**3
     E, E2, Q, f1, f2, f3 = _etdrk4_coeffs(L.astype(complex), dt)
-    mask = (np.arange(k.size) <= n // 3).astype(float)
-    # Dealiased transform-space factors of the quadratic and cubic terms.
-    sym_quad = c.quad * (k * k) * mask
+    m = n // 3 + 1  # modes kept by the 2/3 rule
+    mask = (np.arange(k.size) < m).astype(float)
+    # Dealiased transform-space factors of the quadratic and cubic terms;
+    # both complex, the type every product with a spectrum casts them to.
+    sym_quad = (c.quad * (k * k) * mask).astype(complex)
     sym_cubic = -1j * c.cubic * k * mask
+    irfft, rfft = np.fft.irfft, np.fft.rfft
+    pd = np.empty(n)
     powers = np.empty((2, n))
+    square, cube = powers
+    fp = np.empty((2, k.size), dtype=complex)
+    f_square, f_cube = fp
+    # Stage buffers: every stage combination below writes into one of these,
+    # in the operand order of the textbook ETDRK4 formulas.
+    Nv, Na, Nb, Nc, a, b, cc, E2v, tmp = np.empty((9, k.size), dtype=complex)
 
-    def nonlinear(vhat: np.ndarray) -> np.ndarray:
-        pd = np.fft.irfft(mask * vhat, n=n)
-        np.multiply(pd, pd, out=powers[0])
-        np.multiply(powers[0], pd, out=powers[1])
-        fp = np.fft.rfft(powers)
-        return sym_quad * fp[0] + sym_cubic * fp[1]
+    def nonlinear(vhat: np.ndarray, out: np.ndarray) -> None:
+        # irfft zero-pads the retained modes: the same floats as mask*vhat
+        irfft(vhat[:m], n=n, out=pd)
+        np.multiply(pd, pd, out=square)
+        np.multiply(square, pd, out=cube)
+        rfft(powers, out=fp)
+        np.multiply(sym_quad, f_square, out=out)
+        np.multiply(sym_cubic, f_cube, out=tmp)
+        np.add(out, tmp, out=out)
 
     v = np.fft.rfft(np.asarray(init.p, dtype=float))
     t = float(init.t)
@@ -475,17 +491,35 @@ def evolve_mkdvb(init: SimStateMKdVB, T: float, dt: float,
     if 0 in snap_at:
         snapshot()
     for step in range(1, steps + 1):
-        Nv = nonlinear(v)
-        E2v = E2 * v
-        a = E2v + Q * Nv
-        Na = nonlinear(a)
-        b = E2v + Q * Na
-        Nb = nonlinear(b)
-        cc = E2 * a + Q * (2.0 * Nb - Nv)
-        Nc = nonlinear(cc)
-        v = E * v + Nv * f1 + 2.0 * (Na + Nb) * f2 + Nc * f3
+        nonlinear(v, Nv)
+        np.multiply(E2, v, out=E2v)
+        # a = E2*v + Q*Nv
+        np.multiply(Q, Nv, out=a)
+        np.add(E2v, a, out=a)
+        nonlinear(a, Na)
+        # b = E2*v + Q*Na
+        np.multiply(Q, Na, out=b)
+        np.add(E2v, b, out=b)
+        nonlinear(b, Nb)
+        # c = E2*a + Q*(2*Nb - Nv)
+        np.multiply(2.0, Nb, out=tmp)
+        np.subtract(tmp, Nv, out=tmp)
+        np.multiply(Q, tmp, out=tmp)
+        np.multiply(E2, a, out=cc)
+        np.add(cc, tmp, out=cc)
+        nonlinear(cc, Nc)
+        # v = E*v + Nv*f1 + 2*(Na + Nb)*f2 + Nc*f3, summed left to right
+        np.multiply(E, v, out=v)
+        np.multiply(Nv, f1, out=tmp)
+        np.add(v, tmp, out=v)
+        np.add(Na, Nb, out=tmp)
+        np.multiply(2.0, tmp, out=tmp)
+        np.multiply(tmp, f2, out=tmp)
+        np.add(v, tmp, out=v)
+        np.multiply(Nc, f3, out=tmp)
+        np.add(v, tmp, out=v)
         t = float(init.t) + step * dt
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise NumericalError(f"non-finite spectrum at step {step} (t={t:.6g})")
         if step in snap_at:
             snapshot()

@@ -327,23 +327,14 @@ def singular_thetas(w: RealWave, tol: float = 1e-9) -> tuple[float, ...]:
 def classify(w: RealWave, tol: float = 1e-9) -> ShapeClass:
     """Classify the traveling profile as loop, cusp or kink.
 
-    The verdict compares ``alpha`` against ``alpha_critical(v)`` with a
-    relative tolerance; the singular phase values are populated consistently
-    with the verdict.  Requires ``0 < v < 1``.
+    The verdict and the singular phase values both come from
+    :func:`singular_thetas` with the same ``tol``: two roots make a loop, the
+    degenerate root a cusp, none a kink.  ``alpha_critical`` is reported
+    alongside.  Requires ``0 < v < 1``.
     """
     ac = alpha_critical(w.v)
-    delta = w.alpha - ac
-    if abs(delta) <= tol * max(1.0, ac):
-        shape = SHAPE_CUSP
-        roots: tuple[float, ...] = (0.0,)
-    elif delta < 0.0:
-        shape = SHAPE_LOOP
-        s = 4.0 * (w.omega + w.k) * w.k
-        r = math.acosh(math.sqrt(s))
-        roots = (-r, r)
-    else:
-        shape = SHAPE_KINK
-        roots = ()
+    roots = singular_thetas(w, tol)
+    shape = (SHAPE_KINK, SHAPE_CUSP, SHAPE_LOOP)[len(roots)]
     return ShapeClass(shape=shape, momentum_shape=_MOMENTUM_SHAPE[shape],
                       singular_thetas=roots, alpha_critical=ac)
 

@@ -7,8 +7,9 @@ three ways (closed-form analytic, order-2 finite differences, order-4 finite
 differences) so that any nonzero residual can be attributed to the formulas
 rather than to the numerics.  Each model system (coupled, factored,
 complex) is written once, as a function of the derivative bundles giving
-each equation's total and normalizing terms; every residual path and
-:func:`exactness_forcing` (the negated residual) evaluate it.
+each equation's total and normalizing terms; every residual path evaluates
+it.  :func:`exactness_forcing`, the negated residual of the candidate
+soliton, evaluates the exact polynomials given below instead.
 
 On a grid the finite-difference steps are the grid spacings: each closed
 form is evaluated once on the grid padded with ``order/2`` ghost nodes per
@@ -58,6 +59,7 @@ from .soliton import (
     eval_uZ,
     real_bundles,
     sigma_tau_from_xi_zeta,
+    theta,
 )
 
 __all__ = [
@@ -603,7 +605,9 @@ def _resample_u_on_y_eta(w: RealWave, C: float, y_axis: np.ndarray,
     Along a fixed-``eta`` line, ``y(tau) = C - Z(tau + 2*eta, tau)`` is
     strictly decreasing for single-valued profiles; each target ``y`` is
     root-solved by Newton iterations safeguarded by bisection on a bracket
-    that the bounded tanh bump guarantees analytically.
+    that the bounded tanh bump guarantees analytically.  The iteration stops
+    once every residual is below ``1e-12``, after applying the Newton step of
+    that last evaluation, so the returned roots sit at round-off.
     """
     ETA, Y = np.meshgrid(eta_axis, y_axis, indexing="ij")
     bump = 4.0 * (w.omega + w.k)
@@ -613,15 +617,16 @@ def _resample_u_on_y_eta(w: RealWave, C: float, y_axis: np.ndarray,
     for _ in range(80):
         _bu, bz = real_bundles(w, t + 2.0 * ETA, t)
         f = (C - bz.f) - Y
-        if np.max(np.abs(f)) < 1e-12:
-            break
         lo = np.where(f > 0.0, t, lo)
         hi = np.where(f > 0.0, hi, t)
         dy = -(bz.s + bz.t)
         step = np.where(dy != 0.0, f / np.where(dy != 0.0, dy, 1.0), 0.0)
         cand = t - step
-        inside = (cand > lo) & (cand < hi)
+        # closed bracket: a converged iterate lies on its own bracket end
+        inside = (cand >= lo) & (cand <= hi)
         t = np.where(inside, cand, 0.5 * (lo + hi))
+        if np.max(np.abs(f)) < 1e-12:
+            break
     u, _Z = eval_uZ(w, t + 2.0 * ETA, t)
     return np.asarray(u, dtype=float)
 
@@ -725,13 +730,21 @@ def exactness_forcing(w: RealWave):
     The returned callable gives ``(-r1, -r2)`` where ``(r1, r2)`` are the
     closed-form residuals in the coupled system, so a run of
     :func:`relaxwave.sim.evolve_system19` forced with it should track the
-    closed form to pure discretization error.
+    closed form to pure discretization error.  They are evaluated as the
+    polynomials in ``T = tanh(theta)`` stated in the module docstring, with
+    ``c`` computed from the wave: one ``tanh`` and a few array operations.
     """
+    k, om, alpha = w.k, w.omega, w.alpha
+    a = 4.0 * (k + om) ** 2
+    c = alpha * (k - om) + 2.0 * (k * k - om * om) - 1.0
+    p2 = a * (k - om) * (alpha + 2.0 * (k + om))
+    b = 4.0 * (k - om) * (k + om) ** 2 * (1.0 + 4.0 * (k + om) ** 2)
 
     def forcing(sigma: np.ndarray, tau: float):
-        bu, bz = real_bundles(w, sigma, np.full_like(sigma, tau))
-        r1, r2 = residuals_from_bundles(bu, bz, w.alpha)
-        return -np.asarray(r1, dtype=float), -np.asarray(r2, dtype=float)
+        T = np.tanh(theta(w, sigma, tau))
+        q = T + 1.0
+        # -r1 = p2*T**2 + a*T - a*c and -r2 = b*(1+T)**2*(T-1)
+        return (p2 * T + a) * T - a * c, (b * q) * q * (T - 1.0)
 
     return forcing
 

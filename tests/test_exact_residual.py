@@ -6,7 +6,9 @@ Every real closed-form field depends on ``(sigma, tau)`` only through
 ``Z``.  With ``T = tanh(theta)``, ``d/dsigma = k*(1-T**2)*d/dT`` and
 ``d/dtau = -omega*(1-T**2)*d/dT``, so sympy derives the derivative bundles
 and both residuals as exact polynomials in ``T``.  The float code is then
-checked against those polynomials evaluated with mpmath at 50 digits.
+checked against those polynomials evaluated with mpmath at 50 digits: the
+analytic bundles, the point residual and the exactness forcing (the negated
+residual pair).
 """
 
 import functools
@@ -18,6 +20,7 @@ import sympy as sp
 
 from relaxwave import solve_real, system19_point_residual
 from relaxwave.soliton import real_bundles
+from relaxwave.verify import exactness_forcing
 
 k, om, al, T = sp.symbols("k omega alpha T")
 BUNDLE = ("f", "s", "t", "ss", "tt")
@@ -94,6 +97,9 @@ def test_analytic_bundles_and_point_residual_match_a_50_digit_oracle(v, alpha, t
     got_fields = [getattr(b, c) for b in (bu, bz) for c in BUNDLE]
     got_residuals = list(zip(*(system19_point_residual(w, s, t, "analytic")
                                for s, t in nodes)))
+    forcing = exactness_forcing(w)
+    got_forcing = list(zip(*(tuple(float(g[0]) for g in forcing(np.array([s]), t))
+                             for s, t in nodes)))
 
     with mpmath.workdps(50):
         kk, ww, aa = mpmath.mpf(w.k), mpmath.mpf(w.omega), mpmath.mpf(w.alpha)
@@ -112,6 +118,9 @@ def test_analytic_bundles_and_point_residual_match_a_50_digit_oracle(v, alpha, t
                   for got, ref in zip(got_fields, zip(*fields))]
         checks += [(got, ref, max(scale))
                    for got, ref, scale in zip(got_residuals, zip(*residuals), zip(*scales))]
+        # the exactness forcing is the negated residual pair
+        checks += [(got, [-r for r in ref], max(scale))
+                   for got, ref, scale in zip(got_forcing, zip(*residuals), zip(*scales))]
         for j, (got, ref, scale) in enumerate(checks):
             err = max(abs(mpmath.mpf(float(a)) - b) for a, b in zip(got, ref))
             assert err <= 1e-13 * scale, (j, float(err / scale))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from relaxwave import (
     DomainError,
@@ -17,7 +18,14 @@ from relaxwave import (
     solve_real,
     soliton_state19,
 )
-from relaxwave.sim import boundary_from_wave
+from relaxwave.sim import (
+    _deriv_matrix,
+    _etdrk4_coeffs,
+    _fd_weights,
+    _schedule,
+    boundary_from_wave,
+)
+from relaxwave.soliton import eval_uZ
 from relaxwave.verify import exactness_forcing
 
 
@@ -114,17 +122,58 @@ def test_boundary_traces_are_imposed():
     traj = evolve_system19(init, w.alpha, 0.5, 0.1, bc=bcfn,
                            forcing=exactness_forcing(w), n_snapshots=6)
     for i, tau in enumerate(traj.taus):
-        (uL, zL), (uR, zR) = bcfn(tau)
+        (uL, uR), (zL, zR) = bcfn(tau)[0]
         assert abs(traj.u[i][0] - uL) <= 1e-12
         assert abs(traj.u[i][-1] - uR) <= 1e-12
         assert abs(traj.Z[i][0] - zL) <= 1e-12
         assert abs(traj.Z[i][-1] - zR) <= 1e-12
 
 
+@pytest.mark.parametrize("v,alpha,theta0", [(0.24, 0.1, 0.0), (0.24, 0.8, 0.0),
+                                            (-0.6, 1.7, 0.4), (0.9, 4.5, -1.3)])
+def test_boundary_rate_is_the_tau_derivative_of_the_trace(v, alpha, theta0):
+    # the trace is the closed form at the two ends; the rate is its exact
+    # tau-derivative, here differentiated by sympy from the formulas
+    w = solve_real(v, alpha, theta0=theta0)
+    lo, hi = -12.0, 9.0
+    bc = boundary_from_wave(w, lo, hi)
+    s, t = sp.symbols("sigma tau")
+    th = w.k * s - w.omega * t + w.theta0
+    u = 4 * (w.omega + w.k) ** 2 * (sp.tanh(th) + 1)
+    Z = (s + t) / 2 - 2 * (w.omega + w.k) * (sp.tanh(th) + 1)
+    rates = [sp.lambdify((s, t), sp.diff(f, t), "mpmath") for f in (u, Z)]
+    for tau in (-4.0, 0.0, 0.3, 7.5):
+        trace, rate = bc(tau)
+        assert trace.shape == rate.shape == (2, 2)
+        assert np.array_equal(trace, np.array(eval_uZ(w, np.array([lo, hi]), tau)))
+        for i, f in enumerate(rates):
+            for j, end in enumerate((lo, hi)):
+                exact = float(f(end, tau))
+                assert abs(rate[i, j] - exact) <= 1e-14 * max(1.0, abs(exact)), (i, j)
+
+
+def test_frozen_boundary_has_exactly_zero_rate():
+    # bc=None holds the initial trace with a rate of exactly 0: the run is bit
+    # for bit the one whose bc returns that trace and a zero rate, and the
+    # boundary values and their tau-rates never move
+    w = solve_real(0.24, 0.1)
+    sig = np.linspace(-10.0, 10.0, 61)
+    init = soliton_state19(w, sig)
+    frozen = evolve_system19(init, w.alpha, 1.0, 0.1, n_snapshots=3)
+    trace0 = np.array([[init.u[0], init.u[-1]], [init.Z[0], init.Z[-1]]])
+    explicit = evolve_system19(init, w.alpha, 1.0, 0.1, n_snapshots=3,
+                               bc=lambda tau: (trace0, np.zeros((2, 2))))
+    for field in ("u", "ut", "Z", "zt"):
+        snaps = getattr(frozen, field)
+        assert all(np.array_equal(a, b) for a, b in zip(snaps, getattr(explicit, field)))
+        start = getattr(init, field)
+        assert all(a[0] == start[0] and a[-1] == start[-1] for a in snaps)
+
+
 def test_boundary_and_forcing_are_evaluated_once_per_stage_time():
-    # RK4 stages run at three distinct times per step; the 5-point boundary
-    # rate takes four bc samples per time, plus one bc call to impose the
-    # new boundary values
+    # RK4 stages run at three distinct times per step, and a step's last
+    # time is the next step's first; the boundary values imposed after a
+    # step are that time's trace, so each step makes two bc calls
     w = solve_real(0.24, 0.1)
     calls = {"bc": 0, "forcing": 0}
 
@@ -139,9 +188,38 @@ def test_boundary_and_forcing_are_evaluated_once_per_stage_time():
     evolve_system19(soliton_state19(w, sig), w.alpha, steps * 0.1, 0.1,
                     bc=counted("bc", boundary_from_wave(w, -10.0, 10.0)),
                     forcing=counted("forcing", exactness_forcing(w)), n_snapshots=2)
-    assert calls["bc"] <= 9 * steps + 5
-    assert calls["forcing"] <= 3 * steps
+    assert calls["bc"] <= 2 * steps + 1
+    assert calls["forcing"] <= 2 * steps + 1
     assert calls["bc"] > 0 and calls["forcing"] > 0
+
+
+def loop_deriv_matrix(n, h, deriv):
+    """The row-by-row COO build of the order-4 derivative matrix (reference)."""
+    from scipy.sparse import csr_matrix
+
+    rows, cols, vals = [], [], []
+
+    def put(i, offsets):
+        wts = _fd_weights(np.asarray(offsets), deriv) / h**deriv
+        for o, c in zip(offsets, wts):
+            rows.append(i)
+            cols.append(i + o)
+            vals.append(float(c))
+
+    put(1, (-1, 0, 1, 2, 3, 4))
+    put(n - 2, (-4, -3, -2, -1, 0, 1))
+    for i in range(2, n - 2):
+        put(i, (-2, -1, 0, 1, 2))
+    return csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+@pytest.mark.parametrize("n", [8, 9, 61, 301])
+@pytest.mark.parametrize("deriv", [1, 2])
+def test_deriv_matrix_equals_the_row_loop_build(n, deriv):
+    h = 30.0 / (n - 1)
+    got, ref = _deriv_matrix(n, h, deriv), loop_deriv_matrix(n, h, deriv)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
 
 
 def test_trajectory_metadata():
@@ -309,3 +387,49 @@ def test_evolve_mkdvb_validation():
         evolve_mkdvb(st, -1.0, 0.1)
     with pytest.raises(DomainError):
         evolve_mkdvb(st, 1.0, 0.1, n_snapshots=1)
+
+
+def reference_mkdvb(init, T, dt, n_snapshots):
+    """ETDRK4 with a new array per operation and a masked inverse transform (reference)."""
+    steps, snap_at = _schedule(T, dt, n_snapshots)
+    c, n = init.coeffs, init.x.size
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=float(init.x[1] - init.x[0]))
+    L = -1j * c.v_e * k - c.beta * k * k + 1j * c.gamma * k**3
+    E, E2, Q, f1, f2, f3 = _etdrk4_coeffs(L.astype(complex), dt)
+    mask = (np.arange(k.size) <= n // 3).astype(float)
+    sym_quad = c.quad * (k * k) * mask
+    sym_cubic = -1j * c.cubic * k * mask
+
+    def nonlinear(vhat):
+        pd = np.fft.irfft(mask * vhat, n=n)
+        fp = np.fft.rfft(np.array([pd * pd, pd * pd * pd]))
+        return sym_quad * fp[0] + sym_cubic * fp[1]
+
+    v = np.fft.rfft(init.p)
+    fields = [np.fft.irfft(v, n=n)] if 0 in snap_at else []
+    for step in range(1, steps + 1):
+        Nv = nonlinear(v)
+        E2v = E2 * v
+        a = E2v + Q * Nv
+        Na = nonlinear(a)
+        b = E2v + Q * Na
+        Nb = nonlinear(b)
+        cc = E2 * a + Q * (2.0 * Nb - Nv)
+        Nc = nonlinear(cc)
+        v = E * v + Nv * f1 + 2.0 * (Na + Nb) * f2 + Nc * f3
+        if step in snap_at:
+            fields.append(np.fft.irfft(v, n=n))
+    return fields
+
+
+@pytest.mark.parametrize("n", [64, 256, 301, 1000, 1024])
+def test_mkdvb_matches_the_allocating_reference_loop_bit_for_bit(n):
+    x = np.arange(n) * (50.0 / n)
+    c = MKdVBCoeffs(v_e=0.9, quad=0.8, cubic=0.6, beta=0.15, gamma=0.02)
+    rng = np.random.default_rng(n)
+    p0 = 0.03 * np.exp(-((x - 25.0) / 3.0) ** 2) + 0.005 * rng.standard_normal(n)
+    init = SimStateMKdVB(x=x, p=p0, coeffs=c)
+    traj = evolve_mkdvb(init, 0.3, 0.002, n_snapshots=4)
+    ref = reference_mkdvb(init, 0.3, 0.002, 4)
+    assert len(ref) == len(traj.p) == 4
+    assert all(np.array_equal(a, b) for a, b in zip(traj.p, ref))

@@ -165,6 +165,22 @@ def test_classify_tolerance_band():
     assert classify(solve_real(0.24, ac * (1.0 + 1e-6))).shape == SHAPE_KINK
 
 
+@pytest.mark.parametrize("v", [0.24, 0.9])
+def test_classify_takes_verdict_and_roots_from_singular_thetas(v):
+    # across alpha_critical*(1 +- 3e-9) the two public answers agree point by
+    # point; away from the band they reach loop and kink
+    ac = soliton.alpha_critical(v)
+    shapes = set()
+    for f in np.linspace(-3e-9, 3e-9, 25):
+        w = solve_real(v, ac * (1.0 + f))
+        c = classify(w)
+        roots = singular_thetas(w)
+        assert c.singular_thetas == roots
+        assert c.shape == {0: SHAPE_KINK, 1: SHAPE_CUSP, 2: SHAPE_LOOP}[len(roots)]
+        shapes.add(c.shape)
+    assert SHAPE_CUSP in shapes
+
+
 def test_profile_rows_consistent(w_loop):
     p = profile(w_loop, tau=0.3, C=1.7, n=301)
     assert np.max(np.abs(p.y + p.Z - 1.7)) < 1e-14

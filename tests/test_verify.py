@@ -499,6 +499,48 @@ def test_physical_frame_residual_of_single_valued_profile():
     assert rel < 1e-4
 
 
+@pytest.mark.parametrize("v,alpha", [(0.24, 0.8), (0.1, 0.5), (0.5, 2.0), (0.3, 1.0),
+                                     (0.45, 3.0)])
+def test_physical_frame_inversion_converges_in_a_few_newton_passes(monkeypatch, v, alpha):
+    # a converged iterate lies on its own bracket end; the Newton solve must
+    # accept it rather than bisect away from the root
+    w = solve_real(v, alpha)
+    p = profile(w)
+    lo, hi = float(p.y.min()), float(p.y.max())
+    y = np.linspace(0.7 * lo + 0.3 * hi, 0.3 * lo + 0.7 * hi, 205)
+    eta = float(np.median(0.5 * (p.sigma - p.tau))) + np.linspace(-0.6, 0.6, 37)
+    calls, final = [], []
+
+    def counted(*a):
+        calls.append(1)
+        return real_bundles(*a)
+
+    def kept(*a):
+        final.append(eval_uZ(*a))
+        return final[-1]
+
+    monkeypatch.setattr(relaxwave.verify, "real_bundles", counted)
+    monkeypatch.setattr(relaxwave.verify, "eval_uZ", kept)
+    relaxwave.verify._resample_u_on_y_eta(w, p.C, y, eta)
+    assert len(calls) <= 8
+    _eta, Y = np.meshgrid(eta, y, indexing="ij")
+    assert np.max(np.abs((p.C - final[-1][1]) - Y)) <= 1e-14 * np.max(np.abs(y))
+
+
+def test_exactness_forcing_is_the_negated_residual():
+    for v, alpha, theta0 in [(0.24, 0.1, 0.0), (0.24, 0.8, 0.0), (0.0, 0.0, 0.0),
+                             (-0.6, 1.7, 0.4), (0.9, 4.5, -1.3), (0.5, 0.05, 2.0)]:
+        w = solve_real(v, alpha, theta0=theta0)
+        sig = np.linspace(-15.0, 15.0, 301)
+        forcing = relaxwave.verify.exactness_forcing(w)
+        for tau in (-15.0, -2.5, 0.0, 3.7, 15.0):
+            bu, bz = real_bundles(w, sig, np.full_like(sig, tau))
+            eqs = relaxwave.verify._real_equations(bu, bz, w.alpha, ("coupled",))
+            for g, (_system, name, total, terms) in zip(forcing(sig, tau), eqs):
+                scale = max(np.max(np.abs(t)) for t in terms)
+                assert np.max(np.abs(g + total)) <= 1e-13 * scale, (v, alpha, tau, name)
+
+
 def test_physical_frame_rejects_multivalued_profiles():
     p_loop = profile(solve_real(0.24, 0.1))
     with pytest.raises(DomainError, match="multivalued"):

@@ -20,12 +20,17 @@ numeric change: the largest absolute difference over all numbers and, for
 numbers of an equation entry that carries a ``normalization`` (a residual
 report's ``linf``, ``l2`` and ``normalization``; not the dimensionless
 ``normalized``), the largest difference divided by the old normalization.
+Likewise for CSV artifacts that differ but keep their header and shape (and
+non-numeric cells): the number of moved cells, the largest absolute change
+and the largest change divided by the sup of the old column's absolute
+values.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -71,7 +76,9 @@ def run_tree(tree: Path, work: Path, workloads: list[str], seeds: list[int]) -> 
                     "files": len(found), "output": sink.getvalue(),
                     "problems": jobmod.check_job(job, rc, d),
                     "json": {str(p.relative_to(d)): json.loads(p.read_text(encoding="utf-8"))
-                             for p in found if p.suffix == ".json"}}
+                             for p in found if p.suffix == ".json"},
+                    "csv": {str(p.relative_to(d)): p.read_text(encoding="utf-8")
+                            for p in found if p.suffix == ".csv"}}
     return records
 
 
@@ -143,6 +150,60 @@ def numeric_change(old_docs: dict, new_docs: dict) -> str | None:
             f"max |diff|/normalization {acc['rel']:.3g}")
 
 
+def _csv_columns(text: str) -> tuple[list[str], list[list[str]]]:
+    """Header and columns (as cell strings) of one CSV artifact."""
+    header, *body = list(csv.reader(io.StringIO(text))) or [[]]
+    if any(len(r) != len(header) for r in body):
+        raise StructureChanged
+    return header, [[r[j] for r in body] for j in range(len(header))]
+
+
+def _floats(cells: list[str]) -> list[float] | None:
+    try:
+        return [float(c) for c in cells]
+    except ValueError:
+        return None
+
+
+def csv_change(old_files: dict, new_files: dict) -> str | None:
+    """Size of the change between two jobs' CSV artifacts, as one line.
+
+    ``None`` when no CSV artifact differs.
+    """
+    if old_files == new_files:
+        return None
+    if old_files.keys() != new_files.keys():
+        return "CSV artifacts: different files"
+    moved, changed, worst_abs, worst_rel = 0, 0, 0.0, 0.0
+    for name in old_files:
+        if old_files[name] == new_files[name]:
+            continue
+        changed += 1
+        try:
+            h0, cols0 = _csv_columns(old_files[name])
+            h1, cols1 = _csv_columns(new_files[name])
+            if h0 != h1 or [len(c) for c in cols0] != [len(c) for c in cols1]:
+                raise StructureChanged
+        except StructureChanged:
+            return f"CSV artifacts: header or shape of {name} differ"
+        for c0, c1 in zip(cols0, cols1):
+            if c0 == c1:
+                continue
+            a, b = _floats(c0), _floats(c1)
+            if a is None or b is None:
+                return f"CSV artifacts: non-numeric cells of {name} differ"
+            sup = max(abs(x) for x in a)
+            for x, y in zip(a, b):
+                if x == y or (math.isnan(x) and math.isnan(y)):
+                    continue
+                moved += 1
+                worst_abs = max(worst_abs, abs(x - y))
+                if sup:
+                    worst_rel = max(worst_rel, abs(x - y) / sup)
+    return (f"CSV numbers: {moved} moved in {changed} files, max |diff| {worst_abs:.3g}, "
+            f"max |diff|/column sup {worst_rel:.3g}")
+
+
 def compare(old: dict, new: dict, workloads: list[str]) -> tuple[dict, list[str]]:
     """Per-workload counts and one line per job that differs."""
     summary = {w: {"jobs": 0, "identical": 0, "files": 0, "check_failures": [0, 0]}
@@ -160,11 +221,11 @@ def compare(old: dict, new: dict, workloads: list[str]) -> tuple[dict, list[str]
         s["check_failures"][1] += bool(b["problems"])
         moved = [f for f in FIELDS if a[f] != b[f]]
         if moved:
-            size = numeric_change(a["json"], b["json"])
+            sizes = (numeric_change(a["json"], b["json"]), csv_change(a["csv"], b["csv"]))
             diffs.append(f"{key}: {', '.join(moved)} differ"
                          + "".join(f"\n    {f}: {a[f]!r} -> {b[f]!r}"
                                    for f in moved if f != "output")
-                         + (f"\n    {size}" if size else ""))
+                         + "".join(f"\n    {size}" for size in sizes if size))
         else:
             s["identical"] += 1
     return summary, diffs
