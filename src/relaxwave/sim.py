@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -153,7 +153,7 @@ def boundary_from_wave(w: RealWave, sigma_min: float, sigma_max: float) -> _Boun
     return bc
 
 
-def _fd_weights(offsets: np.ndarray, deriv: int) -> np.ndarray:
+def _fd_weights(offsets: Sequence[int], deriv: int) -> np.ndarray:
     """Stencil weights on integer offsets for the requested derivative."""
     p = len(offsets)
     V = np.vander(np.asarray(offsets, dtype=float), p, increasing=True).T
@@ -171,13 +171,26 @@ def _deriv_matrix(n: int, h: float, deriv: int) -> csr_matrix:
 
     if n < 8:
         raise DomainError("order-4 stencils need at least 8 grid points")
-    # (stencil rows, offsets): one-sided rows 1 and n-2, central rows between
-    blocks = ((np.array([1]), np.arange(-1, 5)), (np.array([n - 2]), np.arange(-4, 2)),
-              (np.arange(2, n - 2), np.arange(-2, 3)))
-    rows = np.concatenate([np.repeat(r, o.size) for r, o in blocks])
-    cols = np.concatenate([(r[:, None] + o).ravel() for r, o in blocks])
-    vals = np.concatenate([np.tile(_fd_weights(o, deriv) / h**deriv, r.size)
-                           for r, o in blocks])
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+
+    def put(i: int, offsets: Sequence[int]) -> None:
+        w = _fd_weights(offsets, deriv) / h**deriv
+        for o, c in zip(offsets, w):
+            rows.append(i)
+            cols.append(i + o)
+            vals.append(float(c))
+
+    put(1, (-1, 0, 1, 2, 3, 4))
+    put(n - 2, (-4, -3, -2, -1, 0, 1))
+    central = (-2, -1, 0, 1, 2)
+    wc = _fd_weights(central, deriv) / h**deriv
+    for i in range(2, n - 2):
+        for o, c in zip(central, wc):
+            rows.append(i)
+            cols.append(i + o)
+            vals.append(float(c))
     return csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
@@ -455,13 +468,16 @@ def evolve_mkdvb(init: SimStateMKdVB, T: float, dt: float,
     sym_quad = (c.quad * (k * k) * mask).astype(complex)
     sym_cubic = -1j * c.cubic * k * mask
     irfft, rfft = np.fft.irfft, np.fft.rfft
+    # Buffers of ``nonlinear`` alone; the FFT calls write into them with
+    # ``out=``, which numpy.fft takes from NumPy 2.0 on.
     pd = np.empty(n)
     powers = np.empty((2, n))
     square, cube = powers
     fp = np.empty((2, k.size), dtype=complex)
     f_square, f_cube = fp
     # Stage buffers: every stage combination below writes into one of these,
-    # in the operand order of the textbook ETDRK4 formulas.
+    # in the operand order of the textbook ETDRK4 formulas; ``tmp`` is the
+    # step loop's scratch, which ``nonlinear`` never touches.
     Nv, Na, Nb, Nc, a, b, cc, E2v, tmp = np.empty((9, k.size), dtype=complex)
 
     def nonlinear(vhat: np.ndarray, out: np.ndarray) -> None:
@@ -471,8 +487,8 @@ def evolve_mkdvb(init: SimStateMKdVB, T: float, dt: float,
         np.multiply(square, pd, out=cube)
         rfft(powers, out=fp)
         np.multiply(sym_quad, f_square, out=out)
-        np.multiply(sym_cubic, f_cube, out=tmp)
-        np.add(out, tmp, out=out)
+        np.multiply(sym_cubic, f_cube, out=f_cube)
+        np.add(out, f_cube, out=out)
 
     v = np.fft.rfft(np.asarray(init.p, dtype=float))
     t = float(init.t)

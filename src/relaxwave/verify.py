@@ -7,9 +7,8 @@ three ways (closed-form analytic, order-2 finite differences, order-4 finite
 differences) so that any nonzero residual can be attributed to the formulas
 rather than to the numerics.  Each model system (coupled, factored,
 complex) is written once, as a function of the derivative bundles giving
-each equation's total and normalizing terms; every residual path evaluates
-it.  :func:`exactness_forcing`, the negated residual of the candidate
-soliton, evaluates the exact polynomials given below instead.
+each equation's total and normalizing terms; every residual path and
+:func:`exactness_forcing` (the negated residual) evaluate it.
 
 On a grid the finite-difference steps are the grid spacings: each closed
 form is evaluated once on the grid padded with ``order/2`` ghost nodes per
@@ -59,7 +58,6 @@ from .soliton import (
     eval_uZ,
     real_bundles,
     sigma_tau_from_xi_zeta,
-    theta,
 )
 
 __all__ = [
@@ -730,21 +728,13 @@ def exactness_forcing(w: RealWave):
     The returned callable gives ``(-r1, -r2)`` where ``(r1, r2)`` are the
     closed-form residuals in the coupled system, so a run of
     :func:`relaxwave.sim.evolve_system19` forced with it should track the
-    closed form to pure discretization error.  They are evaluated as the
-    polynomials in ``T = tanh(theta)`` stated in the module docstring, with
-    ``c`` computed from the wave: one ``tanh`` and a few array operations.
+    closed form to pure discretization error.
     """
-    k, om, alpha = w.k, w.omega, w.alpha
-    a = 4.0 * (k + om) ** 2
-    c = alpha * (k - om) + 2.0 * (k * k - om * om) - 1.0
-    p2 = a * (k - om) * (alpha + 2.0 * (k + om))
-    b = 4.0 * (k - om) * (k + om) ** 2 * (1.0 + 4.0 * (k + om) ** 2)
 
     def forcing(sigma: np.ndarray, tau: float):
-        T = np.tanh(theta(w, sigma, tau))
-        q = T + 1.0
-        # -r1 = p2*T**2 + a*T - a*c and -r2 = b*(1+T)**2*(T-1)
-        return (p2 * T + a) * T - a * c, (b * q) * q * (T - 1.0)
+        bu, bz = real_bundles(w, sigma, np.full_like(sigma, tau))
+        r1, r2 = residuals_from_bundles(bu, bz, w.alpha)
+        return -np.asarray(r1, dtype=float), -np.asarray(r2, dtype=float)
 
     return forcing
 

@@ -18,13 +18,7 @@ from relaxwave import (
     solve_real,
     soliton_state19,
 )
-from relaxwave.sim import (
-    _deriv_matrix,
-    _etdrk4_coeffs,
-    _fd_weights,
-    _schedule,
-    boundary_from_wave,
-)
+from relaxwave.sim import _etdrk4_coeffs, _schedule, boundary_from_wave
 from relaxwave.soliton import eval_uZ
 from relaxwave.verify import exactness_forcing
 
@@ -191,35 +185,6 @@ def test_boundary_and_forcing_are_evaluated_once_per_stage_time():
     assert calls["bc"] <= 2 * steps + 1
     assert calls["forcing"] <= 2 * steps + 1
     assert calls["bc"] > 0 and calls["forcing"] > 0
-
-
-def loop_deriv_matrix(n, h, deriv):
-    """The row-by-row COO build of the order-4 derivative matrix (reference)."""
-    from scipy.sparse import csr_matrix
-
-    rows, cols, vals = [], [], []
-
-    def put(i, offsets):
-        wts = _fd_weights(np.asarray(offsets), deriv) / h**deriv
-        for o, c in zip(offsets, wts):
-            rows.append(i)
-            cols.append(i + o)
-            vals.append(float(c))
-
-    put(1, (-1, 0, 1, 2, 3, 4))
-    put(n - 2, (-4, -3, -2, -1, 0, 1))
-    for i in range(2, n - 2):
-        put(i, (-2, -1, 0, 1, 2))
-    return csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-@pytest.mark.parametrize("n", [8, 9, 61, 301])
-@pytest.mark.parametrize("deriv", [1, 2])
-def test_deriv_matrix_equals_the_row_loop_build(n, deriv):
-    h = 30.0 / (n - 1)
-    got, ref = _deriv_matrix(n, h, deriv), loop_deriv_matrix(n, h, deriv)
-    for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
 
 
 def test_trajectory_metadata():

@@ -527,20 +527,6 @@ def test_physical_frame_inversion_converges_in_a_few_newton_passes(monkeypatch, 
     assert np.max(np.abs((p.C - final[-1][1]) - Y)) <= 1e-14 * np.max(np.abs(y))
 
 
-def test_exactness_forcing_is_the_negated_residual():
-    for v, alpha, theta0 in [(0.24, 0.1, 0.0), (0.24, 0.8, 0.0), (0.0, 0.0, 0.0),
-                             (-0.6, 1.7, 0.4), (0.9, 4.5, -1.3), (0.5, 0.05, 2.0)]:
-        w = solve_real(v, alpha, theta0=theta0)
-        sig = np.linspace(-15.0, 15.0, 301)
-        forcing = relaxwave.verify.exactness_forcing(w)
-        for tau in (-15.0, -2.5, 0.0, 3.7, 15.0):
-            bu, bz = real_bundles(w, sig, np.full_like(sig, tau))
-            eqs = relaxwave.verify._real_equations(bu, bz, w.alpha, ("coupled",))
-            for g, (_system, name, total, terms) in zip(forcing(sig, tau), eqs):
-                scale = max(np.max(np.abs(t)) for t in terms)
-                assert np.max(np.abs(g + total)) <= 1e-13 * scale, (v, alpha, tau, name)
-
-
 def test_physical_frame_rejects_multivalued_profiles():
     p_loop = profile(solve_real(0.24, 0.1))
     with pytest.raises(DomainError, match="multivalued"):
