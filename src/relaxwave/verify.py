@@ -12,7 +12,11 @@ each equation's total and normalizing terms; every residual path and
 
 On a grid the finite-difference steps are the grid spacings: each closed
 form is evaluated once on the grid padded with ``order/2`` ghost nodes per
-side, and every stencil value is a slice of that one evaluation.
+side, and every stencil operand of a row block is a contiguous run of that
+one evaluation.  Grid reports walk sigma in row blocks; the squares of each
+residual, whose one whole-grid mean gives the RMS norm, go to a whole-grid
+buffer that each thread keeps between reports, so a repeated report
+neither allocates those squares nor touches fresh pages for them.
 :func:`real_residual_reports` and :func:`complex_residual_reports` give
 several methods (and, for the real wave, both systems) from one call: the
 ``fd2`` and ``fd4`` reports slice one padded evaluation at ``fd4`` width,
@@ -39,6 +43,7 @@ system exactly.  These residuals are reported as findings.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -299,33 +304,45 @@ def _grid_fd_rows(fields: Callable, grid: GridSpec,
     spacings, so every stencil neighbour is a node of the grid padded with
     ``order/2`` ghost nodes per side.  ``fields`` is called once, here, on
     the open mesh of those padded axes (interior nodes bit-identical to
-    :meth:`GridSpec.axes`); ``rows`` takes each shifted stencil value of a
-    block as a slice of that output.  A narrower stencil uses the inner ghost
-    nodes, which are the same floats (``a[0] - j*h``) as in its own padding,
-    so one evaluation at ``order`` serves every order below it bit for bit.
-    A neighbour ``S + j*hs`` and the grid node it stands for differ only by
-    the round-off of the coordinates (at most 2 ulps of the largest
-    coordinate on the grids tried).
+    :meth:`GridSpec.axes`).  A narrower stencil uses the inner ghost nodes,
+    which are the same floats (``a[0] - j*h``) as in its own padding, so one
+    evaluation at ``order`` serves every order below it bit for bit.  A
+    neighbour ``S + j*hs`` and the grid node it stands for differ only by the
+    round-off of the coordinates (at most 2 ulps of the largest coordinate
+    on the grids tried).
+
+    ``rows`` takes each shifted stencil value of a block as one contiguous
+    run of the C-ordered padded output, ``W = n_tau + 2*(order/2)`` values
+    per row: a shift of ``j`` rows in sigma is an offset of ``j*W`` and a
+    shift of ``j`` in tau an offset of ``j``.  The differences run over
+    whole padded rows, and the bundles are the ``[:, pad:pad + n_tau]``
+    views of their results.  A tau run crosses a row end only in the ghost
+    columns, whose lanes are dropped; every interior value is the same float
+    as from the grid slice it stands for.
     """
     pad = order // 2
     hs, ht = grid.spacings()
     ghosts = np.arange(1.0, pad + 1.0)
     axes = [np.concatenate((a[0] - h * ghosts[::-1], a, a[-1] + h * ghosts))
             for a, h in zip(grid.axes(), (hs, ht))]
-    padded = fields(*np.meshgrid(*axes, indexing="ij", sparse=True))
+    flat = [F.reshape(-1) for F in fields(*np.meshgrid(*axes, indexing="ij", sparse=True))]
     nt = grid.n_tau
+    width = nt + 2 * pad
 
     def rows(i0: int, i1: int, m: int) -> tuple[FieldBundle, ...]:
         steps = range(1, m // 2 + 1)
+        start, n = (pad + i0) * width, (i1 - i0) * width
 
-        def at(F, i: int, j: int):
-            # F shifted by i nodes in sigma and j in tau, on grid rows i0:i1
-            return F[pad + i0 + i:pad + i1 + i, pad + j:pad + j + nt]
+        def at(F, o: int):
+            # the padded rows of grid rows i0:i1, shifted by o values
+            return F[start + o:start + o + n]
 
-        return tuple(
-            _stencil_bundle(at(F, 0, 0), [(at(F, j, 0), at(F, -j, 0)) for j in steps],
-                            [(at(F, 0, j), at(F, 0, -j)) for j in steps], hs, ht)
-            for F in padded)
+        def interior(x):
+            return x.reshape(i1 - i0, width)[:, pad:pad + nt]
+
+        runs = (_stencil_bundle(at(F, 0), [(at(F, j * width), at(F, -j * width)) for j in steps],
+                                [(at(F, j), at(F, -j)) for j in steps], hs, ht) for F in flat)
+        return tuple(FieldBundle(*map(interior, (b.f, b.s, b.t, b.ss, b.tt))) for b in runs)
 
     return rows
 
@@ -367,6 +384,26 @@ def _point_bundles(fields: Callable, sigma: float, tau: float,
 _BLOCK_POINTS = 8192
 
 
+# This thread's whole-grid squares of _block_norms, kept between reports.
+_SQUARES = threading.local()
+
+
+def _squares_buffer(ns: int, nt: int, count: int) -> np.ndarray:
+    """This thread's squares buffer: at least ``count`` slots of ``(ns, nt)``.
+
+    One ``(slots, ns, nt)`` array per thread is kept for the most recent grid
+    shape, with as many slots as the most equations one report on that grid
+    has needed (3 at most), so repeated reports neither allocate nor touch
+    fresh pages.  Another shape, or more equations, replaces it; concurrent
+    callers in other threads each have their own.
+    """
+    buf = getattr(_SQUARES, "buf", None)
+    if buf is None or buf.shape[1:] != (ns, nt) or len(buf) < count:
+        _SQUARES.buf = buf = None  # release the old array before making the new one
+        buf = _SQUARES.buf = np.empty((count, ns, nt))
+    return buf
+
+
 def _grid_reports(grid: GridSpec, methods, bundles: Callable, fields: Callable,
                   equations: Callable) -> dict[tuple[str, str], ResidualReport]:
     """Residual reports on ``grid`` under every method of ``methods``.
@@ -375,7 +412,7 @@ def _grid_reports(grid: GridSpec, methods, bundles: Callable, fields: Callable,
     equation; the result maps each ``(system, method)`` to its report, with
     the equations in the order given.  The methods run one after the other,
     each walked in row blocks by :func:`_block_norms`.  Their blocks are
-    ``bundles(S, T)`` on the block's open mesh (``analytic``) or slices of
+    ``bundles(S, T)`` on the block's open mesh (``analytic``) or runs of
     one ghost-padded evaluation of ``fields`` at the widest requested order,
     which ``fd2`` and ``fd4`` share; it is made at the first of them, after
     the analytic pass has freed its arrays.
@@ -410,22 +447,24 @@ def _block_norms(grid: GridSpec, block: Callable,
     The sigma axis is walked in blocks of ``_BLOCK_POINTS // n_tau`` rows
     (at least one); ``equations(*block(i0, i1))`` gives the residuals of rows
     ``i0:i1``.  The sup norms of ``total`` and of every term are the maxima
-    over the block maxima; the squares of ``total`` fill one whole-grid
-    array, whose one mean gives ``l2`` with the summation order of an
-    unblocked report.
+    over the block maxima; the squares of ``total`` fill one whole-grid slot
+    of :func:`_squares_buffer` per equation, whose one mean gives ``l2`` with
+    the summation order of an unblocked report.
     """
     ns, nt = grid.n_sigma, grid.n_tau
     rows = max(1, _BLOCK_POINTS // nt)
-    keys, squares, peaks = [], [], []
+    keys, squares, peaks = [], None, []
     for i0 in range(0, ns, rows):
         i1 = min(i0 + rows, ns)
-        for e, (system, name, total, terms) in enumerate(equations(*block(i0, i1))):
-            if i0 == 0:
-                keys.append((system, name))
-                squares.append(np.empty((ns, nt)))
-                peaks.append([])
-            np.square(total, out=squares[e][i0:i1])
+        eqs = equations(*block(i0, i1))
+        if squares is None:
+            squares = _squares_buffer(ns, nt, len(eqs))
+            keys = [(system, name) for system, name, _total, _terms in eqs]
+            peaks = [[] for _ in eqs]
+        for e, (_system, _name, total, terms) in enumerate(eqs):
+            np.square(total, out=squares[e, i0:i1])
             peaks[e].append([np.abs(x).max() for x in (total, *terms)])
+        eqs = total = terms = None  # free this block's arrays before the next is made
     out = []
     for (system, name), sq, pk in zip(keys, squares, peaks):
         linf, *norms = np.max(pk, axis=0)

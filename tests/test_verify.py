@@ -1,5 +1,8 @@
 """Residual measurement machinery: analytic vs finite-difference derivative routes."""
 
+import sys
+import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -37,6 +40,7 @@ from relaxwave.soliton import (
 from relaxwave.verify import (
     METHODS,
     EquationResidual,
+    ResidualReport,
     _grid_fd_rows,
     _stencil_bundle,
     complex_residuals_from_bundles,
@@ -345,7 +349,11 @@ def _whole_grid_report(system, grid, method, wave):
     (GridSpec(), "default"),
     (GridSpec(-12.0, 9.0, 137, -10.0, 14.0, 1201), "ragged last block"),
     (GridSpec(-5.0, 5.0, 12, -4.0, 6.0, 9001), "one row per block"),
-), ids=("default", "ragged-last-block", "one-row-blocks"))
+    # at fd4 the ghost columns outnumber the interior ones, so most lanes of
+    # the tau runs cross row ends; a warning from a dropped lane is an error
+    pytest.param(GridSpec(-15.0, 15.0, 5000, -1.0, 1.0, 2), "two tau nodes",
+                 marks=pytest.mark.filterwarnings("error")),
+), ids=("default", "ragged-last-block", "one-row-blocks", "two-tau-nodes"))
 def test_blocked_grid_reports_equal_the_whole_grid_reference(grid, shape):
     rows = max(1, relaxwave.verify._BLOCK_POINTS // grid.n_tau)
     assert grid.n_sigma > rows
@@ -391,6 +399,94 @@ def test_all_method_reports_equal_single_method_reports(monkeypatch, grid):
     reverse = real_residual_reports(w, grid, METHODS, ("factored", "coupled"))
     assert calls == {"eval_uZ": 1}
     assert list(reverse) == single["factored"] + single["coupled"]
+
+
+def _whole_grid_run_report_verify(cfg: dict) -> list[dict]:
+    grid = GridSpec()
+    out = []
+    for a in (float(x) for x in cfg["alphas"].split(",")):
+        w = solve_real(float(cfg["v"]), a)
+        out.append({system: relaxwave.cli._report_obj(ResidualReport(
+            system, "analytic", grid, _whole_grid_report(system, grid, "analytic", w)))
+            for system in ("coupled", "factored")})
+    return out
+
+
+def test_reports_never_read_stale_squares():
+    # each report writes every square it reads: NaN left in the kept
+    # buffer between calls changes nothing
+    w = solve_real(0.24, 0.1, theta0=0.3)
+    cw = make_complex_wave(1.0 + 0.5j, 0.1)
+    grid = GridSpec(-12.0, 9.0, 137, -10.0, 14.0, 1201)
+    calls = ((lambda: real_residual_reports(w, grid), w),
+             (lambda: complex_residual_reports(cw, grid), cw),
+             (lambda: real_residual_reports(w, grid, METHODS, ("factored",)), w))
+    for call, wave in calls * 2:
+        relaxwave.verify._SQUARES.buf.fill(np.nan)
+        for rep in call():
+            assert rep.equations == _whole_grid_report(rep.system, grid, rep.method, wave)
+    cfg = {"v": "0.3", "alphas": "0.05, 0.4", "n_samples": "2"}
+    real_residual_reports(w)  # shape the buffer for run_report's default grid
+    relaxwave.verify._SQUARES.buf.fill(np.nan)
+    report, code = relaxwave.cli.run_report(cfg)
+    assert code == 0
+    assert [e["verify"] for e in report["entries"]] == _whole_grid_run_report_verify(cfg)
+
+
+def test_report_sequences_across_grids_equal_the_whole_grid_reference():
+    # the kept squares buffer is replaced on a new grid shape, regrown for
+    # more equations and reused, call by call
+    w = solve_real(0.24, 0.1, theta0=0.3)
+    cw = make_complex_wave(1.0 + 0.5j, 0.1)
+    for grid in (GridSpec(), GridSpec(-12.0, 9.0, 137, -10.0, 14.0, 1201), SMALL_GRID):
+        for call, wave in ((lambda: real_residual_reports(w, grid, METHODS, ("coupled",)), w),
+                           (lambda: complex_residual_reports(cw, grid), cw),
+                           (lambda: real_residual_reports(w, grid), w)):
+            for rep in call():
+                assert rep.equations == _whole_grid_report(rep.system, grid, rep.method, wave)
+    cfg = {"v": "0.3", "alphas": "0.05, 0.4", "n_samples": "2"}
+    report, code = relaxwave.cli.run_report(cfg)
+    assert code == 0
+    assert [e["verify"] for e in report["entries"]] == _whole_grid_run_report_verify(cfg)
+
+
+def test_concurrent_reports_each_keep_their_own_squares():
+    # threads on different grids never share a squares buffer
+    w = solve_real(0.24, 0.1, theta0=0.3)
+    grids = (SMALL_GRID, GridSpec(-8.0, 8.0, 97, -9.0, 7.0, 83))
+    expected = [real_residual_reports(w, g) for g in grids]
+    agree = []
+
+    def work(i: int) -> None:
+        for _ in range(4):
+            agree.append(real_residual_reports(w, grids[i % 2]) == expected[i % 2])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert agree == [True] * 24
+
+
+def test_warm_analytic_report_keeps_its_squares_between_calls():
+    # the squares go to the kept buffer, so a warm report allocates only its
+    # row-block temporaries (2 whole-grid squares arrays alone are 1.38 MiB)
+    w = solve_real(0.24, 0.1)
+    real_residual_reports(w, GridSpec(), ("analytic",), ("coupled",))
+    tracemalloc.start()
+    try:
+        real_residual_reports(w, GridSpec(), ("analytic",), ("coupled",))
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_run_report_builds_each_alpha_s_analytic_bundles_once(monkeypatch):
