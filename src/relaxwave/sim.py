@@ -10,8 +10,10 @@ reduction in ``tau``:
 with time-dependent Dirichlet data for ``u`` and ``Z`` at both ends of the
 ``sigma`` interval.  The data come from a plain callable
 ``bc(tau) -> (trace, rate)`` that gives the boundary values and their exact
-tau-derivatives (:func:`boundary_from_wave`); without one the initial
-boundary values are held, with a rate of exactly zero.  Characteristic
+tau-derivatives (:func:`boundary_from_wave`), as ``(..., 2, 2)`` arrays over
+the shape of ``tau``; a run calls it once, on the 1-D array of all its stage
+times.  Without one the initial boundary values are held, with a rate of
+exactly zero.  Characteristic
 coordinates are used deliberately: loop profiles are multivalued in the
 physical frame, so only this chart can represent their dynamics.  Periodic
 boundaries are invalid here because the kink-asymptotic ``u`` has unequal
@@ -71,7 +73,7 @@ __all__ = [
     "evolve_mkdvb",
 ]
 
-_BoundaryFn = Callable[[float], tuple[np.ndarray, np.ndarray]]
+_BoundaryFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def _uniform_spacing(x: np.ndarray, label: str) -> float:
@@ -139,16 +141,17 @@ def boundary_from_wave(w: RealWave, sigma_min: float, sigma_max: float) -> _Boun
     ``bc(tau)`` returns ``(trace, rate)``: the values of ``u`` and ``Z`` at
     the two ends and their exact tau-derivatives ``u_tau = -omega*A*sech**2``
     (``A = 4*(omega+k)**2``) and ``Z_tau = 1/2 + 2*(omega+k)*omega*sech**2``,
-    each a ``(2, 2)`` array with rows ``(u, Z)`` and columns
-    ``(left, right)``, both from one :func:`relaxwave.soliton.real_bundles`
-    call.
+    each a ``(..., 2, 2)`` array over the shape of ``tau`` (``(2, 2)`` for a
+    scalar) with rows ``(u, Z)`` and columns ``(left, right)``, both from one
+    :func:`relaxwave.soliton.real_bundles` call.  A 1-D ``tau`` gives the
+    stack of the scalar calls, bit for bit.
     """
 
     ends = np.array([sigma_min, sigma_max], dtype=float)
 
-    def bc(tau: float):
-        bu, bz = real_bundles(w, ends, tau)
-        return np.array([bu.f, bz.f]), np.array([bu.t, bz.t])
+    def bc(tau):
+        bu, bz = real_bundles(w, ends, np.asarray(tau, dtype=float)[..., None])
+        return np.stack([bu.f, bz.f], axis=-2), np.stack([bu.t, bz.t], axis=-2)
 
     return bc
 
@@ -213,9 +216,11 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
     """Advance the coupled system by classical 4th-order time stepping.
 
     ``bc(tau)`` must return ``(trace, rate)``: the boundary values of ``u``
-    and ``Z`` and their exact tau-derivatives, each a ``(2, 2)`` array with
-    rows ``(u, Z)`` and columns ``(left, right)``, as
-    :func:`boundary_from_wave` gives them.  When ``bc`` is omitted, the
+    and ``Z`` and their exact tau-derivatives, with rows ``(u, Z)`` and
+    columns ``(left, right)``, as :func:`boundary_from_wave` gives them.  It
+    is called once per run, on the 1-D array of every stage time in loop
+    order, and each result must be either a ``(len(tau), 2, 2)`` stack or
+    one ``(2, 2)`` array held at every time.  When ``bc`` is omitted, the
     initial boundary values are held fixed and their rate is exactly 0.
     ``forcing`` may supply ``(G_u, G_Z)`` arrays added to the two
     acceleration equations.  ``linearized`` freezes the auxiliary gradient at
@@ -223,15 +228,15 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
     small-amplitude system.
 
     ``bc`` and ``forcing`` must be pure functions of ``tau`` (``forcing``
-    also of the fixed ``sigma`` grid): each is evaluated once per distinct
-    stage time, and the result is shared by the stages at that time and by
-    the boundary values imposed after the step.
+    also of the fixed ``sigma`` grid).  ``forcing`` is evaluated once per
+    distinct stage time and shared by the stages at that time; the trace at
+    a step's end time is also the boundary value imposed after the step.
 
     Raises
     ------
     DomainError
         If the time step violates ``dt <= 0.5*h`` (unit characteristic
-        speed).
+        speed), or if ``bc`` returns arrays of another shape.
     NumericalError
         If a non-finite value appears; the message carries the step index.
     """
@@ -257,11 +262,26 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
         frozen = (Y[::2, ends].copy(), np.zeros((2, 2)))
         bc = lambda tau: frozen  # noqa: E731
 
-    def stage_terms(tau: float):
+    # Every stage time in loop order, by the loop's own float expressions:
+    # tau0, then each step's midpoint and end.  k2 and k3 share the
+    # midpoint, and k4's time is the next step's k1 time.
+    times = [tau0]
+    for step in range(1, steps + 1):
+        times += [times[-1] + 0.5 * dt, tau0 + step * dt]
+    boundary = []
+    for name, a in zip(("trace", "rate"), bc(np.array(times))):
+        a = np.asarray(a, dtype=float)
+        if a.shape not in ((2, 2), (len(times), 2, 2)):
+            raise DomainError(f"bc {name} has shape {a.shape}; expected (2, 2) "
+                              f"or ({len(times)}, 2, 2)")
+        boundary.append(np.broadcast_to(a, (len(times), 2, 2)))
+    traces, rates = boundary
+
+    def stage_terms(i: int):
         # Everything of the right-hand side that depends on tau alone: the
         # boundary trace with its rate, and the forcing.
-        trace, rate = bc(tau)
-        return trace, rate, None if forcing is None else forcing(sigma, tau)
+        G = None if forcing is None else forcing(sigma, times[i])
+        return traces[i], rates[i], G
 
     def rhs(Y: np.ndarray, terms) -> np.ndarray:
         # Y holds the rows (u, u_tau, Z, Z_tau); K holds their tau-rates.
@@ -288,9 +308,7 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
         K[1::2, ends] = 0.0
         return K
 
-    # bc and forcing are evaluated once per distinct stage time: k2 and k3
-    # share the midpoint, and k4's time is the next step's k1 time.
-    terms = stage_terms(tau)
+    terms = stage_terms(0)
     Y[::2, ends] = terms[0]
 
     taus: list[float] = []
@@ -303,15 +321,14 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
     if 0 in snap_at:
         snapshot()
     for step in range(1, steps + 1):
-        mid = stage_terms(tau + 0.5 * dt)
-        tau_next = tau0 + step * dt
-        nxt = stage_terms(tau_next)
+        mid = stage_terms(2 * step - 1)
+        nxt = stage_terms(2 * step)
         k1 = rhs(Y, terms)
         k2 = rhs(Y + 0.5 * dt * k1, mid)
         k3 = rhs(Y + 0.5 * dt * k2, mid)
         k4 = rhs(Y + dt * k3, nxt)
         Y = Y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tau, terms = tau_next, nxt
+        tau, terms = times[2 * step], nxt
         Y[::2, ends] = terms[0]
         if not np.isfinite(Y).all():
             raise NumericalError(f"non-finite state at step {step} (tau={tau:.6g})")
@@ -467,9 +484,16 @@ def evolve_mkdvb(init: SimStateMKdVB, T: float, dt: float,
     # both complex, the type every product with a spectrum casts them to.
     sym_quad = (c.quad * (k * k) * mask).astype(complex)
     sym_cubic = -1j * c.cubic * k * mask
-    irfft, rfft = np.fft.irfft, np.fft.rfft
-    # Buffers of ``nonlinear`` alone; the FFT calls write into them with
-    # ``out=``, which numpy.fft takes from NumPy 2.0 on.
+    # The gufuncs behind np.fft.irfft/rfft (private to NumPy), called without
+    # the Python wrappers, which cost about as much as an n = 256 transform.
+    # The factor is the 1/n that irfft's default norm passes, 1.0 for rfft,
+    # and the transform runs over the last axis.  Looked up here, not at
+    # import, so that importing the package loads no numpy.fft.
+    from numpy.fft import _pocketfft_umath as pfu
+
+    inv_n = 1 / n
+    rfft = pfu.rfft_n_even if n % 2 == 0 else pfu.rfft_n_odd
+    # Buffers of ``nonlinear`` alone; the transforms write into them.
     pd = np.empty(n)
     powers = np.empty((2, n))
     square, cube = powers
@@ -482,10 +506,10 @@ def evolve_mkdvb(init: SimStateMKdVB, T: float, dt: float,
 
     def nonlinear(vhat: np.ndarray, out: np.ndarray) -> None:
         # irfft zero-pads the retained modes: the same floats as mask*vhat
-        irfft(vhat[:m], n=n, out=pd)
+        pfu.irfft(vhat[:m], inv_n, out=pd)
         np.multiply(pd, pd, out=square)
         np.multiply(square, pd, out=cube)
-        rfft(powers, out=fp)
+        rfft(powers, 1.0, out=fp)
         np.multiply(sym_quad, f_square, out=out)
         np.multiply(sym_cubic, f_cube, out=f_cube)
         np.add(out, f_cube, out=out)

@@ -136,7 +136,8 @@ def test_boundary_rate_is_the_tau_derivative_of_the_trace(v, alpha, theta0):
     u = 4 * (w.omega + w.k) ** 2 * (sp.tanh(th) + 1)
     Z = (s + t) / 2 - 2 * (w.omega + w.k) * (sp.tanh(th) + 1)
     rates = [sp.lambdify((s, t), sp.diff(f, t), "mpmath") for f in (u, Z)]
-    for tau in (-4.0, 0.0, 0.3, 7.5):
+    taus = (-4.0, 0.0, 0.3, 7.5)
+    for tau in taus:
         trace, rate = bc(tau)
         assert trace.shape == rate.shape == (2, 2)
         assert np.array_equal(trace, np.array(eval_uZ(w, np.array([lo, hi]), tau)))
@@ -144,6 +145,14 @@ def test_boundary_rate_is_the_tau_derivative_of_the_trace(v, alpha, theta0):
             for j, end in enumerate((lo, hi)):
                 exact = float(f(end, tau))
                 assert abs(rate[i, j] - exact) <= 1e-14 * max(1.0, abs(exact)), (i, j)
+    # on a 1-D array of times, bc gives the stack of its scalar calls, bit
+    # for bit, over a run's worth of stage times as well
+    for many in (np.array(taus), np.arange(401) * 0.0125 - 2.5):
+        traces, rates_at = bc(many)
+        assert traces.shape == rates_at.shape == (many.size, 2, 2)
+        scalar = [bc(float(t)) for t in many]
+        assert np.array_equal(traces, np.stack([tr for tr, _ in scalar]))
+        assert np.array_equal(rates_at, np.stack([r for _, r in scalar]))
 
 
 def test_frozen_boundary_has_exactly_zero_rate():
@@ -164,10 +173,55 @@ def test_frozen_boundary_has_exactly_zero_rate():
         assert all(a[0] == start[0] and a[-1] == start[-1] for a in snaps)
 
 
+def test_boundary_is_evaluated_once_per_run_on_every_stage_time():
+    # bc gets one 1-D array: tau0, then per step the midpoint tau + 0.5*dt
+    # and the end tau0 + step*dt, the floats the step loop itself forms
+    w = solve_real(0.24, 0.1)
+    wave = boundary_from_wave(w, -10.0, 10.0)
+    seen = []
+
+    def recording(tau):
+        seen.append(np.array(tau, copy=True))
+        return wave(tau)
+
+    sig = np.linspace(-10.0, 10.0, 61)
+    tau0, dt, steps = 0.7, 0.1, 23
+    init = soliton_state19(w, sig, tau0)
+    traj = evolve_system19(init, w.alpha, steps * dt, dt, bc=recording, n_snapshots=2)
+    assert len(seen) == 1
+    (times,) = seen
+    assert times.shape == (2 * steps + 1,)
+    expected = [tau0]
+    tau = tau0
+    for step in range(1, steps + 1):
+        expected.append(tau + 0.5 * dt)
+        tau = tau0 + step * dt
+        expected.append(tau)
+    assert times.tolist() == expected
+    assert traj.taus == (tau0, tau)
+
+
+def test_badly_shaped_boundary_result_is_rejected():
+    # a (2,) trace would broadcast into both rows and give u and Z the same
+    # end values; it is refused, naming the shape, as are stacks of the
+    # wrong length
+    sig = np.linspace(-10.0, 10.0, 61)
+    init = soliton_state19(solve_real(0.24, 0.1), sig)
+    flat = lambda tau: (np.array([1.0, 2.0]), np.zeros(2))  # noqa: E731
+    with pytest.raises(DomainError, match=r"trace has shape \(2,\)"):
+        evolve_system19(init, 0.1, 0.5, 0.1, bc=flat)
+    short = lambda tau: (np.zeros((3, 2, 2)), np.zeros((3, 2, 2)))  # noqa: E731
+    with pytest.raises(DomainError, match=r"\(3, 2, 2\); expected \(2, 2\) or \(11, 2, 2\)"):
+        evolve_system19(init, 0.1, 0.5, 0.1, bc=short)
+    rate_only = lambda tau: (np.zeros((2, 2)), np.zeros((2, 2, 2)))  # noqa: E731
+    with pytest.raises(DomainError, match=r"rate has shape \(2, 2, 2\)"):
+        evolve_system19(init, 0.1, 0.5, 0.1, bc=rate_only)
+
+
 def test_boundary_and_forcing_are_evaluated_once_per_stage_time():
     # RK4 stages run at three distinct times per step, and a step's last
-    # time is the next step's first; the boundary values imposed after a
-    # step are that time's trace, so each step makes two bc calls
+    # time is the next step's first, so each step makes two forcing calls;
+    # bc is called once per run, on all of those times together
     w = solve_real(0.24, 0.1)
     calls = {"bc": 0, "forcing": 0}
 
@@ -185,6 +239,7 @@ def test_boundary_and_forcing_are_evaluated_once_per_stage_time():
     assert calls["bc"] <= 2 * steps + 1
     assert calls["forcing"] <= 2 * steps + 1
     assert calls["bc"] > 0 and calls["forcing"] > 0
+    assert calls["bc"] == 1
 
 
 def test_trajectory_metadata():
