@@ -43,6 +43,7 @@ from .output import (
     parse_config,
     to_jsonable,
     write_csv,
+    write_csv_series,
     write_json,
     write_svg,
 )
@@ -395,12 +396,12 @@ def _simulate_system19(cfg: dict[str, str], out: Path, args) -> None:
                            linearized=linearized, n_snapshots=n_snapshots)
     errs = compare_to_exact(traj, w)
 
+    names = [f"snapshot_{i:03d}.csv" for i in range(len(traj.taus))]
+    write_csv_series([out / name for name in names], ("sigma", "u", "ut", "Z", "zt"),
+                     traj.sigma, (np.column_stack(fields) for fields in
+                                  zip(traj.u, traj.ut, traj.Z, traj.zt)))
     snaps = []
-    for i, tau in enumerate(traj.taus):
-        name = f"snapshot_{i:03d}.csv"
-        write_csv(out / name, ("sigma", "u", "ut", "Z", "zt"),
-                  np.column_stack((traj.sigma, traj.u[i], traj.ut[i], traj.Z[i],
-                                   traj.zt[i])))
+    for i, (tau, name) in enumerate(zip(traj.taus, names)):
         snaps.append({
             "index": i, "tau": tau, "file": name,
             "u_linf": float(np.max(np.abs(traj.u[i]))),
@@ -463,10 +464,10 @@ def _simulate_mkdvb(cfg: dict[str, str], out: Path, args) -> None:
 
     init = SimStateMKdVB(x=x, p=p0, coeffs=coeffs)
     traj = evolve_mkdvb(init, T, dt, n_snapshots=n_snapshots)
+    names = [f"snapshot_{i:03d}.csv" for i in range(len(traj.ts))]
+    write_csv_series([out / name for name in names], ("x", "p"), traj.x, traj.p)
     snaps = []
-    for i, t in enumerate(traj.ts):
-        name = f"snapshot_{i:03d}.csv"
-        write_csv(out / name, ("x", "p"), np.column_stack((traj.x, traj.p[i])))
+    for i, (t, name) in enumerate(zip(traj.ts, names)):
         snaps.append({"index": i, "t": t, "file": name,
                       "mean": traj.means[i], "rms": traj.rms[i]})
     manifest = {

@@ -22,6 +22,7 @@ __all__ = [
     "fmt",
     "csv_text",
     "write_csv",
+    "write_csv_series",
     "to_jsonable",
     "canonical_json",
     "write_json",
@@ -88,6 +89,42 @@ def write_csv(path: str | Path, header: Sequence[str],
     """Write an RFC-4180 CSV (CRLF endings, 17-digit floats)."""
     with open(Path(path), "w", newline="", encoding="utf-8") as fh:
         fh.writelines(_csv_parts(header, rows))
+
+
+def write_csv_series(paths: Iterable[str | Path], header: Sequence[str], lead: np.ndarray,
+                     tables: Iterable[np.ndarray]) -> None:
+    """Write one CSV per ``(path, table)`` pair, all sharing the leading column.
+
+    Each file has the bytes of ``write_csv(path, header,
+    np.column_stack((lead, table)))``.  ``lead`` is 1-D and every ``table``
+    is a float array of ``len(lead)`` rows and ``len(header) - 1`` columns
+    (1-D for one column).  The leading column is formatted once, into the
+    row templates, so a file costs one ``%`` per block of rows over its own
+    columns alone.
+    """
+    lead = np.asarray(lead, dtype=float)
+    if lead.ndim != 1:
+        raise DomainError(f"leading column must be 1-D, got shape {lead.shape}")
+    head = csv_text(header, ())
+    shape = (lead.size, len(header) - 1)
+    # One template per block of rows, as in _csv_parts: the block's leads
+    # formatted by one "%", with each field's "%.17g" escaped so that it
+    # survives.  Adding 0.0 maps -0.0 to 0.0, as fmt() does; a 17-digit
+    # number never contains "%".
+    row = "%.17g" + ",%%.17g" * shape[1] + "\r\n"
+    starts = range(0, lead.size, _CSV_BLOCK_ROWS)
+    templates = [(row * part.size) % tuple(part.tolist())
+                 for part in (lead[i:i + _CSV_BLOCK_ROWS] + 0.0 for i in starts)]
+    for path, table in zip(paths, tables, strict=True):
+        table = np.asarray(table, dtype=float)
+        table = table[:, None] if table.ndim == 1 else table
+        if table.shape != shape:
+            raise DomainError(f"table has shape {table.shape}; expected {shape}")
+        with open(Path(path), "w", newline="", encoding="utf-8") as fh:
+            fh.write(head)
+            for i, template in zip(starts, templates):
+                block = table[i:i + _CSV_BLOCK_ROWS] + 0.0
+                fh.write(template % tuple(block.ravel().tolist()))
 
 
 def to_jsonable(obj: Any) -> Any:

@@ -13,7 +13,14 @@ with time-dependent Dirichlet data for ``u`` and ``Z`` at both ends of the
 tau-derivatives (:func:`boundary_from_wave`), as ``(..., 2, 2)`` arrays over
 the shape of ``tau``; a run calls it once, on the 1-D array of all its stage
 times.  Without one the initial boundary values are held, with a rate of
-exactly zero.  Characteristic
+exactly zero.  An optional ``forcing(sigma, tau) -> (G_u, G_Z)`` is added to
+the two accelerations; it is called on ``(B, 1)`` columns of consecutive
+stage times, ``B = max(1, 4096 // n)`` on an ``n``-point grid (the last
+column may be shorter), each time exactly once, and returns ``(B, n)``
+stacks or ``(n,)`` arrays held over the column.  The state is one
+``(4, n)`` array with rows ``(u, Z, u_tau, Z_tau)``, so that ``[u; Z]`` is
+one contiguous vector and one block-diagonal CSR mat-vec gives
+``[u_s; Z_s; u_ss; Z_ss]``.  Characteristic
 coordinates are used deliberately: loop profiles are multivalued in the
 physical frame, so only this chart can represent their dynamics.  Periodic
 boundaries are invalid here because the kink-asymptotic ``u`` has unequal
@@ -45,6 +52,7 @@ scipy; a ``simulate --system 19`` call pays that import inside the call.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -74,6 +82,8 @@ __all__ = [
 ]
 
 _BoundaryFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+# Grid points per forcing call: a call takes max(1, _FORCING_POINTS // n) stage times.
+_FORCING_POINTS = 4096
 
 
 def _uniform_spacing(x: np.ndarray, label: str) -> float:
@@ -169,32 +179,40 @@ def _deriv_matrix(n: int, h: float, deriv: int) -> csr_matrix:
     """Order-4 sigma-derivative matrix with one-sided rows next to the ends.
 
     Rows 0 and n-1 are zero: the boundary values are prescribed, not evolved.
+    Row 1 takes the offsets -1..4, row n-2 the offsets -4..1 and every other
+    row the central -2..2, each row's entries in increasing column order.
     """
     from scipy.sparse import csr_matrix
 
     if n < 8:
         raise DomainError("order-4 stencils need at least 8 grid points")
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
+    near, central, far = np.arange(-1, 5), np.arange(-2, 3), np.arange(-4, 2)
+    scale = h**deriv
+    data = np.concatenate([_fd_weights(near, deriv) / scale,
+                           np.tile(_fd_weights(central, deriv) / scale, n - 4),
+                           _fd_weights(far, deriv) / scale])
+    indices = np.concatenate([1 + near, (np.arange(2, n - 2)[:, None] + central).ravel(),
+                              n - 2 + far])
+    indptr = np.cumsum(np.concatenate([[0, 0, 6], np.full(n - 4, 5), [6, 0]]))
+    return csr_matrix((data, indices, indptr), shape=(n, n))
 
-    def put(i: int, offsets: Sequence[int]) -> None:
-        w = _fd_weights(offsets, deriv) / h**deriv
-        for o, c in zip(offsets, w):
-            rows.append(i)
-            cols.append(i + o)
-            vals.append(float(c))
 
-    put(1, (-1, 0, 1, 2, 3, 4))
-    put(n - 2, (-4, -3, -2, -1, 0, 1))
-    central = (-2, -1, 0, 1, 2)
-    wc = _fd_weights(central, deriv) / h**deriv
-    for i in range(2, n - 2):
-        for o, c in zip(central, wc):
-            rows.append(i)
-            cols.append(i + o)
-            vals.append(float(c))
-    return csr_matrix((vals, (rows, cols)), shape=(n, n))
+def _sigma_operator(n: int, h: float) -> csr_matrix:
+    """The ``(4n x 2n)`` CSR that takes ``[u; Z]`` to ``[u_s; Z_s; u_ss; Z_ss]``.
+
+    Block-diagonal in the two fields, built from the rows of the two
+    :func:`_deriv_matrix` operators without a sparse stack.
+    """
+    from scipy.sparse import csr_matrix
+
+    blocks = [(d, col) for d in (_deriv_matrix(n, h, 1), _deriv_matrix(n, h, 2))
+              for col in (0, n)]
+    nnz = np.cumsum([0] + [d.nnz for d, _ in blocks])
+    data = np.concatenate([d.data for d, _ in blocks])
+    indices = np.concatenate([d.indices + col for d, col in blocks])
+    indptr = np.concatenate([[0]] + [d.indptr[1:] + start
+                                     for (d, _), start in zip(blocks, nnz)])
+    return csr_matrix((data, indices, indptr), shape=(4 * n, 2 * n))
 
 
 def _schedule(T: float, dt: float, n_snapshots: int) -> tuple[int, list[int]]:
@@ -207,6 +225,23 @@ def _schedule(T: float, dt: float, n_snapshots: int) -> tuple[int, list[int]]:
         raise DomainError("need at least 2 snapshots")
     steps = max(1, int(round(T / dt))) if T > 0.0 else 0
     return steps, sorted({round(i * steps / (n_snapshots - 1)) for i in range(n_snapshots)})
+
+
+def _forcing_rows(forcing: Callable, sigma: np.ndarray, times: np.ndarray):
+    """``(G_u, G_Z)`` at each of ``times`` in turn, from one ``forcing`` call
+    per block of up to ``max(1, _FORCING_POINTS // n)`` consecutive times."""
+    n = sigma.size
+    block = max(1, _FORCING_POINTS // n)
+    for start in range(0, times.size, block):
+        tau = times[start:start + block, None]
+        rows = []
+        for name, g in zip(("G_u", "G_Z"), forcing(sigma, tau)):
+            g = np.asarray(g, dtype=float)
+            if g.shape not in ((n,), (len(tau), n)):
+                raise DomainError(f"forcing {name} has shape {g.shape}; expected "
+                                  f"({n},) or ({len(tau)}, {n})")
+            rows.append(np.broadcast_to(g, (len(tau), n)))
+        yield from zip(*rows)
 
 
 def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
@@ -222,21 +257,27 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
     order, and each result must be either a ``(len(tau), 2, 2)`` stack or
     one ``(2, 2)`` array held at every time.  When ``bc`` is omitted, the
     initial boundary values are held fixed and their rate is exactly 0.
-    ``forcing`` may supply ``(G_u, G_Z)`` arrays added to the two
-    acceleration equations.  ``linearized`` freezes the auxiliary gradient at
-    its quiescent value 1 and drops the quadratic coupling, leaving the
-    small-amplitude system.
+
+    ``forcing(sigma, tau)`` may supply ``(G_u, G_Z)`` arrays added to the two
+    acceleration equations.  ``tau`` is a ``(B, 1)`` column of consecutive
+    stage times in loop order, with ``B`` at most ``max(1, 4096 // n)`` on an
+    ``n``-point grid, and each of ``G_u``, ``G_Z`` must be a ``(B, n)`` stack
+    (row ``b`` at ``tau[b, 0]``) or one ``(n,)`` array held at every time;
+    every stage time is passed exactly once.  ``linearized`` freezes the
+    auxiliary gradient at its quiescent value 1 and drops the quadratic
+    coupling, leaving the small-amplitude system.
 
     ``bc`` and ``forcing`` must be pure functions of ``tau`` (``forcing``
-    also of the fixed ``sigma`` grid).  ``forcing`` is evaluated once per
-    distinct stage time and shared by the stages at that time; the trace at
-    a step's end time is also the boundary value imposed after the step.
+    also of the fixed ``sigma`` grid), shared by the stages at one time; the
+    trace at a step's end time is also the boundary value imposed after the
+    step.  The stepped state is one ``(4, n)`` array with rows
+    ``(u, Z, u_tau, Z_tau)``; the trajectory's fields are its rows.
 
     Raises
     ------
     DomainError
         If the time step violates ``dt <= 0.5*h`` (unit characteristic
-        speed), or if ``bc`` returns arrays of another shape.
+        speed), or if ``bc`` or ``forcing`` returns arrays of another shape.
     NumericalError
         If a non-finite value appears; the message carries the step index.
     """
@@ -248,18 +289,16 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
 
     sigma = np.asarray(init.sigma, dtype=float)
     n = sigma.size
-    from scipy.sparse import vstack
-
-    # Rows [0, n) of D take d/dsigma, rows [n, 2n) d2/dsigma2; one mat-vec
-    # on the columns [u, Z] gives all four derivatives.
-    D = vstack([_deriv_matrix(n, h, 1), _deriv_matrix(n, h, 2)], format="csr")
+    D = _sigma_operator(n, h)
     ends = np.s_[::n - 1]  # the columns 0 and n-1, as a view
 
     tau0 = float(init.tau)
     tau = tau0
-    Y = np.array([init.u, init.ut, init.Z, init.zt], dtype=float)
+    # Rows (u, Z, u_tau, Z_tau): Y[:2] is one contiguous 2n-vector [u; Z],
+    # and one mat-vec on it gives [u_s; Z_s; u_ss; Z_ss].
+    Y = np.array([init.u, init.Z, init.ut, init.zt], dtype=float)
     if bc is None:
-        frozen = (Y[::2, ends].copy(), np.zeros((2, 2)))
+        frozen = (Y[:2, ends].copy(), np.zeros((2, 2)))
         bc = lambda tau: frozen  # noqa: E731
 
     # Every stage time in loop order, by the loop's own float expressions:
@@ -268,48 +307,50 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
     times = [tau0]
     for step in range(1, steps + 1):
         times += [times[-1] + 0.5 * dt, tau0 + step * dt]
+    times = np.array(times)
     boundary = []
-    for name, a in zip(("trace", "rate"), bc(np.array(times))):
+    for name, a in zip(("trace", "rate"), bc(times)):
         a = np.asarray(a, dtype=float)
         if a.shape not in ((2, 2), (len(times), 2, 2)):
             raise DomainError(f"bc {name} has shape {a.shape}; expected (2, 2) "
                               f"or ({len(times)}, 2, 2)")
         boundary.append(np.broadcast_to(a, (len(times), 2, 2)))
     traces, rates = boundary
+    forces = (itertools.repeat(None) if forcing is None
+              else _forcing_rows(forcing, sigma, times))
 
     def stage_terms(i: int):
         # Everything of the right-hand side that depends on tau alone: the
-        # boundary trace with its rate, and the forcing.
-        G = None if forcing is None else forcing(sigma, times[i])
-        return traces[i], rates[i], G
+        # boundary trace with its rate, and the forcing.  Stage i is asked
+        # for once, in increasing order.
+        return traces[i], rates[i], next(forces)
 
     def rhs(Y: np.ndarray, terms) -> np.ndarray:
-        # Y holds the rows (u, u_tau, Z, Z_tau); K holds their tau-rates.
+        # Y holds the rows (u, Z, u_tau, Z_tau); K holds their tau-rates.
         _trace, rate, G = terms
-        u, ut, _, zt = Y
-        DY = D @ Y[::2].T
-        D1U, D1W, D2U, D2W = DY[:n, 0], DY[:n, 1], DY[n:, 0], DY[n:, 1]
+        u, _, ut, zt = Y
+        D1U, D1W, D2U, D2W = (D @ Y[:2].reshape(-1)).reshape(4, n)
         K = np.empty_like(Y)
         K[0] = ut
-        K[2] = zt
+        K[1] = zt
         pi = D1U + ut
         if linearized:
-            K[1] = D2U - u + alpha * pi
+            K[2] = D2U - u + alpha * pi
             K[3] = D2W + pi
         else:
-            K[1] = D2U - (D1W + zt) * u + alpha * pi
+            K[2] = D2U - (D1W + zt) * u + alpha * pi
             K[3] = D2W + (u + 1.0) * pi
         if G is not None:
-            K[1] += G[0]
+            K[2] += G[0]
             K[3] += G[1]
         # Boundary values evolve by the known rate of the imposed data; the
         # accelerations there are not used (stencil rows are zero).
-        K[::2, ends] = rate
-        K[1::2, ends] = 0.0
+        K[:2, ends] = rate
+        K[2:, ends] = 0.0
         return K
 
     terms = stage_terms(0)
-    Y[::2, ends] = terms[0]
+    Y[:2, ends] = terms[0]
 
     taus: list[float] = []
     snaps: list[np.ndarray] = []
@@ -328,14 +369,14 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
         k3 = rhs(Y + 0.5 * dt * k2, mid)
         k4 = rhs(Y + dt * k3, nxt)
         Y = Y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tau, terms = times[2 * step], nxt
-        Y[::2, ends] = terms[0]
+        tau, terms = float(times[2 * step]), nxt
+        Y[:2, ends] = terms[0]
         if not np.isfinite(Y).all():
             raise NumericalError(f"non-finite state at step {step} (tau={tau:.6g})")
         if step in snap_at:
             snapshot()
 
-    u, ut, Z, zt = (tuple(s[i] for s in snaps) for i in range(4))
+    u, Z, ut, zt = (tuple(s[i] for s in snaps) for i in range(4))
     return Trajectory19(sigma=sigma, taus=tuple(taus), u=u, ut=ut, Z=Z, zt=zt,
                         dt=dt, alpha=alpha)
 
@@ -450,10 +491,11 @@ def _etdrk4_coeffs(L: np.ndarray, dt: float, m_contour: int = 32):
     r = np.exp(1j * theta)
     LR = dt * L[:, None] + r[None, :]
     eLR = np.exp(LR)
+    LR3 = LR**3
     Q = dt * np.mean((np.exp(0.5 * LR) - 1.0) / LR, axis=1)
-    f1 = dt * np.mean((-4.0 - LR + eLR * (4.0 - 3.0 * LR + LR * LR)) / LR**3, axis=1)
-    f2 = dt * np.mean((2.0 + LR + eLR * (-2.0 + LR)) / LR**3, axis=1)
-    f3 = dt * np.mean((-4.0 - 3.0 * LR - LR * LR + eLR * (4.0 - LR)) / LR**3, axis=1)
+    f1 = dt * np.mean((-4.0 - LR + eLR * (4.0 - 3.0 * LR + LR * LR)) / LR3, axis=1)
+    f2 = dt * np.mean((2.0 + LR + eLR * (-2.0 + LR)) / LR3, axis=1)
+    f3 = dt * np.mean((-4.0 - 3.0 * LR - LR * LR + eLR * (4.0 - LR)) / LR3, axis=1)
     return E, E2, Q, f1, f2, f3
 
 

@@ -767,11 +767,13 @@ def exactness_forcing(w: RealWave):
     The returned callable gives ``(-r1, -r2)`` where ``(r1, r2)`` are the
     closed-form residuals in the coupled system, so a run of
     :func:`relaxwave.sim.evolve_system19` forced with it should track the
-    closed form to pure discretization error.
+    closed form to pure discretization error.  ``tau`` broadcasts against
+    ``sigma``: a ``(B, 1)`` column of times gives ``(B, n)`` arrays, row
+    ``b`` bit for bit the call at ``tau[b, 0]``.
     """
 
-    def forcing(sigma: np.ndarray, tau: float):
-        bu, bz = real_bundles(w, sigma, np.full_like(sigma, tau))
+    def forcing(sigma: np.ndarray, tau):
+        bu, bz = real_bundles(w, sigma, tau)
         r1, r2 = residuals_from_bundles(bu, bz, w.alpha)
         return -np.asarray(r1, dtype=float), -np.asarray(r2, dtype=float)
 

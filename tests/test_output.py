@@ -17,6 +17,7 @@ from relaxwave.output import (
     parse_config,
     to_jsonable,
     write_csv,
+    write_csv_series,
     write_json,
     write_svg,
 )
@@ -75,6 +76,45 @@ def test_write_csv_bytes(tmp_path):
     assert p.read_bytes() == b"x\r\n1.5\r\n"
     write_csv(p, ["x", "y"], np.array([[1.5, -0.0], [np.nan, 2.0]]))
     assert p.read_bytes() == b"x,y\r\n1.5,0\r\nnan,2\r\n"
+
+
+def test_write_csv_series_matches_write_csv_of_the_stacked_columns(tmp_path):
+    # each file of a series is byte for byte write_csv of (lead, table) as
+    # one column_stack: -0.0 in the lead and in the fields, nan and inf,
+    # one row, one field column (1-D and 2-D) and more than one block of rows
+    rng = np.random.default_rng(17)
+    special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -1e308, 1.0 / 3.0])
+    cases = [
+        (special, [np.column_stack((special[::-1], -special)), np.full((8, 2), -0.0)]),
+        (np.array([-0.0]), [np.array([[np.nan, -0.0, 2.5]]), np.array([[-np.inf, 1.0, 0.0]])]),
+        (special, [special[::-1], -special]),
+        (special, [special[:, None], np.ones((8, 1))]),
+        (np.linspace(-3.0, 3.0, 5000),
+         [rng.standard_normal((5000, 3)) * 10.0 ** rng.integers(-300, 300, (5000, 3))
+          for _ in range(3)]),
+    ]
+    for lead, tables in cases:
+        width = np.asarray(tables[0]).reshape(lead.size, -1).shape[1]
+        header = ["x"] + [f"c{j}" for j in range(width)]
+        paths = [tmp_path / f"series_{i}.csv" for i in range(len(tables))]
+        write_csv_series(paths, header, lead, iter(tables))
+        for path, table in zip(paths, tables):
+            ref = tmp_path / "ref.csv"
+            write_csv(ref, header, np.column_stack((lead, table)))
+            assert path.read_bytes() == ref.read_bytes()
+    write_csv_series([tmp_path / "neg.csv"], ["x", "y"], np.array([-0.0]), [np.array([-0.0])])
+    assert (tmp_path / "neg.csv").read_bytes() == b"x,y\r\n0,0\r\n"
+
+
+def test_write_csv_series_rejects_mismatched_tables(tmp_path):
+    lead = np.arange(4.0)
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    with pytest.raises(DomainError, match=r"table has shape \(4, 3\); expected \(4, 2\)"):
+        write_csv_series(paths, ["x", "a", "b"], lead, [np.ones((4, 2)), np.ones((4, 3))])
+    with pytest.raises(DomainError, match=r"table has shape \(3, 2\); expected \(4, 2\)"):
+        write_csv_series(paths[:1], ["x", "a", "b"], lead, [np.ones((3, 2))])
+    with pytest.raises(DomainError, match="leading column must be 1-D"):
+        write_csv_series(paths[:1], ["x", "a"], lead[:, None], [lead])
 
 
 def test_canonical_json_shape():

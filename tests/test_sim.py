@@ -18,7 +18,15 @@ from relaxwave import (
     solve_real,
     soliton_state19,
 )
-from relaxwave.sim import _etdrk4_coeffs, _schedule, boundary_from_wave
+from relaxwave.sim import (
+    _FORCING_POINTS,
+    _deriv_matrix,
+    _etdrk4_coeffs,
+    _fd_weights,
+    _schedule,
+    _sigma_operator,
+    boundary_from_wave,
+)
 from relaxwave.soliton import eval_uZ
 from relaxwave.verify import exactness_forcing
 
@@ -220,8 +228,8 @@ def test_badly_shaped_boundary_result_is_rejected():
 
 def test_boundary_and_forcing_are_evaluated_once_per_stage_time():
     # RK4 stages run at three distinct times per step, and a step's last
-    # time is the next step's first, so each step makes two forcing calls;
-    # bc is called once per run, on all of those times together
+    # time is the next step's first, so a run has 2*steps + 1 stage times;
+    # forcing takes them in blocks, and bc once per run, all together
     w = solve_real(0.24, 0.1)
     calls = {"bc": 0, "forcing": 0}
 
@@ -240,6 +248,132 @@ def test_boundary_and_forcing_are_evaluated_once_per_stage_time():
     assert calls["forcing"] <= 2 * steps + 1
     assert calls["bc"] > 0 and calls["forcing"] > 0
     assert calls["bc"] == 1
+
+
+def stage_times(tau0, dt, steps):
+    # the stage times of a run in loop order, by the step loop's own floats
+    times = [tau0]
+    for step in range(1, steps + 1):
+        times += [times[-1] + 0.5 * dt, tau0 + step * dt]
+    return times
+
+
+@pytest.mark.parametrize("v,alpha,theta0", [(0.24, 0.1, 0.0), (0.24, 0.8, 0.0),
+                                            (-0.6, 1.7, 0.4), (0.9, 4.5, -1.3)])
+def test_exactness_forcing_on_a_column_of_times_stacks_its_per_time_calls(v, alpha, theta0):
+    w = solve_real(v, alpha, theta0=theta0)
+    sig = np.linspace(-15.0, 15.0, 301)
+    times = np.array(stage_times(0.3, 0.04, 20))
+    forcing = exactness_forcing(w)
+    for block in (times[:1], times[:13], times):
+        G_u, G_Z = forcing(sig, block[:, None])
+        assert G_u.shape == G_Z.shape == (block.size, sig.size)
+        per_time = [forcing(sig, float(t)) for t in block]
+        assert np.array_equal(G_u, np.stack([g for g, _ in per_time]))
+        assert np.array_equal(G_Z, np.stack([g for _, g in per_time]))
+
+
+@pytest.mark.parametrize("n,steps", [(61, 23), (61, 90), (301, 40), (4500, 3)])
+def test_forcing_sees_every_stage_time_once_in_blocks(n, steps):
+    # forcing gets (B, 1) columns of consecutive stage times, B at most
+    # max(1, P // n), every time exactly once and in loop order; the blocks
+    # are full but for the last, so a run makes ceil(times / B) calls: 1,
+    # 3, 7 and 7 calls here (B = 67, 67, 13 and 1)
+    w = solve_real(0.24, 0.1)
+    exact = exactness_forcing(w)
+    seen = []
+
+    def recording(sigma, tau):
+        seen.append(np.array(tau, copy=True))
+        return exact(sigma, tau)
+
+    sig = np.linspace(-10.0, 10.0, n)
+    tau0, dt = 0.7, 0.4 * (sig[1] - sig[0])
+    init = soliton_state19(w, sig, tau0)
+    evolve_system19(init, w.alpha, steps * dt, dt, bc=boundary_from_wave(w, -10.0, 10.0),
+                    forcing=recording, n_snapshots=2)
+    block = max(1, _FORCING_POINTS // n)
+    expected = stage_times(tau0, dt, steps)
+    assert all(t.ndim == 2 and t.shape[1] == 1 and 1 <= t.shape[0] <= block for t in seen)
+    assert np.concatenate(seen)[:, 0].tolist() == expected
+    assert len(seen) == -(-len(expected) // block)
+
+
+def test_forcing_held_or_stacked_gives_the_same_run():
+    # a (n,) result is held at every time of its block, so it runs bit for
+    # bit like the (B, n) stack of the same rows
+    w = solve_real(0.24, 0.1)
+    sig = np.linspace(-10.0, 10.0, 61)
+    init = soliton_state19(w, sig)
+    g = 1e-3 * np.cos(sig)
+
+    def held(sigma, tau):
+        return g, -g
+
+    def stacked(sigma, tau):
+        return np.tile(g, (len(tau), 1)), np.tile(-g, (len(tau), 1))
+
+    runs = [evolve_system19(init, w.alpha, 3.0, 0.1, forcing=f, n_snapshots=3)
+            for f in (held, stacked, None)]
+    for field in ("u", "ut", "Z", "zt"):
+        a, b = (getattr(r, field) for r in runs[:2])
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert not np.array_equal(runs[0].ut[-1], runs[2].ut[-1])
+
+
+def test_badly_shaped_forcing_result_is_rejected():
+    # a forcing result must be (B, n) or (n,); a scalar would broadcast into
+    # every node unnoticed, and a transposed or short stack is just as wrong
+    sig = np.linspace(-10.0, 10.0, 61)
+    init = soliton_state19(solve_real(0.24, 0.1), sig)
+    zero = np.zeros(61)
+    cases = [
+        (lambda s, t: (0.0, zero), r"G_u has shape \(\); expected \(61,\) or \(11, 61\)"),
+        (lambda s, t: (zero, zero[:60]), r"G_Z has shape \(60,\)"),
+        (lambda s, t: (np.zeros((61, len(t))), zero), r"G_u has shape \(61, 11\)"),
+        (lambda s, t: (zero, np.zeros((len(t) - 1, 61))), r"G_Z has shape \(10, 61\)"),
+    ]
+    for forcing, message in cases:
+        with pytest.raises(DomainError, match=message):
+            evolve_system19(init, 0.1, 0.5, 0.1, forcing=forcing)
+
+
+def loop_deriv_matrix(n, h, deriv):
+    # the stencil rows one entry at a time: row 1, row n-2, then the
+    # central rows, as the operator was first written
+    from scipy.sparse import csr_matrix
+
+    rows, cols, vals = [], [], []
+
+    def put(i, offsets):
+        for o, c in zip(offsets, _fd_weights(offsets, deriv) / h**deriv):
+            rows.append(i)
+            cols.append(i + o)
+            vals.append(float(c))
+
+    put(1, (-1, 0, 1, 2, 3, 4))
+    put(n - 2, (-4, -3, -2, -1, 0, 1))
+    for i in range(2, n - 2):
+        put(i, (-2, -1, 0, 1, 2))
+    return csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+@pytest.mark.parametrize("n", [8, 61, 301])
+def test_deriv_matrix_equals_the_loop_built_reference(n):
+    from scipy.sparse import block_diag, vstack
+
+    h = 30.0 / (n - 1)
+    ref = [loop_deriv_matrix(n, h, d) for d in (1, 2)]
+    for d, want in zip((1, 2), ref):
+        got = _deriv_matrix(n, h, d)
+        assert got.shape == (n, n)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), (d, part)
+    stack = vstack([block_diag([ref[0]] * 2), block_diag([ref[1]] * 2)], format="csr")
+    op = _sigma_operator(n, h)
+    assert op.shape == (4 * n, 2 * n)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(op, part), getattr(stack, part)), part
 
 
 def test_trajectory_metadata():
