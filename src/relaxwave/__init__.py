@@ -66,12 +66,9 @@ from .verify import (
     SelftestReport,
     complex_residual_reports,
     eq11_residual_physical,
-    eq14_residual,
     manufactured_selftest,
     real_residual_reports,
     system19_point_residual,
-    system19_residual,
-    system_eqq11_residual,
 )
 
 __version__ = "0.1.0"
@@ -116,10 +113,7 @@ __all__ = [
     "GridSpec",
     "ResidualReport",
     "SelftestReport",
-    "system19_residual",
     "system19_point_residual",
-    "eq14_residual",
-    "system_eqq11_residual",
     "real_residual_reports",
     "complex_residual_reports",
     "eq11_residual_physical",

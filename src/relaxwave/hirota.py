@@ -50,6 +50,7 @@ __all__ = [
 
 _MAX_DOP_ORDER = 8
 _BILINEAR_RANGE = (-10.0, 10.0)
+_BILINEAR_NODES = 101
 
 VARIANTS = ("squared-alpha", "linear-alpha")
 
@@ -271,21 +272,17 @@ def bilinear_lines(w: RealWave, variant: str = "squared-alpha") -> tuple[TauFunc
     return line1, line2
 
 
-def bilinear_residual(w: RealWave, variant: str = "squared-alpha",
-                      n_sigma: int = 101, n_tau: int = 101) -> BilinearReport:
+def bilinear_residual(w: RealWave, variant: str = "squared-alpha") -> BilinearReport:
     """Measure both bilinear lines of the one-soliton tau pair on a grid.
 
-    The grid spans ``[-10, 10]`` on both axes with ``n_sigma`` by ``n_tau`` nodes.
+    The grid spans ``[-10, 10]`` on both axes with 101 by 101 nodes.
 
     The residual values are findings about the closed forms under test, not
     asserted zeros.
     """
-    if n_sigma < 2 or n_tau < 2:
-        raise DomainError("bilinear residual grid needs at least 2 points per axis")
     line1_terms, line2_terms = _line_terms(w, variant)
-    sig = np.linspace(*_BILINEAR_RANGE, n_sigma)
-    tau = np.linspace(*_BILINEAR_RANGE, n_tau)
-    S, T = np.meshgrid(sig, tau, indexing="ij")
+    axis = np.linspace(*_BILINEAR_RANGE, _BILINEAR_NODES)
+    S, T = np.meshgrid(axis, axis, indexing="ij")
 
     def normalized_linf(terms) -> tuple[float, float]:
         vals = [t(S, T) for t in terms]
@@ -308,6 +305,6 @@ def bilinear_residual(w: RealWave, variant: str = "squared-alpha",
         line2_normalization=n2,
         sigma_range=_BILINEAR_RANGE,
         tau_range=_BILINEAR_RANGE,
-        n_sigma=n_sigma,
-        n_tau=n_tau,
+        n_sigma=_BILINEAR_NODES,
+        n_tau=_BILINEAR_NODES,
     )

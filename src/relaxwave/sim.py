@@ -478,16 +478,16 @@ class TrajectoryMKdVB:
     coeffs: MKdVBCoeffs
 
 
-def _etdrk4_coeffs(L: np.ndarray, dt: float, m_contour: int = 32):
+def _etdrk4_coeffs(L: np.ndarray, dt: float):
     """Exponential time-differencing coefficients by contour averaging.
 
-    The phi-functions are evaluated as means over a circle around each
-    ``dt*L`` value, which stays accurate when ``dt*L`` is near zero; the
-    symbol is complex (odd dispersion), so everything stays complex.
+    The phi-functions are evaluated as means over 32 points of a unit circle
+    around each ``dt*L`` value, which stays accurate when ``dt*L`` is near
+    zero; the symbol is complex (odd dispersion), so everything stays complex.
     """
     E = np.exp(dt * L)
     E2 = np.exp(0.5 * dt * L)
-    theta = 2.0 * np.pi * (np.arange(m_contour) + 0.5) / m_contour
+    theta = 2.0 * np.pi * (np.arange(32) + 0.5) / 32
     r = np.exp(1j * theta)
     LR = dt * L[:, None] + r[None, :]
     eLR = np.exp(LR)

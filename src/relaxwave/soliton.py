@@ -58,9 +58,6 @@ __all__ = [
     "classify",
     "profile",
     "count_turning_points",
-    "xi_zeta_from_sigma_tau",
-    "sigma_tau_from_xi_zeta",
-    "hodograph_y_quadrature",
 ]
 
 SHAPE_LOOP = "loop"
@@ -396,58 +393,3 @@ def count_turning_points(dZdsigma: np.ndarray, tol: float = 1e-9) -> tuple[int, 
             else:
                 crossings += 1
     return crossings, touches
-
-
-def xi_zeta_from_sigma_tau(sigma, tau):
-    """Linear change of variables ``xi = (sigma-tau)/2``, ``zeta = -(sigma+tau)/2``."""
-    sigma = np.asarray(sigma, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    return 0.5 * (sigma - tau), -0.5 * (sigma + tau)
-
-
-def sigma_tau_from_xi_zeta(xi, zeta):
-    """Inverse of :func:`xi_zeta_from_sigma_tau`: ``sigma = xi - zeta``, ``tau = -xi - zeta``."""
-    xi = np.asarray(xi, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    return xi - zeta, -xi - zeta
-
-
-def _quad_along_xi(w: RealWave, integrand, xi: float, zeta: float, what: str) -> float:
-    """Integral of ``integrand(xi')`` along fixed ``zeta`` up to ``xi``.
-
-    The lower end is where the phase drops below ``-45``, far enough
-    behind the pulse that the decaying integrands of the quadrature probes
-    are below double precision there.  ``scipy.integrate`` is imported here
-    only, so that importing the package does not load it.
-    """
-    kpw = w.k + w.omega
-    if kpw <= 0.0:
-        raise DomainError(f"{what} requires k + omega > 0")
-    # theta = (k+omega)*xi + (omega-k)*zeta + theta0 along fixed zeta.
-    xi_lower = (-45.0 - w.theta0 - (w.omega - w.k) * zeta) / kpw
-    if xi <= xi_lower:
-        # empty interval; x + (-0.0) is x bit for bit, signed zeros included
-        return -0.0
-    from scipy.integrate import quad
-
-    val, _err = quad(integrand, xi_lower, xi, limit=200)
-    return val
-
-
-def hodograph_y_quadrature(w: RealWave, xi: float, zeta: float, y0: float = 0.0) -> float:
-    """Hodograph reconstruction ``y = zeta + integral of (u + u**2/2) d xi' + y0``.
-
-    The integral runs over the fixed-``zeta`` line from far behind the pulse
-    (phase below ``-45``, where the integrand has decayed past double
-    precision) up to ``xi``.  This is the independent quadrature route used to
-    probe the hodograph composition; for the candidate closed forms the
-    mismatch against ``y = -Z + C`` is a measured finding.
-    """
-
-    def integrand(x: float) -> float:
-        sigma, tau = sigma_tau_from_xi_zeta(x, zeta)
-        u, _ = eval_uZ(w, sigma, tau)
-        return float(u + 0.5 * u * u)
-
-    val = _quad_along_xi(w, integrand, xi, zeta, "hodograph quadrature")
-    return float(zeta + val + y0)

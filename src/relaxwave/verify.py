@@ -56,13 +56,11 @@ from .soliton import (
     FieldBundle,
     ProfileSamples,
     _check_decaying,
-    _quad_along_xi,
     complex_bundles,
     complex_Z,
     eval_complex_Q,
     eval_uZ,
     real_bundles,
-    sigma_tau_from_xi_zeta,
 )
 
 __all__ = [
@@ -78,13 +76,8 @@ __all__ = [
     "REAL_SYSTEMS",
     "real_residual_reports",
     "complex_residual_reports",
-    "system19_residual",
     "system19_point_residual",
-    "eq14_residual",
-    "phi_from_quadrature",
-    "system_eqq11_residual",
     "physical_operator_grid",
-    "physical_operator_pointwise",
     "eq11_residual_physical",
     "manufactured_u",
     "manufactured_Z",
@@ -485,13 +478,21 @@ def real_residual_reports(w: RealWave, grid: GridSpec = GridSpec(), methods=METH
                           systems=REAL_SYSTEMS) -> tuple[ResidualReport, ...]:
     """Residual reports of the candidate one-soliton under several methods and systems.
 
-    ``systems`` names any of ``"coupled"`` (:func:`system19_residual`) and
-    ``"factored"`` (:func:`eq14_residual`).  The reports come system by
-    system, each in the order of ``methods``, and each equals the
-    single-report function's result for its system and method.  They share
-    one evaluation of the closed forms: one :func:`real_bundles` call per
-    analytic row block feeds every system, and ``fd2`` and ``fd4`` slice one
-    ghost-padded :func:`eval_uZ` call.
+    ``systems`` names any of ``"coupled"`` (the coupled characteristic
+    system) and ``"factored"`` (the factored-frame scalar equation).  The
+    factored equation lives in the rotated variables ``xi = (sigma-tau)/2``,
+    ``zeta = -(sigma+tau)/2``; its derivatives are chain-ruled back through
+    that linear map, giving
+    ``-(u_ss - u_tt) - alpha*(u_s + u_t) + (Z_s + Z_t)*u``, which equals the
+    first coupled-system residual up to the constant Jacobian sign.
+
+    The reports come system by system, each in the order of ``methods``, and
+    each equals the report of a call with that one method and system.  They
+    share one evaluation of the closed forms: one :func:`real_bundles` call
+    per analytic row block feeds every system, and ``fd2`` and ``fd4`` slice
+    one ghost-padded :func:`eval_uZ` call.  The ``fd2``/``fd4`` steps are the
+    grid spacings; stencils at the edge nodes reach ``order/2`` ghost nodes
+    outside the grid.
     """
     for m in methods:
         _check_method(m)
@@ -502,16 +503,6 @@ def real_residual_reports(w: RealWave, grid: GridSpec = GridSpec(), methods=METH
                             lambda s, t: eval_uZ(w, s, t),
                             lambda bu, bz: _real_equations(bu, bz, w.alpha, systems))
     return tuple(reports[system, m] for system in systems for m in methods)
-
-
-def system19_residual(w: RealWave, grid: GridSpec = GridSpec(),
-                      method: str = "analytic") -> ResidualReport:
-    """Residual report of the candidate one-soliton in the coupled system.
-
-    The ``fd2``/``fd4`` steps are the grid spacings; stencils at the edge
-    nodes reach ``order/2`` ghost nodes outside the grid.
-    """
-    return real_residual_reports(w, grid, (method,), ("coupled",))[0]
 
 
 def system19_point_residual(w: RealWave, sigma: float, tau: float,
@@ -526,43 +517,17 @@ def system19_point_residual(w: RealWave, sigma: float, tau: float,
     return float(r1), float(r2)
 
 
-def eq14_residual(w: RealWave, grid: GridSpec = GridSpec(),
-                  method: str = "analytic") -> ResidualReport:
-    """Residual of the factored-frame scalar equation for the candidate soliton.
-
-    The equation lives in the rotated variables ``(xi, zeta)``; its
-    derivatives are chain-ruled back through the linear map, giving
-    ``-(u_ss - u_tt) - alpha*(u_s + u_t) + (Z_s + Z_t)*u``.  This equals the
-    first coupled-system residual up to the constant Jacobian sign.  The
-    ``fd2``/``fd4`` steps are the grid spacings, with ghost nodes at the edges.
-    """
-    return real_residual_reports(w, grid, (method,), ("factored",))[0]
-
-
-def phi_from_quadrature(w: RealWave, xi: float, zeta: float) -> float:
-    """Nonlocal auxiliary field ``phi = 1 + integral of u_zeta*(1+u) d xi'``.
-
-    The integral runs along fixed ``zeta`` from far behind the pulse.  This
-    is the independent route against the local ansatz ``phi = Z_s + Z_t``;
-    for the candidate closed forms the two disagree and the gap is a
-    measured finding.
-    """
-
-    def integrand(x: float) -> float:
-        s, t = sigma_tau_from_xi_zeta(x, zeta)
-        bu, _ = real_bundles(w, s, t)
-        return float(-(bu.s + bu.t) * (1.0 + bu.f))
-
-    return 1.0 + _quad_along_xi(w, integrand, xi, zeta, "quadrature")
-
-
 def complex_residual_reports(cw: ComplexWave, grid: GridSpec = GridSpec(),
                              methods=METHODS) -> tuple[ResidualReport, ...]:
-    """:func:`system_eqq11_residual` under each method of ``methods``, in that order.
+    """Residual reports of the complex soliton in the complex short-pulse system,
+    one per method of ``methods``, in that order.
 
-    The reports share one evaluation of the closed forms: ``fd2`` and ``fd4``
-    slice one ghost-padded :func:`eval_complex_Q` and :func:`complex_Z`
-    call each.
+    The companion field is the quadrature reconstruction of
+    :func:`relaxwave.soliton.complex_Z`; its own equation is satisfied by
+    construction, the other two residuals are findings.  The reports share
+    one evaluation of the closed forms: ``fd2`` and ``fd4`` slice one
+    ghost-padded :func:`eval_complex_Q` and :func:`complex_Z` call each, with
+    the grid spacings as steps and ghost nodes at the edges.
     """
     for m in methods:
         _check_method(m)
@@ -576,41 +541,12 @@ def complex_residual_reports(cw: ComplexWave, grid: GridSpec = GridSpec(),
     return tuple(reports["complex", m] for m in methods)
 
 
-def system_eqq11_residual(cw: ComplexWave, grid: GridSpec = GridSpec(),
-                          method: str = "analytic") -> ResidualReport:
-    """Residual report of the complex soliton in the complex short-pulse system.
-
-    The companion field is the quadrature reconstruction of
-    :func:`relaxwave.soliton.complex_Z`; its own equation is satisfied by
-    construction, the other two residuals are findings.  The ``fd2``/``fd4``
-    steps are the grid spacings, with ghost nodes at the edges.
-    """
-    return complex_residual_reports(cw, grid, (method,))[0]
-
-
-def physical_operator_pointwise(u, u_y, u_eta, u_yy, u_yeta, alpha: float,
-                                include_quadratic: bool = True,
-                                include_cubic: bool = True):
-    """Physical-frame operator applied through the product-rule expansion.
-
-    ``d_y[(d_eta + u*d_y + (u**2/2)*d_y) u] + alpha*u_y + u`` with the
-    convective terms individually switchable; with the cubic term off and
-    ``alpha = 0`` this is the classic ``u_yeta + (u**2/2)_yy + u`` structure.
-    """
-    r = u_yeta + alpha * u_y + u
-    if include_quadratic:
-        r = r + u_y * u_y + u * u_yy
-    if include_cubic:
-        r = r + u * u_y * u_y + 0.5 * u * u * u_yy
-    return r
-
-
 def physical_operator_grid(U: np.ndarray, y_axis: np.ndarray, eta_axis: np.ndarray,
-                           alpha: float, include_quadratic: bool = True,
-                           include_cubic: bool = True) -> np.ndarray:
+                           alpha: float) -> np.ndarray:
     """Physical-frame operator on gridded data ``U[i_eta, i_y]`` by central FD.
 
-    The inner flux ``u_eta + (c2*u + c3*u**2/2)*u_y`` is formed first and
+    The operator is ``d_y[(d_eta + u*d_y + (u**2/2)*d_y) u] + alpha*u_y + u``.
+    The inner flux ``u_eta + (u + u**2/2)*u_y`` is formed first and
     differentiated in ``y`` as a whole.  Returns the residual on the interior
     index range ``[1:-1, 2:-2]``.
     """
@@ -623,12 +559,7 @@ def physical_operator_grid(U: np.ndarray, y_axis: np.ndarray, eta_axis: np.ndarr
     u_eta = (U[2:, :] - U[:-2, :]) / (2.0 * he)          # [1:-1] in eta
     u_y = (U[:, 2:] - U[:, :-2]) / (2.0 * hy)            # [1:-1] in y
     mid = U[1:-1, 1:-1]
-    conv = np.zeros_like(mid)
-    if include_quadratic:
-        conv = conv + mid
-    if include_cubic:
-        conv = conv + 0.5 * mid * mid
-    inner = u_eta[:, 1:-1] + conv * u_y[1:-1, :]
+    inner = u_eta[:, 1:-1] + (mid + 0.5 * mid * mid) * u_y[1:-1, :]
     d_inner = (inner[:, 2:] - inner[:, :-2]) / (2.0 * hy)
     core = U[1:-1, 2:-2]
     uy_core = u_y[1:-1, 1:-1]
@@ -783,10 +714,16 @@ def exactness_forcing(w: RealWave):
 def manufactured_selftest(alpha: float = 0.3) -> SelftestReport:
     """Calibrate the verifier against fields whose residual is known exactly.
 
-    The analytic path must reproduce the exact forcing to better than 1e-10,
-    zero fields must give an exactly zero residual, and the two
-    finite-difference paths must converge at their nominal orders (error
-    ratios within 20 percent of 4 and 16 under step halving).
+    Zero fields must give an exactly zero residual, and the two
+    finite-difference paths must converge to :func:`manufactured_forcing` at
+    their nominal orders (error ratios within 20 percent of 4 and 16 under
+    step halving).  Those ratios are the run-time check of the analytic
+    forcing: a wrong closed-form bundle makes the FD error level off at the
+    bundle's error, so its ratio falls to about 1.  The analytic path is
+    :func:`manufactured_forcing`'s own expression on the same bundles, so
+    ``analytic_max_error`` is 0 by construction and only has to stay below
+    1e-10; ``tests/test_exact_residual.py`` checks the forcing against a
+    sympy derivation from :func:`manufactured_u` and :func:`manufactured_Z`.
     """
     sig = np.linspace(-6.0, 6.0, 41)
     tau = np.linspace(-6.0, 6.0, 41)

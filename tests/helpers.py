@@ -33,8 +33,9 @@ K_024_CRIT = 0.44901325506693725
 
 # Quadrature reconstructions at (xi, zeta) = (0, 0) for (0.24, 0.1):
 # the profile-coordinate integral, the auxiliary-field integral, and the
-# measured gaps against the local closed forms (findings, held as
-# regression anchors).
+# measured gaps against the local closed forms -Z and Z_s + Z_t (findings,
+# held as regression anchors).  test_exact_residual.py derives both
+# integrals exactly and checks these four numbers at 50 digits.
 Y_QUAD_ORIGIN = 2.4186857460944861
 Y_GAP_ORIGIN = 1.1903747716565674
 PHI_QUAD_ORIGIN = -0.6222983825085088
@@ -104,3 +105,15 @@ def hand_phi_quadrature(w, xi, zeta):
     i1 = T + 1.0
     i2 = 0.5 * T * T + T + 0.5
     return 1.0 - A * (k - om) * (i1 + A * i2) / (k + om)
+
+
+def physical_operator_pointwise(u, u_y, u_eta, u_yy, u_yeta, alpha):
+    """Physical-frame operator applied through the product-rule expansion.
+
+    d_y[(d_eta + u*d_y + (u**2/2)*d_y) u] + alpha*u_y + u, expanded as
+    u_yeta + (u_y**2 + u*u_yy) + (u*u_y**2 + u**2*u_yy/2) + alpha*u_y + u;
+    the reference for the central-difference grid operator.
+    """
+    r = u_yeta + alpha * u_y + u
+    r = r + u_y * u_y + u * u_yy
+    return r + u * u_y * u_y + 0.5 * u * u * u_yy

@@ -9,6 +9,14 @@ and both residuals as exact polynomials in ``T``.  The float code is then
 checked against those polynomials evaluated with mpmath at 50 digits: the
 analytic bundles, the point residual and the exactness forcing (the negated
 residual pair).
+
+Two more oracles live here.  The hodograph and auxiliary-field integrals
+along fixed ``zeta`` are rational in ``E = exp(2*theta)``, so sympy integrates
+them exactly; at 50 digits they fix the frozen quadrature constants of
+``helpers.py`` and the float antiderivatives there.  And sympy differentiates
+the manufactured pair of the verifier's self-test from its formulas, which
+checks the hand-written forcing that the self-test's analytic path only
+compares with itself.
 """
 
 import functools
@@ -20,7 +28,21 @@ import sympy as sp
 
 from relaxwave import solve_real, system19_point_residual
 from relaxwave.soliton import real_bundles
-from relaxwave.verify import exactness_forcing
+from relaxwave.verify import (
+    exactness_forcing,
+    manufactured_forcing,
+    manufactured_u,
+    manufactured_Z,
+)
+
+from helpers import (
+    PHI_GAP_ORIGIN,
+    PHI_QUAD_ORIGIN,
+    Y_GAP_ORIGIN,
+    Y_QUAD_ORIGIN,
+    hand_phi_quadrature,
+    hand_y_quadrature,
+)
 
 k, om, al, T = sp.symbols("k omega alpha T")
 BUNDLE = ("f", "s", "t", "ss", "tt")
@@ -124,3 +146,101 @@ def test_analytic_bundles_and_point_residual_match_a_50_digit_oracle(v, alpha, t
         for j, (got, ref, scale) in enumerate(checks):
             err = max(abs(mpmath.mpf(float(a)) - b) for a, b in zip(got, ref))
             assert err <= 1e-13 * scale, (j, float(err / scale))
+
+
+E = sp.symbols("E", positive=True)
+
+
+@functools.cache
+def quadrature_antiderivatives():
+    """``(I_y, I_phi)`` in ``E``, with ``y = zeta + I_y`` and ``phi = 1 + I_phi``.
+
+    ``I_y`` integrates ``u + u**2/2`` and ``I_phi`` integrates
+    ``-(u_s + u_t)*(1 + u)`` over ``xi`` along fixed ``zeta`` from far behind
+    the pulse.  There ``theta = (k+omega)*xi + (omega-k)*zeta + theta0``; with
+    ``e = exp(2*theta)``, ``1 + T = 2e/(1+e)``, ``sech(theta)**2 = 4e/(1+e)**2``
+    and ``d xi = de/(2e*(k+omega))``, so both integrands are rational in ``e``
+    and the far end is ``e = 0``.
+    """
+    e = sp.symbols("e", positive=True)
+    A = 4 * (k + om)**2
+    u = A * 2 * e / (1 + e)
+    pi = A * (k - om) * 4 * e / (1 + e)**2
+    dxi_de = 1 / (2 * e * (k + om))
+    out = []
+    for integrand in (u + u**2 / 2, -pi * (1 + u)):
+        f = sp.cancel(integrand * dxi_de)
+        anti = sp.integrate(f, (e, 0, E))
+        assert sp.cancel(sp.diff(anti, E) - f.subs(e, E)) == 0
+        out.append(anti)
+    return tuple(out)
+
+
+def test_quadrature_constants_and_antiderivatives_match_a_50_digit_oracle():
+    # (v, alpha) = (0.24, 0.1), solved at 50 digits; the gaps are measured
+    # against the closed forms -Z and Z_s + Z_t
+    i_y, i_phi = (sp.lambdify((k, om, E), f, "mpmath") for f in quadrature_antiderivatives())
+    bu, bz, _r, _terms = symbolic()
+    z_theta = sp.lambdify((k, om, T), bz["f"], "mpmath")
+    phi_local = sp.lambdify((k, om, T), bz["s"] + bz["t"], "mpmath")
+    w = solve_real(0.24, 0.1)
+    with mpmath.workdps(50):
+        v, a = mpmath.mpf("0.24"), mpmath.mpf("0.1")
+        # the positive root of 4*(1-v**2)*k**2 + 2*alpha*(1-v)*k - 1 = 0
+        qa, qb = 4 * (1 - v**2), 2 * a * (1 - v)
+        kk = (mpmath.sqrt(qb**2 + 4 * qa) - qb) / (2 * qa)
+        ww = v * kk
+        y0 = i_y(kk, ww, 1)  # theta = 0 at the origin: E = 1, T = 0
+        phi0 = 1 + i_phi(kk, ww, 1)
+        exact = {"Y_QUAD_ORIGIN": (Y_QUAD_ORIGIN, y0),
+                 "Y_GAP_ORIGIN": (Y_GAP_ORIGIN, y0 + z_theta(kk, ww, 0)),
+                 "PHI_QUAD_ORIGIN": (PHI_QUAD_ORIGIN, phi0),
+                 "PHI_GAP_ORIGIN": (PHI_GAP_ORIGIN, phi0 - phi_local(kk, ww, 0))}
+        for xi, zeta in ((0.0, 0.0), (0.7, -0.3), (-0.5, 0.4), (1.5, 0.0), (0.8, -0.2)):
+            e2 = mpmath.exp(2 * ((kk + ww) * xi + (ww - kk) * zeta))
+            exact[f"y({xi}, {zeta})"] = (hand_y_quadrature(w, xi, zeta),
+                                         zeta + i_y(kk, ww, e2))
+            exact[f"phi({xi}, {zeta})"] = (hand_phi_quadrature(w, xi, zeta),
+                                           1 + i_phi(kk, ww, e2))
+        errors = {name: float(abs(got - ref)) for name, (got, ref) in exact.items()}
+    assert max(errors.values()) <= 1e-14, errors
+
+
+sg, tu = sp.symbols("sigma tau", real=True)
+
+
+@functools.cache
+def manufactured_symbolic():
+    """The manufactured pair and its coupled residual ``(r1, r2)``, by sympy.
+
+    The pair is the formula of ``manufactured_u`` and ``manufactured_Z``;
+    the residual is
+    ``r1 = u_ss - u_tt - (Z_s + Z_t)*u + alpha*(u_s + u_t)``,
+    ``r2 = Z_ss - Z_tt + (u + 1)*(u_s + u_t)``.
+    """
+    u = (sp.Rational(4, 5) * sp.exp(-sg**2 / 6)
+         * sp.cos(sp.Rational(7, 10) * tu + sp.Rational(3, 10)))
+    Z = (sg + tu) / 2 + sp.exp(-(sg - 1)**2 / 8) * sp.sin(sp.Rational(3, 5) * tu) / 2
+    pi = sp.diff(u, sg) + sp.diff(u, tu)
+    r1 = (sp.diff(u, sg, 2) - sp.diff(u, tu, 2) - (sp.diff(Z, sg) + sp.diff(Z, tu)) * u
+          + al * pi)
+    r2 = sp.diff(Z, sg, 2) - sp.diff(Z, tu, 2) + (u + 1) * pi
+    return u, Z, r1, r2
+
+
+def test_manufactured_forcing_is_the_coupled_residual_of_the_manufactured_pair():
+    # pointwise on the self-test's 41x41 grid at its alpha; the self-test's
+    # own analytic check compares the forcing with the same expression
+    alpha = 0.3
+    axis = np.linspace(-6.0, 6.0, 41)
+    S, Tau = np.meshgrid(axis, axis, indexing="ij")
+    got = (manufactured_u(S, Tau), manufactured_Z(S, Tau), *manufactured_forcing(S, Tau, alpha))
+    exact = [sp.lambdify((sg, tu, al), f, "mpmath") for f in manufactured_symbolic()]
+    worst = [0.0] * len(exact)
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        for i, j in np.ndindex(S.shape):
+            s, t = mpmath.mpf(S[i, j]), mpmath.mpf(Tau[i, j])
+            for n, (g, f) in enumerate(zip(got, exact)):
+                worst[n] = max(worst[n], float(abs(g[i, j] - f(s, t, a))))
+    assert max(worst) <= 1e-13, worst

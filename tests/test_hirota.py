@@ -205,5 +205,3 @@ def test_bilinear_residual_validation():
     w = solve_real(0.24, 0.1)
     with pytest.raises(DomainError):
         bilinear_residual(w, "no-such-variant")
-    with pytest.raises(DomainError):
-        bilinear_residual(w, n_sigma=1)

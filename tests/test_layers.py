@@ -1,7 +1,11 @@
-"""The package modules import each other in one direction only.
+"""The package modules import each other in one direction only, and scipy
+only where it pays.
 
 Every ``src/relaxwave/*.py`` is parsed with :mod:`ast`; imports inside
-functions and under ``TYPE_CHECKING`` count as much as top-level ones.
+functions and under ``TYPE_CHECKING`` count as much as top-level ones.  No
+module imports ``scipy.integrate``, and ``scipy`` is imported only inside
+functions of ``sim`` (its sparse derivative operator) or under
+``TYPE_CHECKING``, so importing the package loads no scipy.
 """
 
 import ast
@@ -33,6 +37,38 @@ def package_imports(path: Path) -> set[str]:
     return found
 
 
+def scipy_imports(path: Path) -> list[tuple[str, bool, bool]]:
+    """``(module, in_function, under_type_checking)`` per scipy import at ``path``.
+
+    ``module`` is the full dotted name imported: ``from scipy import
+    integrate`` gives ``"scipy.integrate"``.
+    """
+    found = []
+
+    def visit(node: ast.AST, in_function: bool, typing_only: bool) -> None:
+        if isinstance(node, ast.Import):
+            found.extend((a.name, in_function, typing_only) for a in node.names
+                         if a.name.split(".")[0] == "scipy")
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module
+              and node.module.split(".")[0] == "scipy"):
+            names = ([node.module] if node.module != "scipy"
+                     else [f"scipy.{a.name}" for a in node.names])
+            found.extend((name, in_function, typing_only) for name in names)
+        in_function = in_function or isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+            for child in node.body:
+                visit(child, in_function, True)
+            for child in node.orelse:
+                visit(child, in_function, typing_only)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_function, typing_only)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), False, False)
+    return found
+
+
 def import_graph() -> dict[str, set[str]]:
     return {p.stem: package_imports(p) for p in sorted(PACKAGE.glob("*.py"))
             if p.stem != "__init__"}
@@ -44,6 +80,30 @@ def test_the_import_scanner_sees_nested_and_absolute_imports(tmp_path):
                     "def f():\n    from .c import y\n    from relaxwave.d import z\n"
                     "    from relaxwave import e\n    from . import g\n")
     assert package_imports(path) == {"a", "b", "c", "d", "e", "g"}
+
+
+def test_the_scipy_scanner_sees_nested_aliased_and_typing_imports(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("import numpy\nimport scipy.linalg as la\n"
+                    "from typing import TYPE_CHECKING\n"
+                    "if TYPE_CHECKING:\n    from scipy.sparse import csr_matrix\n"
+                    "else:\n    import scipy\n"
+                    "def f():\n    from scipy import integrate, sparse\n"
+                    "    class C:\n        import scipy.special\n")
+    assert scipy_imports(path) == [
+        ("scipy.linalg", False, False), ("scipy.sparse", False, True),
+        ("scipy", False, False), ("scipy.integrate", True, False),
+        ("scipy.sparse", True, False), ("scipy.special", True, False)]
+
+
+def test_scipy_is_imported_only_inside_sim_functions_and_never_integrate():
+    found = {p.stem: scipy_imports(p) for p in sorted(PACKAGE.glob("*.py"))}
+    assert [(mod, name) for mod, imports in found.items() for name, _, _ in imports
+            if name.startswith("scipy.integrate")] == []
+    assert [(mod, name) for mod, imports in found.items()
+            for name, in_function, typing_only in imports
+            if not typing_only and not (mod == "sim" and in_function)] == []
+    assert found["sim"]  # the check above has something to look at
 
 
 def test_every_module_has_a_layer():

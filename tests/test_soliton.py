@@ -1,4 +1,4 @@
-"""Closed-form soliton fields, shape classification, and hodograph probes."""
+"""Closed-form soliton fields, shape classification, and the hodograph antiderivative."""
 
 import math
 from collections import Counter
@@ -30,12 +30,9 @@ from relaxwave.soliton import (
     complex_bundles,
     count_turning_points,
     dZ_dsigma,
-    hodograph_y_quadrature,
     momentum,
     real_bundles,
-    sigma_tau_from_xi_zeta,
     u_from_tau_pair,
-    xi_zeta_from_sigma_tau,
     Z_from_tau_pair,
 )
 
@@ -260,38 +257,29 @@ def test_loop_profile_folds_twice(w_loop):
     assert int(np.sum(steps[1:] != steps[:-1])) == 2
 
 
-def test_coordinate_maps_round_trip():
-    rng = np.random.default_rng(42)
-    sig = rng.uniform(-10.0, 10.0, 50)
-    tau = rng.uniform(-10.0, 10.0, 50)
-    xi, zeta = xi_zeta_from_sigma_tau(sig, tau)
-    s2, t2 = sigma_tau_from_xi_zeta(xi, zeta)
-    assert np.max(np.abs(s2 - sig)) < 1e-14
-    assert np.max(np.abs(t2 - tau)) < 1e-14
-    xi0, zeta0 = xi_zeta_from_sigma_tau(2.0, 0.0)
-    assert (xi0, zeta0) == (1.0, -1.0)
-
-
 def test_hodograph_quadrature_matches_antiderivative(w_loop):
-    for xi, zeta in ((0.0, 0.0), (0.7, -0.3), (-0.5, 0.4), (1.5, 0.0)):
-        got = hodograph_y_quadrature(w_loop, xi, zeta)
-        assert got == pytest.approx(hand_y_quadrature(w_loop, xi, zeta), abs=1e-8)
+    # y = zeta + integral of (u + u**2/2) d xi' along fixed zeta from far
+    # behind the pulse, with sigma = xi - zeta and tau = -xi - zeta:
+    # 50-digit quadrature against the float antiderivative
+    with mpmath.workdps(50):
+        k, om, th0 = (mpmath.mpf(x) for x in (w_loop.k, w_loop.omega, w_loop.theta0))
+
+        def integrand(x, zeta):
+            u = 4 * (k + om) ** 2 * (1 + mpmath.tanh(k * (x - zeta) - om * (-x - zeta) + th0))
+            return u + u * u / 2
+
+        for xi, zeta in ((0.0, 0.0), (0.7, -0.3), (-0.5, 0.4), (1.5, 0.0)):
+            exact = zeta + mpmath.quad(lambda x: integrand(x, zeta), [-mpmath.inf, xi])
+            assert abs(hand_y_quadrature(w_loop, xi, zeta) - exact) <= 1e-14
 
 
 def test_hodograph_gap_at_origin(w_loop):
     # the quadrature route and -Z disagree by a sigma-dependent offset; the
     # value at the origin is pinned down as a reference finding
-    got = hodograph_y_quadrature(w_loop, 0.0, 0.0)
-    assert got == pytest.approx(Y_QUAD_ORIGIN, abs=1e-8)
+    got = hand_y_quadrature(w_loop, 0.0, 0.0)
+    assert got == pytest.approx(Y_QUAD_ORIGIN, abs=1e-14)
     _, Z0 = eval_uZ(w_loop, 0.0, 0.0)
-    assert got - (-Z0) == pytest.approx(Y_GAP_ORIGIN, abs=1e-8)
-
-
-def test_hodograph_boundary_and_domain(w_loop):
-    assert hodograph_y_quadrature(w_loop, -100.0, 0.25, y0=0.5) == 0.75
-    bad = RealWave(v=0.5, alpha=0.1, k=0.2, omega=-0.3)
-    with pytest.raises(DomainError):
-        hodograph_y_quadrature(bad, 0.0, 0.0)
+    assert got - (-Z0) == pytest.approx(Y_GAP_ORIGIN, abs=1e-14)
 
 
 def test_complex_Q_center_and_reduction():

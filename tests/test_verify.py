@@ -5,6 +5,7 @@ import threading
 import tracemalloc
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,15 +16,12 @@ from relaxwave import (
     GridSpec,
     complex_residual_reports,
     eq11_residual_physical,
-    eq14_residual,
     make_complex_wave,
     manufactured_selftest,
     profile,
     real_residual_reports,
     solve_real,
     system19_point_residual,
-    system19_residual,
-    system_eqq11_residual,
 )
 from relaxwave.dispersion import ComplexWave
 import relaxwave.cli
@@ -35,7 +33,6 @@ from relaxwave.soliton import (
     eval_complex_Q,
     eval_uZ,
     real_bundles,
-    sigma_tau_from_xi_zeta,
 )
 from relaxwave.verify import (
     METHODS,
@@ -46,9 +43,7 @@ from relaxwave.verify import (
     complex_residuals_from_bundles,
     fd_bundle,
     manufactured_bundles,
-    phi_from_quadrature,
     physical_operator_grid,
-    physical_operator_pointwise,
     point_bundle,
     residuals_from_bundles,
 )
@@ -58,9 +53,17 @@ from helpers import (
     PHI_QUAD_ORIGIN,
     hand_phi_quadrature,
     hand_residuals,
+    physical_operator_pointwise,
 )
 
 SMALL_GRID = GridSpec(-10.0, 10.0, 61, -10.0, 10.0, 61)
+
+
+def single_report(system, wave, grid=GridSpec(), method="analytic"):
+    """The one report of a one-method, one-system multi-report call."""
+    if system == "complex":
+        return complex_residual_reports(wave, grid, (method,))[0]
+    return real_residual_reports(wave, grid, (method,), (system,))[0]
 
 
 def test_residual_fields_match_hand_formulas():
@@ -112,7 +115,7 @@ def test_point_residual_method_agreement():
 
 def test_field_residual_method_stability():
     w0 = solve_real(0.0, 0.0)
-    linfs = [system19_residual(w0, method=m).equations[0].linf for m in METHODS]
+    linfs = [single_report("coupled", w0, method=m).equations[0].linf for m in METHODS]
     assert max(linfs) - min(linfs) < 1e-6
     for linf in linfs:
         assert linf == pytest.approx(1.9999988, abs=1e-5)
@@ -120,7 +123,7 @@ def test_field_residual_method_stability():
 
 def test_report_structure_and_normalization():
     w = solve_real(0.24, 0.1)
-    rep = system19_residual(w, grid=SMALL_GRID)
+    rep = single_report("coupled", w, SMALL_GRID)
     assert rep.system == "coupled"
     assert rep.method == "analytic"
     assert tuple(e.equation for e in rep.equations) == ("u", "Z")
@@ -131,8 +134,8 @@ def test_report_structure_and_normalization():
 
 def test_factored_equation_equals_first_coupled_residual():
     w = solve_real(0.24, 0.1)
-    r19 = system19_residual(w)
-    r14 = eq14_residual(w)
+    r19 = single_report("coupled", w)
+    r14 = single_report("factored", w)
     assert r14.system == "factored"
     assert r14.equations[0].equation == "u-factored"
     assert r14.equations[0].linf == pytest.approx(r19.equations[0].linf, rel=1e-12)
@@ -144,38 +147,46 @@ def test_factored_second_derivative_chain_rule():
     xi0, zeta0 = 0.3, -0.2
 
     def u_of(xi, zeta):
-        s, t = sigma_tau_from_xi_zeta(xi, zeta)
-        return eval_uZ(w, s, t)[0]
+        return eval_uZ(w, xi - zeta, -xi - zeta)[0]
 
     h = 2e-3
     mixed = (u_of(xi0 + h, zeta0 + h) - u_of(xi0 + h, zeta0 - h)
              - u_of(xi0 - h, zeta0 + h) + u_of(xi0 - h, zeta0 - h)) / (4.0 * h * h)
-    s0, t0 = sigma_tau_from_xi_zeta(xi0, zeta0)
-    bu, _ = real_bundles(w, s0, t0)
+    bu, _ = real_bundles(w, xi0 - zeta0, -xi0 - zeta0)
     assert mixed == pytest.approx(-(bu.ss - bu.tt), abs=1e-6)
 
 
 def test_phi_quadrature_matches_antiderivative():
+    # phi = 1 + integral of -(u_s + u_t)*(1 + u) d xi' along fixed zeta from
+    # far behind the pulse: 50-digit quadrature against the float antiderivative
     w = solve_real(0.24, 0.1)
-    assert phi_from_quadrature(w, -1000.0, 0.3) == 1.0
-    for xi, zeta in ((0.0, 0.0), (0.8, -0.2), (-0.4, 0.5)):
-        got = phi_from_quadrature(w, xi, zeta)
-        assert got == pytest.approx(hand_phi_quadrature(w, xi, zeta), abs=1e-8)
+    assert hand_phi_quadrature(w, -1000.0, 0.3) == 1.0
+    with mpmath.workdps(50):
+        k, om, th0 = (mpmath.mpf(x) for x in (w.k, w.omega, w.theta0))
+        amp = 4 * (k + om) ** 2
+
+        def integrand(x, zeta):
+            th = k * (x - zeta) - om * (-x - zeta) + th0
+            return -amp * (k - om) * mpmath.sech(th) ** 2 * (1 + amp * (1 + mpmath.tanh(th)))
+
+        for xi, zeta in ((0.0, 0.0), (0.8, -0.2), (-0.4, 0.5)):
+            exact = 1 + mpmath.quad(lambda x: integrand(x, zeta), [-mpmath.inf, xi])
+            assert abs(hand_phi_quadrature(w, xi, zeta) - exact) <= 1e-14
 
 
 def test_phi_quadrature_gap_at_origin():
     # the nonlocal route and the local ansatz Z_s + Z_t disagree; the origin
     # values are pinned as reference findings
     w = solve_real(0.24, 0.1)
-    got = phi_from_quadrature(w, 0.0, 0.0)
-    assert got == pytest.approx(PHI_QUAD_ORIGIN, abs=1e-8)
+    got = hand_phi_quadrature(w, 0.0, 0.0)
+    assert got == pytest.approx(PHI_QUAD_ORIGIN, abs=1e-14)
     bu, bz = real_bundles(w, 0.0, 0.0)
-    assert got - (bz.s + bz.t) == pytest.approx(PHI_GAP_ORIGIN, abs=1e-8)
+    assert got - (bz.s + bz.t) == pytest.approx(PHI_GAP_ORIGIN, abs=1e-14)
 
 
 def test_complex_system_companion_equation_closes():
     cw = make_complex_wave(1.0 + 0.5j, 0.1)
-    rep = system_eqq11_residual(cw, grid=SMALL_GRID)
+    rep = single_report("complex", cw, SMALL_GRID)
     assert rep.system == "complex"
     assert tuple(e.equation for e in rep.equations) == ("Q_re", "Q_im", "Z")
     assert rep.equations[2].linf < 1e-12
@@ -186,7 +197,7 @@ def test_complex_system_companion_equation_closes():
     for k, alpha, root, theta0 in ((1.2 + 0.4j, 0.3, 1, 0j), (0.8 + 0.6j, 0.9, 0, 0.3 - 0.7j),
                                    (1.6 + 0.05j, 0.0, 1, 0j), (1.0 + 0.5j, 0.1, 0, 0j)):
         cw = make_complex_wave(k, alpha, root=root, theta0=theta0)
-        z = system_eqq11_residual(cw, GridSpec(), "analytic").equations[2]
+        z = single_report("complex", cw).equations[2]
         assert z.linf <= 1e-14 * z.normalization
 
 
@@ -231,12 +242,12 @@ def _count_closed_form_calls(monkeypatch) -> Counter:
 def test_fd_grid_reports_evaluate_each_closed_form_once(monkeypatch, method):
     calls = _count_closed_form_calls(monkeypatch)
     w = solve_real(0.24, 0.1)
-    for report in (system19_residual, eq14_residual):
+    for system in ("coupled", "factored"):
         calls.clear()
-        report(w, SMALL_GRID, method)
+        single_report(system, w, SMALL_GRID, method)
         assert calls == {"eval_uZ": 1}
     calls.clear()
-    system_eqq11_residual(make_complex_wave(1.0 + 0.5j, 0.1), SMALL_GRID, method)
+    single_report("complex", make_complex_wave(1.0 + 0.5j, 0.1), SMALL_GRID, method)
     assert calls == {"eval_complex_Q": 1, "complex_Z": 1}
 
 
@@ -276,14 +287,13 @@ def test_analytic_and_fd_reports_on_a_multi_block_grid_evaluate_each_point_once(
             return _fn(wave, s, t)
         monkeypatch.setattr(relaxwave.verify, name, counted)
     w, cw = solve_real(0.24, 0.1), make_complex_wave(1.0 + 0.5j, 0.1)
-    cases = ((system19_residual, w, {"eval_uZ": 1}, "real_bundles"),
-             (eq14_residual, w, {"eval_uZ": 1}, "real_bundles"),
-             (system_eqq11_residual, cw, {"eval_complex_Q": 1, "complex_Z": 1},
-              "complex_bundles"))
-    for report, wave, fd_calls, analytic in cases:
+    cases = (("coupled", w, {"eval_uZ": 1}, "real_bundles"),
+             ("factored", w, {"eval_uZ": 1}, "real_bundles"),
+             ("complex", cw, {"eval_complex_Q": 1, "complex_Z": 1}, "complex_bundles"))
+    for system, wave, fd_calls, analytic in cases:
         calls.clear()
         points.clear()
-        report(wave, grid, method)
+        single_report(system, wave, grid, method)
         if method == "analytic":
             assert set(calls) == {analytic} and calls[analytic] > 1
             assert points == {analytic: grid.n_sigma * grid.n_tau}
@@ -361,11 +371,9 @@ def test_blocked_grid_reports_equal_the_whole_grid_reference(grid, shape):
             "one row per block": rows == 1}.get(shape, True)
     w = solve_real(0.24, 0.1, theta0=0.3)
     cw = make_complex_wave(1.0 + 0.5j, 0.1)
-    for report, system, wave in ((system19_residual, "coupled", w),
-                                 (eq14_residual, "factored", w),
-                                 (system_eqq11_residual, "complex", cw)):
+    for system, wave in (("coupled", w), ("factored", w), ("complex", cw)):
         for method in METHODS:
-            got = report(wave, grid, method)
+            got = single_report(system, wave, grid, method)
             assert (got.system, got.method, got.grid) == (system, method, grid)
             assert got.equations == _whole_grid_report(system, grid, method, wave)
 
@@ -377,11 +385,8 @@ def test_all_method_reports_equal_single_method_reports(monkeypatch, grid):
     # fd2 and fd4 together; each report is bit-identical to its own call
     w = solve_real(0.24, 0.1, theta0=0.3)
     cw = make_complex_wave(1.0 + 0.5j, 0.1)
-    single = {
-        "coupled": [system19_residual(w, grid, m) for m in METHODS],
-        "factored": [eq14_residual(w, grid, m) for m in METHODS],
-        "complex": [system_eqq11_residual(cw, grid, m) for m in METHODS],
-    }
+    single = {system: [single_report(system, wave, grid, m) for m in METHODS]
+              for system, wave in (("coupled", w), ("factored", w), ("complex", cw))}
     calls = _count_closed_form_calls(monkeypatch)
     for system in ("coupled", "factored"):
         calls.clear()
@@ -497,9 +502,8 @@ def test_run_report_builds_each_alpha_s_analytic_bundles_once(monkeypatch):
     expect = []
     for a in (0.05, 0.4):
         w = solve_real(0.3, a)
-        expect.append({"coupled": relaxwave.cli._report_obj(system19_residual(w, grid)),
-                       "factored": relaxwave.cli._report_obj(
-                           eq14_residual(w, grid, "analytic"))})
+        expect.append({system: relaxwave.cli._report_obj(single_report(system, w, grid))
+                       for system in ("coupled", "factored")})
     points = Counter()
 
     def counted(wave, s, t, _fn=relaxwave.verify.real_bundles):
@@ -521,7 +525,7 @@ def test_complex_companion_fd_residual_converges_at_nominal_order():
 
     def z_linf(n, method):
         grid = GridSpec(-10.0, 10.0, n, -10.0, 10.0, n)
-        return system_eqq11_residual(cw, grid, method).equations[2].linf
+        return single_report("complex", cw, grid, method).equations[2].linf
 
     for method, expected in (("fd2", 4.0), ("fd4", 16.0)):
         ratio = z_linf(121, method) / z_linf(241, method)
@@ -530,7 +534,7 @@ def test_complex_companion_fd_residual_converges_at_nominal_order():
 
 def test_complex_system_real_reduction():
     real = make_complex_wave(1.2, 0.5, root=0)
-    rep = system_eqq11_residual(real, grid=SMALL_GRID)
+    rep = single_report("complex", real, SMALL_GRID)
     assert rep.equations[1].linf == 0.0
     assert rep.equations[2].linf < 1e-12
 
@@ -538,19 +542,18 @@ def test_complex_system_real_reduction():
 def test_complex_system_requires_decay():
     cw = ComplexWave(k=1j, omega=0.5 + 0j, alpha=0.1)
     with pytest.raises(DomainError):
-        system_eqq11_residual(cw, grid=SMALL_GRID)
+        single_report("complex", cw, SMALL_GRID)
 
 
 def test_physical_operator_pointwise_polynomial():
     y, eta = 0.7, -0.3
     u, u_y, u_eta = y * y * eta, 2.0 * y * eta, y * y
     u_yy, u_yeta = 2.0 * eta, 2.0 * y
-    got = physical_operator_pointwise(u, u_y, u_eta, u_yy, u_yeta, 0.0,
-                                      include_cubic=False)
-    # d_y(u_eta + u*u_y) + u = 2y + 6y**2*eta**2 + y**2*eta for u = y**2*eta
-    assert got == pytest.approx(2.0 * y + 6.0 * y * y * eta * eta + u, abs=1e-10)
+    # for u = y**2*eta: d_y(u_eta + u*u_y) + u = 2y + 6y**2*eta**2 + y**2*eta,
+    # d_y((u**2/2)*u_y) = 5y**4*eta**3, and alpha*u_y
     full = physical_operator_pointwise(u, u_y, u_eta, u_yy, u_yeta, 0.25)
-    assert full == pytest.approx(got + 5.0 * y ** 4 * eta ** 3 + 0.25 * u_y, abs=1e-10)
+    assert full == pytest.approx(2.0 * y + 6.0 * y * y * eta * eta + u
+                                 + 5.0 * y ** 4 * eta ** 3 + 0.25 * u_y, abs=1e-10)
 
 
 def operator_grid_error(n_y, n_eta):
@@ -690,7 +693,7 @@ def test_grid_and_method_validation():
     with pytest.raises(DomainError):
         GridSpec(sigma_max=51.0)
     with pytest.raises(DomainError):
-        system19_residual(solve_real(0.24, 0.1), method="spectral")
+        single_report("coupled", solve_real(0.24, 0.1), method="spectral")
     for systems in (("coupled", "coupled"), ("physical",)):
         with pytest.raises(DomainError):
             real_residual_reports(solve_real(0.24, 0.1), SMALL_GRID, METHODS, systems)
