@@ -163,6 +163,15 @@ def _config_from_path(path: str | None) -> dict[str, str]:
         return parse_config(fh.read())
 
 
+def _reject_unread(cfg: dict[str, str], keys: tuple[str, ...], reader: str) -> None:
+    """Refuse config keys outside ``keys``: a misspelt key would otherwise
+    leave its value at the default without a word."""
+    unread = sorted(set(cfg) - set(keys))
+    if unread:
+        raise DomainError(f"{reader} does not read config key(s) "
+                          + ", ".join(map(repr, unread)))
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers.
 
@@ -312,6 +321,7 @@ def _cmd_figure(args) -> int:
 
 def run_report(cfg: dict[str, str], seed: int = 0) -> tuple[dict, int]:
     """Consolidated findings report; returns (document, exit_code)."""
+    _reject_unread(cfg, ("v", "alphas", "n_samples"), "run-report")
     v = config_value(cfg, "v", float, 0.24)
     alphas = config_value(cfg, "alphas", list, _DEFAULT_FIGURE_ALPHAS)
     n_samples = config_value(cfg, "n_samples", int, 200)
@@ -368,12 +378,17 @@ def _cmd_run_report(args) -> int:
 
 
 def _simulate_system19(cfg: dict[str, str], out: Path, args) -> None:
+    _reject_unread(cfg, ("v", "alpha", "theta0", "sigma_min", "sigma_max", "n", "T", "dt",
+                         "n_snapshots", "bc", "forcing", "linearized"),
+                   "simulate --system 19")
     v = config_value(cfg, "v", float, 0.24)
     alpha = config_value(cfg, "alpha", float, 0.8)
     theta0 = config_value(cfg, "theta0", float, 0.0)
     sigma_min = config_value(cfg, "sigma_min", float, -15.0)
     sigma_max = config_value(cfg, "sigma_max", float, 15.0)
     n = config_value(cfg, "n", int, 301)
+    if n < 8:
+        raise DomainError(f"config key 'n': need at least 8 grid points, got {n}")
     h = (sigma_max - sigma_min) / (n - 1)
     T = config_value(cfg, "T", float, 5.0)
     dt = config_value(cfg, "dt", float, 0.4 * h)
@@ -396,6 +411,7 @@ def _simulate_system19(cfg: dict[str, str], out: Path, args) -> None:
                            linearized=linearized, n_snapshots=n_snapshots)
     errs = compare_to_exact(traj, w)
 
+    out.mkdir(parents=True, exist_ok=True)
     names = [f"snapshot_{i:03d}.csv" for i in range(len(traj.taus))]
     write_csv_series([out / name for name in names], ("sigma", "u", "ut", "Z", "zt"),
                      traj.sigma, (np.column_stack(fields) for fields in
@@ -423,7 +439,10 @@ def _simulate_system19(cfg: dict[str, str], out: Path, args) -> None:
 
 
 def _simulate_mkdvb(cfg: dict[str, str], out: Path, args) -> None:
+    run_keys = ("length", "n", "T", "dt", "n_snapshots", "ic", "amp", "width", "mode")
     if "tau" in cfg or "v_f" in cfg:
+        _reject_unread(cfg, run_keys + ("tau", "v_e", "v_f", "alpha_e", "a_e"),
+                       "simulate --system mkdvb with 'tau' or 'v_f' (the medium route)")
         m = MediumParams(tau=config_value(cfg, "tau", float),
                          v_e=config_value(cfg, "v_e", float),
                          v_f=config_value(cfg, "v_f", float),
@@ -431,6 +450,8 @@ def _simulate_mkdvb(cfg: dict[str, str], out: Path, args) -> None:
                          a_e=config_value(cfg, "a_e", float, 1.0))
         coeffs = MKdVBCoeffs.from_medium(m)
     else:
+        _reject_unread(cfg, run_keys + ("v_e", "quad", "cubic", "beta", "gamma"),
+                       "simulate --system mkdvb")
         coeffs = MKdVBCoeffs(v_e=config_value(cfg, "v_e", float, 1.0),
                              quad=config_value(cfg, "quad", float, 1.0),
                              cubic=config_value(cfg, "cubic", float, 1.0),
@@ -464,6 +485,7 @@ def _simulate_mkdvb(cfg: dict[str, str], out: Path, args) -> None:
 
     init = SimStateMKdVB(x=x, p=p0, coeffs=coeffs)
     traj = evolve_mkdvb(init, T, dt, n_snapshots=n_snapshots)
+    out.mkdir(parents=True, exist_ok=True)
     names = [f"snapshot_{i:03d}.csv" for i in range(len(traj.ts))]
     write_csv_series([out / name for name in names], ("x", "p"), traj.x, traj.p)
     snaps = []
@@ -487,7 +509,6 @@ def _cmd_simulate(args) -> int:
         raise DomainError("simulate requires --out <directory>")
     cfg = _config_from_path(args.config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.system in ("19", "coupled"):
         _simulate_system19(cfg, out, args)
     else:
@@ -496,8 +517,12 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+_MEDIUM_KEYS = ("tau", "v_e", "v_f", "alpha_e", "a_e", "alpha_f", "a_f")
+
+
 def _cmd_medium(args) -> int:
     cfg = _config_from_path(args.config)
+    _reject_unread(cfg, _MEDIUM_KEYS, "medium")
 
     def pick(name: str, default: float | None = None) -> float:
         flag = getattr(args, name)
@@ -632,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("medium", parents=[common],
                        help="map physical medium parameters to model coefficients")
-    for name in ("tau", "v_e", "v_f", "alpha_e", "a_e", "alpha_f", "a_f"):
+    for name in _MEDIUM_KEYS:
         p.add_argument(f"--{name}", type=float, default=None)
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--reduction", choices=("none", "swsp", "combined"),

@@ -80,12 +80,14 @@ def solve_real(v: float, alpha: float, theta0: float = 0.0) -> RealWave:
     Raises
     ------
     DomainError
-        If ``|v| >= 1`` or ``alpha < 0``.
+        If ``|v| >= 1`` or ``alpha`` is negative or not finite.
     """
     if not -1.0 < v < 1.0:
         raise DomainError(f"wave speed must satisfy -1 < v < 1, got v={v}")
     if not alpha >= 0.0:
         raise DomainError(f"dissipative parameter must satisfy alpha >= 0, got {alpha}")
+    if alpha == math.inf:
+        raise DomainError(f"dissipative parameter must be finite, got {alpha}")
     b = alpha * (1.0 - v)
     k = 1.0 / (b + math.sqrt(b * b + 4.0 * (1.0 - v * v)))
     return RealWave(v=v, alpha=alpha, k=k, omega=k * v, theta0=theta0)
@@ -121,7 +123,14 @@ def make_complex_wave(k: complex, alpha: float, root: int = 0,
     """Build a :class:`ComplexWave` from ``k`` and one root of the frequency pair.
 
     ``root`` selects index 0 or 1 of :func:`solve_complex_omega`'s ordering.
+
+    Raises
+    ------
+    DomainError
+        If ``k`` or ``alpha`` is not finite, or ``root`` is not 0 or 1.
     """
+    if not (cmath.isfinite(k) and math.isfinite(alpha)):
+        raise DomainError(f"complex wave needs finite k and alpha, got k={k}, alpha={alpha}")
     if root not in (0, 1):
         raise DomainError(f"root index must be 0 or 1, got {root}")
     omega = solve_complex_omega(k, alpha)[root]

@@ -11,16 +11,16 @@ with time-dependent Dirichlet data for ``u`` and ``Z`` at both ends of the
 ``sigma`` interval.  The data come from a plain callable
 ``bc(tau) -> (trace, rate)`` that gives the boundary values and their exact
 tau-derivatives (:func:`boundary_from_wave`), as ``(..., 2, 2)`` arrays over
-the shape of ``tau``; a run calls it once, on the 1-D array of all its stage
-times.  Without one the initial boundary values are held, with a rate of
-exactly zero.  An optional ``forcing(sigma, tau) -> (G_u, G_Z)`` is added to
-the two accelerations; it is called on ``(B, 1)`` columns of consecutive
-stage times, ``B = max(1, 4096 // n)`` on an ``n``-point grid (the last
-column may be shorter), each time exactly once, and returns ``(B, n)``
-stacks or ``(n,)`` arrays held over the column.  The state is one
-``(4, n)`` array with rows ``(u, Z, u_tau, Z_tau)``, so that ``[u; Z]`` is
-one contiguous vector and one block-diagonal CSR mat-vec gives
-``[u_s; Z_s; u_ss; Z_ss]``.  Characteristic
+the shape of ``tau``; a run calls it on 1-D blocks of up to 2048
+consecutive stage times, each time exactly once.  Without one the initial
+boundary values are held, with a rate of exactly zero.  An optional
+``forcing(sigma, tau) -> (G_u, G_Z)`` is added to the two accelerations; it
+is called on ``(B, 1)`` columns of consecutive stage times,
+``B = max(1, 4096 // n)`` on an ``n``-point grid (the last column may be
+shorter), each time exactly once, and returns ``(B, n)`` stacks or ``(n,)``
+arrays held over the column.  The state is one ``(4, n)`` array with rows
+``(u, Z, u_tau, Z_tau)``, so that ``[u; Z]`` is one contiguous vector whose
+order-4 stencil gives ``[u_s; Z_s; u_ss; Z_ss]``.  Characteristic
 coordinates are used deliberately: loop profiles are multivalued in the
 physical frame, so only this chart can represent their dynamics.  Periodic
 boundaries are invalid here because the kink-asymptotic ``u`` has unequal
@@ -44,10 +44,6 @@ Fixed-step schemes only: reports must be reproducible bit for bit.
 This module is a pure integrator and imports nothing from
 :mod:`relaxwave.verify`: forcings come in as callables, such as
 :func:`relaxwave.verify.exactness_forcing`.
-
-``scipy.sparse`` is imported only when :func:`evolve_system19` builds its
-derivative operator, so importing this module (and the CLI) does not load
-scipy; a ``simulate --system 19`` call pays that import inside the call.
 """
 
 from __future__ import annotations
@@ -55,7 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -63,9 +59,6 @@ from .dispersion import RealWave
 from .errors import DomainError, NumericalError
 from .medium import MediumParams, low_freq_coeffs
 from .soliton import eval_uZ, real_bundles
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 __all__ = [
     "SimState19",
@@ -84,6 +77,8 @@ __all__ = [
 _BoundaryFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 # Grid points per forcing call: a call takes max(1, _FORCING_POINTS // n) stage times.
 _FORCING_POINTS = 4096
+# Stage times per bc call.
+_BC_TIMES = 2048
 
 
 def _uniform_spacing(x: np.ndarray, label: str) -> float:
@@ -175,72 +170,79 @@ def _fd_weights(offsets: Sequence[int], deriv: int) -> np.ndarray:
     return np.linalg.solve(V, rhs)
 
 
-def _deriv_matrix(n: int, h: float, deriv: int) -> csr_matrix:
-    """Order-4 sigma-derivative matrix with one-sided rows next to the ends.
+def _sigma_stencil(n: int, h: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The order-4 sigma-derivatives of ``[u; Z]`` on an ``n``-point grid.
 
-    Rows 0 and n-1 are zero: the boundary values are prescribed, not evolved.
-    Row 1 takes the offsets -1..4, row n-2 the offsets -4..1 and every other
-    row the central -2..2, each row's entries in increasing column order.
+    The returned function maps the flat ``2n``-vector ``[u; Z]`` to the
+    ``(4, n)`` array ``[u_s; Z_s; u_ss; Z_ss]``.  Row 1 of each field takes
+    the offsets -1..4, row n-2 the offsets -4..1 and every other row the
+    central -2..2; rows 0 and n-1 are zero, since the boundary values are
+    prescribed, not evolved.
     """
-    from scipy.sparse import csr_matrix
+    central = [_fd_weights(range(-2, 3), d) / h**d for d in (1, 2)]
+    # One correlation per derivative runs over the whole vector, across the
+    # seam of the two fields; the nodes 0, 1, n-2 and n-1 of each field are
+    # then rewritten as one product of ``ends`` with the six values at
+    # either end of each field.
+    ends = np.zeros((2, 2, 4, 2, 2, 6))  # (deriv, field, node; field, end, offset)
+    for d in (1, 2):
+        for f in (0, 1):
+            ends[d - 1, f, 1, f, 0] = _fd_weights(range(-1, 5), d) / h**d
+            ends[d - 1, f, 2, f, 1] = _fd_weights(range(-4, 2), d) / h**d
+    ends = ends.reshape(16, 24)
+    windows = (np.array([[0], [n]]) + np.r_[0:6, n - 6:n]).ravel()
+    rows = (np.arange(4)[:, None] * n + [0, 1, n - 2, n - 1]).ravel()
 
-    if n < 8:
-        raise DomainError("order-4 stencils need at least 8 grid points")
-    near, central, far = np.arange(-1, 5), np.arange(-2, 3), np.arange(-4, 2)
-    scale = h**deriv
-    data = np.concatenate([_fd_weights(near, deriv) / scale,
-                           np.tile(_fd_weights(central, deriv) / scale, n - 4),
-                           _fd_weights(far, deriv) / scale])
-    indices = np.concatenate([1 + near, (np.arange(2, n - 2)[:, None] + central).ravel(),
-                              n - 2 + far])
-    indptr = np.cumsum(np.concatenate([[0, 0, 6], np.full(n - 4, 5), [6, 0]]))
-    return csr_matrix((data, indices, indptr), shape=(n, n))
+    def derivatives(y: np.ndarray) -> np.ndarray:
+        out = np.empty((2, 2 * n))
+        out[0, 2:-2] = np.correlate(y, central[0], "valid")
+        out[1, 2:-2] = np.correlate(y, central[1], "valid")
+        out.put(rows, ends @ y[windows])
+        return out.reshape(4, n)
 
-
-def _sigma_operator(n: int, h: float) -> csr_matrix:
-    """The ``(4n x 2n)`` CSR that takes ``[u; Z]`` to ``[u_s; Z_s; u_ss; Z_ss]``.
-
-    Block-diagonal in the two fields, built from the rows of the two
-    :func:`_deriv_matrix` operators without a sparse stack.
-    """
-    from scipy.sparse import csr_matrix
-
-    blocks = [(d, col) for d in (_deriv_matrix(n, h, 1), _deriv_matrix(n, h, 2))
-              for col in (0, n)]
-    nnz = np.cumsum([0] + [d.nnz for d, _ in blocks])
-    data = np.concatenate([d.data for d, _ in blocks])
-    indices = np.concatenate([d.indices + col for d, col in blocks])
-    indptr = np.concatenate([[0]] + [d.indptr[1:] + start
-                                     for (d, _), start in zip(blocks, nnz)])
-    return csr_matrix((data, indices, indptr), shape=(4 * n, 2 * n))
+    return derivatives
 
 
 def _schedule(T: float, dt: float, n_snapshots: int) -> tuple[int, list[int]]:
     """Validated step count of a run over ``T`` and the steps that take snapshots."""
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
-    if T < 0.0:
-        raise DomainError("T must be nonnegative")
+    if not (0.0 < dt < math.inf):
+        raise DomainError(f"dt must be positive and finite, got {dt}")
+    if not (0.0 <= T < math.inf):
+        raise DomainError(f"T must be nonnegative and finite, got {T}")
     if n_snapshots < 2:
         raise DomainError("need at least 2 snapshots")
     steps = max(1, int(round(T / dt))) if T > 0.0 else 0
     return steps, sorted({round(i * steps / (n_snapshots - 1)) for i in range(n_snapshots)})
 
 
-def _forcing_rows(forcing: Callable, sigma: np.ndarray, times: np.ndarray):
-    """``(G_u, G_Z)`` at each of ``times`` in turn, from one ``forcing`` call
-    per block of up to ``max(1, _FORCING_POINTS // n)`` consecutive times."""
-    n = sigma.size
-    block = max(1, _FORCING_POINTS // n)
-    for start in range(0, times.size, block):
-        tau = times[start:start + block, None]
+def _stage_times(tau0: float, dt: float, steps: int) -> Iterator[float]:
+    """Every stage time of a run in loop order, by the step loop's own float
+    expressions: ``tau0``, then each step's midpoint and end.  k2 and k3
+    share the midpoint, and k4's time is the next step's k1 time."""
+    tau = tau0
+    yield tau
+    for step in range(1, steps + 1):
+        yield tau + 0.5 * dt
+        tau = tau0 + step * dt
+        yield tau
+
+
+def _feed(fn: Callable, times: Iterator[float], block: int, names: Sequence[str],
+          shape: tuple[int, ...]):
+    """The results of ``fn`` at each of ``times`` in turn, from one call per
+    block of up to ``block`` consecutive times.
+
+    ``fn`` takes the 1-D block and returns one array per name, each either
+    of ``shape``, held over the block, or a ``(len(block), *shape)`` stack.
+    """
+    while (tau := np.fromiter(itertools.islice(times, block), float)).size:
         rows = []
-        for name, g in zip(("G_u", "G_Z"), forcing(sigma, tau)):
-            g = np.asarray(g, dtype=float)
-            if g.shape not in ((n,), (len(tau), n)):
-                raise DomainError(f"forcing {name} has shape {g.shape}; expected "
-                                  f"({n},) or ({len(tau)}, {n})")
-            rows.append(np.broadcast_to(g, (len(tau), n)))
+        for name, a in zip(names, fn(tau)):
+            a = np.asarray(a, dtype=float)
+            stack = (tau.size, *shape)
+            if a.shape not in (shape, stack):
+                raise DomainError(f"{name} has shape {a.shape}; expected {shape} or {stack}")
+            rows.append(np.broadcast_to(a, stack))
         yield from zip(*rows)
 
 
@@ -252,10 +254,11 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
 
     ``bc(tau)`` must return ``(trace, rate)``: the boundary values of ``u``
     and ``Z`` and their exact tau-derivatives, with rows ``(u, Z)`` and
-    columns ``(left, right)``, as :func:`boundary_from_wave` gives them.  It
-    is called once per run, on the 1-D array of every stage time in loop
-    order, and each result must be either a ``(len(tau), 2, 2)`` stack or
-    one ``(2, 2)`` array held at every time.  When ``bc`` is omitted, the
+    columns ``(left, right)``, as :func:`boundary_from_wave` gives them.
+    ``tau`` is a 1-D block of up to 2048 consecutive stage times in loop
+    order, so a run of up to 1023 steps makes one call, and each result
+    must be either a ``(len(tau), 2, 2)`` stack or one ``(2, 2)`` array held
+    at every time of the block.  When ``bc`` is omitted, the
     initial boundary values are held fixed and their rate is exactly 0.
 
     ``forcing(sigma, tau)`` may supply ``(G_u, G_Z)`` arrays added to the two
@@ -282,54 +285,42 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
         If a non-finite value appears; the message carries the step index.
     """
     h = init.h
-    # a nonpositive dt passes this check and is rejected by _schedule
+    # a nonpositive or NaN dt passes this check and is rejected by _schedule
     if dt > 0.5 * h + 1e-15:
         raise DomainError(f"CFL violation: dt={dt} exceeds 0.5*h={0.5 * h}")
     steps, snap_at = _schedule(T, dt, n_snapshots)
 
     sigma = np.asarray(init.sigma, dtype=float)
     n = sigma.size
-    D = _sigma_operator(n, h)
+    derivatives = _sigma_stencil(n, h)
     ends = np.s_[::n - 1]  # the columns 0 and n-1, as a view
 
     tau0 = float(init.tau)
     tau = tau0
-    # Rows (u, Z, u_tau, Z_tau): Y[:2] is one contiguous 2n-vector [u; Z],
-    # and one mat-vec on it gives [u_s; Z_s; u_ss; Z_ss].
+    # Rows (u, Z, u_tau, Z_tau): Y[:2] is one contiguous 2n-vector [u; Z].
     Y = np.array([init.u, init.Z, init.ut, init.zt], dtype=float)
     if bc is None:
         frozen = (Y[:2, ends].copy(), np.zeros((2, 2)))
         bc = lambda tau: frozen  # noqa: E731
 
-    # Every stage time in loop order, by the loop's own float expressions:
-    # tau0, then each step's midpoint and end.  k2 and k3 share the
-    # midpoint, and k4's time is the next step's k1 time.
-    times = [tau0]
-    for step in range(1, steps + 1):
-        times += [times[-1] + 0.5 * dt, tau0 + step * dt]
-    times = np.array(times)
-    boundary = []
-    for name, a in zip(("trace", "rate"), bc(times)):
-        a = np.asarray(a, dtype=float)
-        if a.shape not in ((2, 2), (len(times), 2, 2)):
-            raise DomainError(f"bc {name} has shape {a.shape}; expected (2, 2) "
-                              f"or ({len(times)}, 2, 2)")
-        boundary.append(np.broadcast_to(a, (len(times), 2, 2)))
-    traces, rates = boundary
+    boundary = _feed(bc, _stage_times(tau0, dt, steps), _BC_TIMES,
+                     ("bc trace", "bc rate"), (2, 2))
     forces = (itertools.repeat(None) if forcing is None
-              else _forcing_rows(forcing, sigma, times))
+              else _feed(lambda tau: forcing(sigma, tau[:, None]),
+                         _stage_times(tau0, dt, steps), max(1, _FORCING_POINTS // n),
+                         ("forcing G_u", "forcing G_Z"), (n,)))
 
-    def stage_terms(i: int):
+    def stage_terms():
         # Everything of the right-hand side that depends on tau alone: the
-        # boundary trace with its rate, and the forcing.  Stage i is asked
-        # for once, in increasing order.
-        return traces[i], rates[i], next(forces)
+        # boundary trace with its rate, and the forcing.  Each stage time is
+        # asked for once, in increasing order.
+        return (*next(boundary), next(forces))
 
     def rhs(Y: np.ndarray, terms) -> np.ndarray:
         # Y holds the rows (u, Z, u_tau, Z_tau); K holds their tau-rates.
         _trace, rate, G = terms
         u, _, ut, zt = Y
-        D1U, D1W, D2U, D2W = (D @ Y[:2].reshape(-1)).reshape(4, n)
+        D1U, D1W, D2U, D2W = derivatives(Y[:2].reshape(-1))
         K = np.empty_like(Y)
         K[0] = ut
         K[1] = zt
@@ -349,7 +340,7 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
         K[2:, ends] = 0.0
         return K
 
-    terms = stage_terms(0)
+    terms = stage_terms()
     Y[:2, ends] = terms[0]
 
     taus: list[float] = []
@@ -362,14 +353,14 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
     if 0 in snap_at:
         snapshot()
     for step in range(1, steps + 1):
-        mid = stage_terms(2 * step - 1)
-        nxt = stage_terms(2 * step)
+        mid = stage_terms()
+        nxt = stage_terms()
         k1 = rhs(Y, terms)
         k2 = rhs(Y + 0.5 * dt * k1, mid)
         k3 = rhs(Y + 0.5 * dt * k2, mid)
         k4 = rhs(Y + dt * k3, nxt)
         Y = Y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tau, terms = float(times[2 * step]), nxt
+        tau, terms = tau0 + step * dt, nxt
         Y[:2, ends] = terms[0]
         if not np.isfinite(Y).all():
             raise NumericalError(f"non-finite state at step {step} (tau={tau:.6g})")

@@ -266,3 +266,67 @@ def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
         proc = subprocess.run([sys.executable, "-m", "relaxwave.cli", *argv], env=env,
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+def assert_refused(tmp_path, capsys, argv, message):
+    # exit 2 with the message on stderr, and nothing written to stdout or
+    # under tmp_path/out
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert message in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("system,config,message", [
+    ("19", "dt = nan\n", "dt must be positive and finite, got nan"),
+    ("mkdvb", "dt = nan\n", "dt must be positive and finite, got nan"),
+    ("19", "T = inf\n", "T must be nonnegative and finite, got inf"),
+    ("mkdvb", "T = inf\n", "T must be nonnegative and finite, got inf"),
+    ("19", "T = nan\n", "T must be nonnegative and finite, got nan"),
+    ("mkdvb", "T = nan\n", "T must be nonnegative and finite, got nan"),
+    ("19", "n = 1\n", "config key 'n': need at least 8 grid points, got 1"),
+])
+def test_simulate_refuses_non_finite_or_degenerate_run_parameters(tmp_path, capsys, system,
+                                                                  config, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    assert_refused(tmp_path, capsys, ["simulate", "--system", system, "--config", str(cfg),
+                                      "--out", str(tmp_path / "out"), "--quiet"], message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dispersion", "--v", "0.2", "--alpha", "inf"],
+    ["classify", "--v", "0.2", "--alpha", "inf"],
+])
+def test_real_wave_commands_refuse_a_non_finite_alpha(tmp_path, capsys, argv):
+    assert_refused(tmp_path, capsys, argv + ["--out", str(tmp_path / "out")],
+                   "dissipative parameter must be finite, got inf")
+
+
+@pytest.mark.parametrize("flags", [["--alpha", "inf"], ["--k-re", "inf"], ["--k-re", "nan"]])
+def test_verify_complex_refuses_a_non_finite_k_or_alpha(tmp_path, capsys, flags):
+    assert_refused(tmp_path, capsys, ["verify", "--system", "complex", *flags,
+                                      "--out", str(tmp_path / "out")],
+                   "complex wave needs finite k and alpha")
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    (["simulate", "--system", "19"], "alpah = 0.5\nn = 41\n",
+     "simulate --system 19 does not read config key(s) 'alpah'"),
+    (["simulate", "--system", "mkdvb"], "tau = 2\nv_e = 0.75\nv_f = 1.5\nquad = 1\ncubic = 2\n",
+     "simulate --system mkdvb with 'tau' or 'v_f' (the medium route) does not read "
+     "config key(s) 'cubic', 'quad'"),
+    (["simulate", "--system", "mkdvb"], "gama = 0.1\n",
+     "simulate --system mkdvb does not read config key(s) 'gama'"),
+    (["run-report"], "alpha = 0.1\n", "run-report does not read config key(s) 'alpha'"),
+    (["medium", "--reduction", "swsp"], "tau = 2\nv_e = 0.75\nv_f = 1.5\nbeta = 1\n",
+     "medium does not read config key(s) 'beta'"),
+])
+def test_commands_refuse_config_keys_they_do_not_read(tmp_path, capsys, argv, config,
+                                                      message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    assert_refused(tmp_path, capsys, argv + ["--config", str(cfg), "--out",
+                                             str(tmp_path / "out"), "--quiet"], message)

@@ -1,5 +1,7 @@
 """Time integration of the coupled system and of the periodic reduced equation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -19,12 +21,12 @@ from relaxwave import (
     soliton_state19,
 )
 from relaxwave.sim import (
+    _BC_TIMES,
     _FORCING_POINTS,
-    _deriv_matrix,
     _etdrk4_coeffs,
     _fd_weights,
     _schedule,
-    _sigma_operator,
+    _sigma_stencil,
     boundary_from_wave,
 )
 from relaxwave.soliton import eval_uZ
@@ -250,6 +252,29 @@ def test_boundary_and_forcing_are_evaluated_once_per_stage_time():
     assert calls["bc"] == 1
 
 
+def test_a_long_run_calls_bc_on_blocks_and_its_memory_stays_bounded():
+    # 3000 steps have 6001 stage times: bc sees them in blocks of 2048, and
+    # the traced peak stays near one block's arrays, where one whole-run call
+    # held every stage time's boundary data at once (about 2.4 MB here)
+    seen = []
+
+    def bc(tau):
+        seen.append(tau.shape)
+        zero = np.zeros((tau.size, 2, 2))
+        return zero, zero
+
+    steps, dt = 3000, 0.4
+    tracemalloc.start()
+    try:
+        evolve_system19(zero_state(n=8, lo=0.0, hi=7.0), 0.3, steps * dt, dt, bc=bc,
+                        n_snapshots=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seen == [(_BC_TIMES,)] * 2 + [(2 * steps + 1 - 2 * _BC_TIMES,)]
+    assert peak < 512 * 1024
+
+
 def stage_times(tau0, dt, steps):
     # the stage times of a run in loop order, by the step loop's own floats
     times = [tau0]
@@ -339,41 +364,61 @@ def test_badly_shaped_forcing_result_is_rejected():
 
 
 def loop_deriv_matrix(n, h, deriv):
-    # the stencil rows one entry at a time: row 1, row n-2, then the
-    # central rows, as the operator was first written
-    from scipy.sparse import csr_matrix
-
-    rows, cols, vals = [], [], []
+    # the dense stencil matrix, one entry at a time: row 1, row n-2, then the
+    # central rows; rows 0 and n-1 stay zero
+    D = np.zeros((n, n))
 
     def put(i, offsets):
         for o, c in zip(offsets, _fd_weights(offsets, deriv) / h**deriv):
-            rows.append(i)
-            cols.append(i + o)
-            vals.append(float(c))
+            D[i, i + o] = c
 
     put(1, (-1, 0, 1, 2, 3, 4))
     put(n - 2, (-4, -3, -2, -1, 0, 1))
     for i in range(2, n - 2):
         put(i, (-2, -1, 0, 1, 2))
-    return csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return D
 
 
 @pytest.mark.parametrize("n", [8, 61, 301])
 def test_deriv_matrix_equals_the_loop_built_reference(n):
-    from scipy.sparse import block_diag, vstack
-
+    # the stencil's matrix, read off column by column from unit vectors, is
+    # the block-diagonal [D1 0; 0 D1; D2 0; 0 D2] of the dense reference,
+    # and it acts on a vector as that matrix does
     h = 30.0 / (n - 1)
-    ref = [loop_deriv_matrix(n, h, d) for d in (1, 2)]
-    for d, want in zip((1, 2), ref):
-        got = _deriv_matrix(n, h, d)
-        assert got.shape == (n, n)
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, part), getattr(want, part)), (d, part)
-    stack = vstack([block_diag([ref[0]] * 2), block_diag([ref[1]] * 2)], format="csr")
-    op = _sigma_operator(n, h)
-    assert op.shape == (4 * n, 2 * n)
-    for part in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(op, part), getattr(stack, part)), part
+    derivatives = _sigma_stencil(n, h)
+    D1, D2 = (loop_deriv_matrix(n, h, d) for d in (1, 2))
+    zero = np.zeros((n, n))
+    want = np.block([[D1, zero], [zero, D1], [D2, zero], [zero, D2]])
+    got = np.column_stack([derivatives(e).reshape(-1) for e in np.eye(2 * n)])
+    scale = np.max(np.abs(want))
+    assert got.shape == (4 * n, 2 * n)
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    y = np.random.default_rng(n).standard_normal(2 * n)
+    out = derivatives(y)
+    assert out.shape == (4, n)
+    assert np.max(np.abs(out.reshape(-1) - want @ y)) <= 1e-12 * np.max(np.abs(want @ y))
+
+
+@pytest.mark.parametrize("n", [8, 61, 301])
+def test_sigma_stencil_is_exact_on_polynomials(n):
+    # the central rows differentiate quartics and the one-sided rows 1 and
+    # n-2 quintics to round-off; rows 0 and n-1 are exactly zero
+    sigma = np.linspace(-1.3, 1.7, n)
+    h = sigma[1] - sigma[0]
+    derivatives = _sigma_stencil(n, h)
+    rng = np.random.default_rng(n)
+    for degree, rows in ((4, slice(2, n - 2)), (5, [1, n - 2])):
+        p, q = (np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, degree + 1))
+                for _ in range(2))
+        got = derivatives(np.concatenate([p(sigma), q(sigma)]))
+        want = [p.deriv(1), q.deriv(1), p.deriv(2), q.deriv(2)]
+        for row, (g, dp, d) in enumerate(zip(got, want, (1, 1, 2, 2))):
+            values = (p, q)[row % 2](sigma)
+            # cancellation in the weighted sum: the samples' rounding times
+            # the weights' sum of magnitudes, at most 5.4/h**d
+            tol = 100 * np.finfo(float).eps * np.max(np.abs(values)) / h**d
+            assert np.max(np.abs(g[rows] - dp(sigma[rows]))) <= tol, (degree, row)
+            assert g[0] == g[-1] == 0.0
 
 
 def test_trajectory_metadata():

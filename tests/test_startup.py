@@ -1,5 +1,5 @@
-"""The CLI's startup path loads no scipy and no numpy.fft module; the paths that
-need them still run.
+"""The CLI loads no scipy on any path, and no numpy.fft module until an
+mkdvb run needs one.
 
 Each case runs in a fresh interpreter, so modules loaded by other tests in
 this process cannot hide an import.
@@ -57,16 +57,17 @@ def test_startup_and_scalar_commands_load_no_scipy(tmp_path):
 
 
 SIMULATE = """
-import json
+import json, sys
 from relaxwave.cli import main
 code = main(["simulate", "--system", "19", "--config", "run.cfg", "--out", "run19", "--quiet"])
-print(json.dumps({"code": code}))
+print(json.dumps({"code": code,
+                  "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
 """
 
 
-def test_simulate_system19_imports_its_sparse_operator_on_demand(tmp_path):
+def test_simulate_system19_loads_no_scipy(tmp_path):
     (tmp_path / "run.cfg").write_text("v = 0.24\nalpha = 0.8\nn = 41\nT = 0.1\ndt = 0.05\n"
                                       "n_snapshots = 2\n")
-    assert run_fresh(SIMULATE, tmp_path) == {"code": 0}
+    assert run_fresh(SIMULATE, tmp_path) == {"code": 0, "scipy": []}
     manifest = json.loads((tmp_path / "run19" / "run_manifest.json").read_text())
     assert len(manifest["snapshots"]) == 2
