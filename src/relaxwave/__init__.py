@@ -24,10 +24,8 @@ from .hirota import (
     ExpAtom,
     TauFunction,
     TauPair,
-    bilinear_lines,
     bilinear_residual,
     d_op,
-    d_op_fd,
     tau_pair,
 )
 from .medium import (
@@ -98,8 +96,6 @@ __all__ = [
     "BilinearReport",
     "VARIANTS",
     "d_op",
-    "d_op_fd",
-    "bilinear_lines",
     "bilinear_residual",
     "TauPair",
     "ProfileSamples",

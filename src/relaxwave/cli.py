@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -101,6 +102,8 @@ class FigureSpec:
             raise DomainError(f"figure format must be csv or svg, got {self.fmt!r}")
         if not self.alphas:
             raise DomainError("figure needs at least one alpha")
+        if not math.isfinite(self.tau):
+            raise DomainError(f"figure tau must be finite, got {self.tau}")
 
 
 def _print(args, text: str) -> None:

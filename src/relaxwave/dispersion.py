@@ -80,7 +80,8 @@ def solve_real(v: float, alpha: float, theta0: float = 0.0) -> RealWave:
     Raises
     ------
     DomainError
-        If ``|v| >= 1`` or ``alpha`` is negative or not finite.
+        If ``|v| >= 1``, ``alpha`` is negative or not finite, or ``theta0``
+        is not finite.
     """
     if not -1.0 < v < 1.0:
         raise DomainError(f"wave speed must satisfy -1 < v < 1, got v={v}")
@@ -88,6 +89,8 @@ def solve_real(v: float, alpha: float, theta0: float = 0.0) -> RealWave:
         raise DomainError(f"dissipative parameter must satisfy alpha >= 0, got {alpha}")
     if alpha == math.inf:
         raise DomainError(f"dissipative parameter must be finite, got {alpha}")
+    if not math.isfinite(theta0):
+        raise DomainError(f"phase offset theta0 must be finite, got {theta0}")
     b = alpha * (1.0 - v)
     k = 1.0 / (b + math.sqrt(b * b + 4.0 * (1.0 - v * v)))
     return RealWave(v=v, alpha=alpha, k=k, omega=k * v, theta0=theta0)

@@ -12,9 +12,9 @@ On a pair of exponential atoms ``c1*exp(a1*sigma + b1*tau)`` and
     c1*c2 * (a1-a2)**m * (b1-b2)**n * exp((a1+a2)*sigma + (b1+b2)*tau),
 
 so all operator algebra here stays inside :class:`TauFunction`, a finite sum
-of such atoms.  ``d_op_fd`` evaluates the shifted-argument definition
-directly by central differences and serves as the independent cross-check of
-the closed form.
+of such atoms.  ``tests/helpers.py`` evaluates the shifted-argument
+definition by central differences, the independent cross-check of the
+closed form.
 
 :func:`tau_pair` gives the one-soliton's tau functions as such sums, and
 ``bilinear_residual`` measures how far that pair is from
@@ -27,8 +27,7 @@ The reported numbers are measurements, not asserted zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, exp
-from typing import Callable
+from math import exp
 
 import numpy as np
 
@@ -41,10 +40,8 @@ __all__ = [
     "TauPair",
     "tau_pair",
     "d_op",
-    "d_op_fd",
     "BilinearReport",
     "VARIANTS",
-    "bilinear_lines",
     "bilinear_residual",
 ]
 
@@ -80,10 +77,6 @@ class TauFunction:
         kept = tuple(ExpAtom(c, a, b) for (a, b), c in merged.items() if c != 0.0)
         return cls(atoms=kept)
 
-    @classmethod
-    def constant(cls, c: float) -> "TauFunction":
-        return cls.from_atoms([ExpAtom(float(c), 0.0, 0.0)])
-
     def __call__(self, sigma, tau):
         sigma = np.asarray(sigma, dtype=float)
         tau = np.asarray(tau, dtype=float)
@@ -93,14 +86,6 @@ class TauFunction:
         if out.ndim == 0:
             return float(out)
         return out
-
-    def dsigma(self) -> "TauFunction":
-        return TauFunction.from_atoms(ExpAtom(at.coeff * at.a, at.a, at.b)
-                                      for at in self.atoms)
-
-    def dtau(self) -> "TauFunction":
-        return TauFunction.from_atoms(ExpAtom(at.coeff * at.b, at.a, at.b)
-                                      for at in self.atoms)
 
     def __add__(self, other: "TauFunction") -> "TauFunction":
         return TauFunction.from_atoms(self.atoms + other.atoms)
@@ -119,8 +104,6 @@ class TauFunction:
         if isinstance(other, TauFunction):
             return d_op(0, 0, self, other)
         return self.scale(float(other))
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -176,56 +159,6 @@ def _richardson_diagonal(values: list[float], factor: float) -> list[float]:
     return diag
 
 
-def d_op_fd(m: int, n: int, f: Callable, g: Callable, sigma: float, tau: float) -> float:
-    """Evaluate ``D_sigma^m D_tau^n (f.g)`` at one point from the definition.
-
-    Central differences in the shift variables at the steps ``0.25/2**i``,
-    ``i = 0 .. 5``, with Richardson extrapolation;
-    ``f`` and ``g`` may be :class:`TauFunction` instances or any callables of
-    ``(sigma, tau)``.  This route is independent of the closed-form atom rule
-    and is the oracle used to validate it.
-
-    The stencil term at shift ``(e, d)`` and its mirror at ``(-e, -d)`` carry
-    coefficients that differ by the factor ``(-1)**(m+n)``; each mirrored pair
-    is summed before it is scaled and added to the total.  For ``f is g`` the
-    two products of a pair are the same floats in swapped order, so the
-    identity ``D_sigma^m D_tau^n (f.f) = 0`` for odd ``m+n`` holds exactly in
-    floating point, not only to round-off amplified by ``1/h**(m+n)``.
-    """
-    if m < 0 or n < 0 or m + n > _MAX_DOP_ORDER:
-        raise DomainError(f"unsupported derivative orders ({m}, {n})")
-    cm = [(-1) ** j * comb(m, j) for j in range(m + 1)]
-    cn = [(-1) ** j * comb(n, j) for j in range(n + 1)]
-    sign = (-1) ** (m + n)
-
-    def stencil(hh: float) -> float:
-        total = 0.0
-        for j in range(m + 1):
-            e = (m / 2.0 - j) * hh
-            for l in range(n + 1):
-                mirror = (m - j, n - l)
-                if (j, l) > mirror:
-                    continue  # added together with its mirror term
-                d = (n / 2.0 - l) * hh
-                pair = float(f(sigma + e, tau + d)) * float(g(sigma - e, tau - d))
-                if (j, l) < mirror:
-                    pair += sign * (float(f(sigma - e, tau - d))
-                                    * float(g(sigma + e, tau + d)))
-                total += cm[j] * cn[l] * pair
-        return total / hh ** (m + n)
-
-    # Round-off grows as the step shrinks, so rather than trusting the deepest
-    # extrapolation blindly, return the diagonal value whose agreement with its
-    # predecessor is best (Ridders' stopping rule).
-    diag = _richardson_diagonal([stencil(0.25 / 2.0 ** i) for i in range(6)], 4.0)
-    best, err = diag[-1], abs(diag[-1] - diag[-2]) if len(diag) > 1 else 0.0
-    for k in range(1, len(diag)):
-        e = abs(diag[k] - diag[k - 1])
-        if e <= err:
-            best, err = diag[k], e
-    return best
-
-
 @dataclass(frozen=True)
 class BilinearReport:
     """Normalized sup-norm residuals of the two bilinear lines on a grid.
@@ -264,12 +197,6 @@ def _line_terms(w: RealWave, variant: str):
         -(G * F),
     ]
     return line1_terms, line2_terms
-
-
-def bilinear_lines(w: RealWave, variant: str = "squared-alpha") -> tuple[TauFunction, TauFunction]:
-    """Closed-form atom expansions of the two bilinear lines for one variant."""
-    line1, line2 = (sum(terms[1:], terms[0]) for terms in _line_terms(w, variant))
-    return line1, line2
 
 
 def bilinear_residual(w: RealWave, variant: str = "squared-alpha") -> BilinearReport:

@@ -7,9 +7,7 @@ RFC-4180 CRLF line endings, and nothing emits timestamps or hostnames.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import json
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
@@ -43,50 +41,29 @@ def fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _cell(v: Any) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return fmt(float(v))
-    raise DomainError(f"cannot format CSV cell of type {type(v).__name__}")
-
-
-def _csv_parts(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> Iterator[str]:
+def _csv_parts(header: Sequence[str], rows: np.ndarray) -> Iterator[str]:
     """Pieces of the CSV text, in order; see :func:`csv_text`."""
-    buf = io.StringIO()
-    wr = csv.writer(buf, lineterminator="\r\n")
-    wr.writerow(list(header))
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-        yield buf.getvalue()
-        # Adding 0.0 maps -0.0 to 0.0, as fmt() does; 17-digit numbers,
-        # inf and nan never need CSV quoting.  Blocks of rows bound the
-        # temporary Python floats and strings on large tables.
-        line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
-        for start in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
-            block = rows[start:start + _CSV_BLOCK_ROWS] + 0.0
-            yield (line * block.shape[0]) % tuple(block.ravel().tolist())
-        return
-    for row in rows:
-        wr.writerow([_cell(v) for v in row])
-    yield buf.getvalue()
+    yield ",".join(header) + "\r\n"
+    # Adding 0.0 maps -0.0 to 0.0, as fmt() does; 17-digit numbers, inf and
+    # nan never need CSV quoting.  Blocks of rows bound the temporary Python
+    # floats and strings on large tables.
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+    for start in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
+        block = rows[start:start + _CSV_BLOCK_ROWS] + 0.0
+        yield (line * block.shape[0]) % tuple(block.ravel().tolist())
 
 
-def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """RFC-4180 CSV text (CRLF endings, 17-digit floats).
+def csv_text(header: Sequence[str], rows: np.ndarray) -> str:
+    """CSV text of a 2-D float array: CRLF endings, 17-digit floats.
 
-    A 2-D float ``ndarray`` is formatted one block of rows per ``%``
-    operation; any other ``rows`` go cell by cell.  Both give the same bytes.
+    ``header`` holds plain identifiers, which CSV never quotes.  The rows are
+    formatted one block of rows per ``%`` operation.
     """
     return "".join(_csv_parts(header, rows))
 
 
-def write_csv(path: str | Path, header: Sequence[str],
-              rows: Iterable[Sequence[Any]]) -> None:
-    """Write an RFC-4180 CSV (CRLF endings, 17-digit floats)."""
+def write_csv(path: str | Path, header: Sequence[str], rows: np.ndarray) -> None:
+    """Write :func:`csv_text` of a 2-D float array (RFC 4180, CRLF endings)."""
     with open(Path(path), "w", newline="", encoding="utf-8") as fh:
         fh.writelines(_csv_parts(header, rows))
 
@@ -105,7 +82,7 @@ def write_csv_series(paths: Iterable[str | Path], header: Sequence[str], lead: n
     lead = np.asarray(lead, dtype=float)
     if lead.ndim != 1:
         raise DomainError(f"leading column must be 1-D, got shape {lead.shape}")
-    head = csv_text(header, ())
+    head = csv_text(header, np.empty((0, len(header))))
     shape = (lead.size, len(header) - 1)
     # One template per block of rows, as in _csv_parts: the block's leads
     # formatted by one "%", with each field's "%.17g" escaped so that it

@@ -450,11 +450,6 @@ class SimStateMKdVB:
         if not np.all(np.isfinite(self.p)):
             raise DomainError("field p must be finite")
 
-    @property
-    def length(self) -> float:
-        dx = float(self.x[1] - self.x[0])
-        return dx * self.x.size
-
 
 @dataclass(frozen=True)
 class TrajectoryMKdVB:

@@ -34,7 +34,6 @@ import numpy as np
 
 from .dispersion import ComplexWave, RealWave, alpha_critical
 from .errors import DomainError
-from .hirota import TauPair
 
 __all__ = [
     "FieldBundle",
@@ -46,18 +45,13 @@ __all__ = [
     "sech",
     "theta",
     "eval_uZ",
-    "momentum",
-    "dZ_dsigma",
     "real_bundles",
-    "u_from_tau_pair",
-    "Z_from_tau_pair",
     "eval_complex_Q",
     "complex_Z",
     "complex_bundles",
     "singular_thetas",
     "classify",
     "profile",
-    "count_turning_points",
 ]
 
 SHAPE_LOOP = "loop"
@@ -154,29 +148,9 @@ def _uZ(w: RealWave, sigma, tau, T):
             _z_field(sigma, tau, 2.0 * (w.omega + w.k), T))
 
 
-def _momentum(w: RealWave, S2):
-    # momentum density from S2 = sech(theta)**2
-    return 4.0 * (w.omega + w.k) ** 2 * (w.k - w.omega) * S2
-
-
-def _slope(w: RealWave, S2):
-    # dZ/dsigma from S2 = sech(theta)**2
-    return 0.5 * (1.0 - 4.0 * (w.omega + w.k) * w.k * S2)
-
-
 def eval_uZ(w: RealWave, sigma, tau):
     """Closed-form ``(u, Z)`` of the candidate one-soliton."""
     return _uZ(w, sigma, tau, np.tanh(theta(w, sigma, tau)))
-
-
-def momentum(w: RealWave, sigma, tau):
-    """Momentum density ``u_sigma + u_tau = 4*(omega+k)**2*(k-omega)*sech(theta)**2``."""
-    return _momentum(w, sech(theta(w, sigma, tau)) ** 2)
-
-
-def dZ_dsigma(w: RealWave, sigma, tau):
-    """Profile slope factor ``(1 - 4*(omega+k)*k*sech(theta)**2)/2``."""
-    return _slope(w, sech(theta(w, sigma, tau)) ** 2)
 
 
 def real_bundles(w: RealWave, sigma, tau) -> tuple[FieldBundle, FieldBundle]:
@@ -194,19 +168,6 @@ def real_bundles(w: RealWave, sigma, tau) -> tuple[FieldBundle, FieldBundle]:
         tt=-2.0 * A * om * om * S2 * T,
     )
     return bu, _z_bundle(sigma, tau, 2.0 * (w.omega + w.k), k, om, T, S2)
-
-
-def u_from_tau_pair(pair: TauPair, sigma, tau):
-    """Field ``u = G/F`` evaluated pointwise."""
-    return pair.G(sigma, tau) / pair.F(sigma, tau)
-
-
-def Z_from_tau_pair(pair: TauPair, sigma, tau):
-    """Field ``Z = (sigma+tau)/2 + 2*(d_tau - d_sigma) log F`` evaluated pointwise."""
-    F = pair.F(sigma, tau)
-    logderiv = (pair.F.dtau()(sigma, tau) - pair.F.dsigma()(sigma, tau)) / F
-    return 0.5 * (np.asarray(sigma, dtype=float) + np.asarray(tau, dtype=float)) \
-        + 2.0 * logderiv
 
 
 def _complex_phase(cw: ComplexWave, sigma, tau):
@@ -310,8 +271,10 @@ def singular_thetas(w: RealWave, tol: float = 1e-9) -> tuple[float, ...]:
 
     With ``s = 4*(omega+k)*k``: two roots ``+/- arccosh(sqrt(s))`` for
     ``s > 1``, a single degenerate root ``0.0`` for ``|s - 1| <= tol``, none
-    for ``s < 1``.
+    for ``s < 1``.  ``tol`` must be finite and nonnegative.
     """
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"cusp tolerance tol must be finite and >= 0, got {tol}")
     s = 4.0 * (w.omega + w.k) * w.k
     if abs(s - 1.0) <= tol:
         return (0.0,)
@@ -340,9 +303,13 @@ def profile(w: RealWave, tau: float = 0.0, sigma_min: float = -15.0,
             sigma_max: float = 15.0, n: int = 601, C: float = 0.0) -> ProfileSamples:
     """Sample the parametric profile ``(y, u)`` at fixed ``tau``.
 
-    ``y = -Z + C``; the returned rows also carry the momentum density and the
-    slope factor ``dZ/dsigma`` used by the turning-point count.
+    ``y = -Z + C``; the returned rows also carry the momentum density
+    ``u_sigma + u_tau`` and the slope factor ``dZ/dsigma``, whose zeros are
+    the turning points of ``y``.  ``tau`` and ``C`` must be finite.
     """
+    for name, value in (("tau", tau), ("C", C)):
+        if not math.isfinite(value):
+            raise DomainError(f"profile needs a finite {name}, got {value}")
     if not sigma_min < sigma_max:
         raise DomainError(f"need sigma_min < sigma_max, got [{sigma_min}, {sigma_max}]")
     if n < 2:
@@ -360,36 +327,6 @@ def profile(w: RealWave, tau: float = 0.0, sigma_min: float = -15.0,
         u=u,
         Z=Z,
         y=C - Z,
-        pi=_momentum(w, S2),
-        dZdsigma=_slope(w, S2),
+        pi=4.0 * (w.omega + w.k) ** 2 * (w.k - w.omega) * S2,
+        dZdsigma=0.5 * (1.0 - 4.0 * (w.omega + w.k) * w.k * S2),
     )
-
-
-def count_turning_points(dZdsigma: np.ndarray, tol: float = 1e-9) -> tuple[int, int]:
-    """Count sign changes and degenerate touches of the profile slope.
-
-    Returns ``(crossings, touches)``: a crossing is a strict sign change of
-    ``dZ/dsigma`` along the samples, a touch a zero run (values within
-    ``tol`` of zero) flanked by the same sign.  Loop profiles give ``(2, 0)``,
-    cusps ``(0, 1)``, kinks ``(0, 0)``.
-    """
-    vals = np.asarray(dZdsigma, dtype=float)
-    signs = np.where(np.abs(vals) <= tol, 0, np.sign(vals)).astype(int)
-    # Compress consecutive runs of equal sign.
-    runs: list[int] = []
-    for s in signs:
-        if not runs or runs[-1] != s:
-            runs.append(int(s))
-    crossings = 0
-    touches = 0
-    for i, s in enumerate(runs):
-        if s != 0:
-            if i > 0 and runs[i - 1] != 0 and runs[i - 1] != s:
-                crossings += 1
-            continue
-        if 0 < i < len(runs) - 1:
-            if runs[i - 1] == runs[i + 1]:
-                touches += 1
-            else:
-                crossings += 1
-    return crossings, touches

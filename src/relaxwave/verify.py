@@ -70,9 +70,7 @@ __all__ = [
     "ResidualReport",
     "SelftestReport",
     "residuals_from_bundles",
-    "complex_residuals_from_bundles",
     "fd_bundle",
-    "point_bundle",
     "REAL_SYSTEMS",
     "real_residual_reports",
     "complex_residual_reports",
@@ -117,10 +115,6 @@ class GridSpec:
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         return (np.linspace(self.sigma_min, self.sigma_max, self.n_sigma),
                 np.linspace(self.tau_min, self.tau_max, self.n_tau))
-
-    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        sig, tau = self.axes()
-        return np.meshgrid(sig, tau, indexing="ij")
 
     def spacings(self) -> tuple[float, float]:
         return ((self.sigma_max - self.sigma_min) / (self.n_sigma - 1),
@@ -213,12 +207,6 @@ def _complex_equations(bqr: FieldBundle, bqi: FieldBundle, bz: FieldBundle, alph
 def residuals_from_bundles(bu: FieldBundle, bz: FieldBundle, alpha: float):
     """Residual fields ``(r1, r2)`` of the coupled characteristic system."""
     return tuple(eq[2] for eq in _real_equations(bu, bz, alpha, ("coupled",)))
-
-
-def complex_residuals_from_bundles(bqr: FieldBundle, bqi: FieldBundle,
-                                   bz: FieldBundle, alpha: float):
-    """Residual fields of the complex short-pulse system (three equations)."""
-    return tuple(total for _name, total, _terms in _complex_equations(bqr, bqi, bz, alpha))
 
 
 def _stencil_bundle(f0, s_shifts, t_shifts, hs: float, ht: float) -> FieldBundle:
@@ -340,20 +328,16 @@ def _grid_fd_rows(fields: Callable, grid: GridSpec,
     return rows
 
 
-def point_bundle(fn: Callable, sigma: float, tau: float, order: int) -> FieldBundle:
-    """Richardson-extrapolated finite-difference bundle at a single point.
-
-    Extrapolation over the steps ``0.4/2**i``, ``i = 0 .. 4``, removes the
-    truncation series, so the point values are limited only by round-off;
-    this is what lets the finite-difference methods certify pointwise
-    residuals to ``1e-10``.
-    """
-    return _point_bundles(lambda s, t: (fn(s, t),), sigma, tau, order)[0]
-
-
 def _point_bundles(fields: Callable, sigma: float, tau: float,
                    order: int) -> tuple[FieldBundle, ...]:
-    """:func:`point_bundle` of every field ``fields(S, T)`` returns, one call per stencil point."""
+    """Richardson-extrapolated finite-difference bundles at a single point.
+
+    One bundle per field ``fields(S, T)`` returns, with one call per stencil
+    point.  Extrapolation over the steps ``0.4/2**i``, ``i = 0 .. 4``,
+    removes the truncation series, so the point values are limited only by
+    round-off; this is what lets the finite-difference methods certify
+    pointwise residuals to ``1e-10``.
+    """
     seq = [_fd_bundles(fields, sigma, tau, 0.4 / 2.0**i, 0.4 / 2.0**i, order)
            for i in range(5)]
 
@@ -599,18 +583,21 @@ def _resample_u_on_y_eta(w: RealWave, C: float, y_axis: np.ndarray,
     return np.asarray(u, dtype=float)
 
 
-def eq11_residual_physical(samples: ProfileSamples, alpha: float,
-                           n_y: int = 201, n_eta: int = 33,
-                           trim: float = 0.15,
-                           eta_halfwidth: float = 0.6) -> ResidualReport:
+# Nodes of the physical-frame patch in y and in eta.
+_PHYS_N_Y = 201
+_PHYS_N_ETA = 33
+
+
+def eq11_residual_physical(samples: ProfileSamples, alpha: float) -> ResidualReport:
     """Physical-frame residual of a single-valued (kink) profile.
 
     The profile's wave is resampled onto a regular ``(y, eta)`` patch by
     root-solving the parametric map along fixed-``eta`` lines, then the
     physical-frame operator is applied by central differences.  The patch is
     padded with ghost nodes so the reported residual covers exactly the
-    window ``[y_lo, y_hi] x [eta_mid +- eta_halfwidth]`` at every
-    resolution, which makes refinement studies meaningful.
+    window ``[y_lo, y_hi] x [eta_mid +- 0.6]`` at every resolution, which
+    makes refinement studies meaningful; ``y_lo`` and ``y_hi`` trim 15
+    percent of the profile's ``y`` span at each end.
 
     Raises
     ------
@@ -620,12 +607,8 @@ def eq11_residual_physical(samples: ProfileSamples, alpha: float,
     dy = np.diff(samples.y)
     if not (np.all(dy > 0.0) or np.all(dy < 0.0)):
         raise DomainError("multivalued in y; verify in (sigma, tau) frame")
-    if n_y < 7 or n_eta < 5:
-        raise DomainError("physical-frame resampling needs n_y >= 7, n_eta >= 5")
-    if not (0.0 <= trim < 0.45):
-        raise DomainError("trim fraction must lie in [0, 0.45)")
-    if eta_halfwidth <= 0.0:
-        raise DomainError("eta_halfwidth must be positive")
+    n_y, n_eta = _PHYS_N_Y, _PHYS_N_ETA
+    trim, eta_halfwidth = 0.15, 0.6  # of the y span at each end; of the eta window
     w = samples.wave
     span = float(samples.y.max() - samples.y.min())
     y_lo = float(samples.y.min()) + trim * span
@@ -711,20 +694,22 @@ def exactness_forcing(w: RealWave):
     return forcing
 
 
-def manufactured_selftest(alpha: float = 0.3) -> SelftestReport:
+def manufactured_selftest() -> SelftestReport:
     """Calibrate the verifier against fields whose residual is known exactly.
 
-    Zero fields must give an exactly zero residual, and the two
-    finite-difference paths must converge to :func:`manufactured_forcing` at
-    their nominal orders (error ratios within 20 percent of 4 and 16 under
-    step halving).  Those ratios are the run-time check of the analytic
-    forcing: a wrong closed-form bundle makes the FD error level off at the
-    bundle's error, so its ratio falls to about 1.  The analytic path is
-    :func:`manufactured_forcing`'s own expression on the same bundles, so
-    ``analytic_max_error`` is 0 by construction and only has to stay below
-    1e-10; ``tests/test_exact_residual.py`` checks the forcing against a
-    sympy derivation from :func:`manufactured_u` and :func:`manufactured_Z`.
+    At ``alpha = 0.3``, zero fields must give an exactly zero residual, and
+    the two finite-difference paths must converge to
+    :func:`manufactured_forcing` at their nominal orders (error ratios within
+    20 percent of 4 and 16 under step halving).  Those ratios are the
+    run-time check of the analytic forcing: a wrong closed-form bundle makes
+    the FD error level off at the bundle's error, so its ratio falls to
+    about 1.  The analytic path is :func:`manufactured_forcing`'s own
+    expression on the same bundles, so ``analytic_max_error`` is 0 by
+    construction and only has to stay below 1e-10;
+    ``tests/test_exact_residual.py`` checks the forcing against a sympy
+    derivation from :func:`manufactured_u` and :func:`manufactured_Z`.
     """
+    alpha = 0.3
     sig = np.linspace(-6.0, 6.0, 41)
     tau = np.linspace(-6.0, 6.0, 41)
     S, T = np.meshgrid(sig, tau, indexing="ij")

@@ -1,14 +1,22 @@
-"""Shared hand-derived formulas and frozen reference constants for the suite.
+"""Shared hand-derived formulas, reference oracles and frozen constants for the suite.
 
 The frozen numbers come from an independent 50-digit evaluation of the
 closed forms, rounded to double precision.  Tests compare library output
 against them with explicit tolerances; nothing here is recomputed through
-the code under test.
+the code under test.  The oracles at the end (the turning-point count, the
+tau-pair rebuild of ``(u, Z)`` and the shifted-argument bilinear derivative)
+take their own routes to what the package computes in closed form; the
+last borrows only the package's Richardson table.
 """
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
+
+from relaxwave.errors import DomainError
+from relaxwave.hirota import ExpAtom, TauFunction, _richardson_diagonal
 
 # Critical dissipative parameter v*sqrt(1+v)/(1-v) at v = 0.24 and v = 0.5.
 CRIT_ALPHA_024 = 0.35164827554715928
@@ -117,3 +125,107 @@ def physical_operator_pointwise(u, u_y, u_eta, u_yy, u_yeta, alpha):
     r = u_yeta + alpha * u_y + u
     r = r + u_y * u_y + u * u_yy
     return r + u * u_y * u_y + 0.5 * u * u * u_yy
+
+
+def count_turning_points(dZdsigma: np.ndarray, tol: float = 1e-9) -> tuple[int, int]:
+    """Count sign changes and degenerate touches of the profile slope.
+
+    Returns ``(crossings, touches)``: a crossing is a strict sign change of
+    ``dZ/dsigma`` along the samples, a touch a zero run (values within
+    ``tol`` of zero) flanked by the same sign.  Loop profiles give ``(2, 0)``,
+    cusps ``(0, 1)``, kinks ``(0, 0)``.
+    """
+    vals = np.asarray(dZdsigma, dtype=float)
+    signs = np.where(np.abs(vals) <= tol, 0, np.sign(vals)).astype(int)
+    # Compress consecutive runs of equal sign.
+    runs: list[int] = []
+    for s in signs:
+        if not runs or runs[-1] != s:
+            runs.append(int(s))
+    crossings = 0
+    touches = 0
+    for i, s in enumerate(runs):
+        if s != 0:
+            if i > 0 and runs[i - 1] != 0 and runs[i - 1] != s:
+                crossings += 1
+            continue
+        if 0 < i < len(runs) - 1:
+            if runs[i - 1] == runs[i + 1]:
+                touches += 1
+            else:
+                crossings += 1
+    return crossings, touches
+
+
+def tau_dsigma(f: TauFunction) -> TauFunction:
+    """``d/dsigma`` of a sum of exponential atoms."""
+    return TauFunction.from_atoms(ExpAtom(at.coeff * at.a, at.a, at.b) for at in f.atoms)
+
+
+def tau_dtau(f: TauFunction) -> TauFunction:
+    """``d/dtau`` of a sum of exponential atoms."""
+    return TauFunction.from_atoms(ExpAtom(at.coeff * at.b, at.a, at.b) for at in f.atoms)
+
+
+def u_from_tau_pair(pair, sigma, tau):
+    """Field ``u = G/F`` evaluated pointwise."""
+    return pair.G(sigma, tau) / pair.F(sigma, tau)
+
+
+def Z_from_tau_pair(pair, sigma, tau):
+    """Field ``Z = (sigma+tau)/2 + 2*(d_tau - d_sigma) log F`` evaluated pointwise."""
+    F = pair.F(sigma, tau)
+    logderiv = (tau_dtau(pair.F)(sigma, tau) - tau_dsigma(pair.F)(sigma, tau)) / F
+    return 0.5 * (np.asarray(sigma, dtype=float) + np.asarray(tau, dtype=float)) \
+        + 2.0 * logderiv
+
+
+def d_op_fd(m: int, n: int, f, g, sigma: float, tau: float) -> float:
+    """Evaluate ``D_sigma^m D_tau^n (f.g)`` at one point from the definition.
+
+    Central differences in the shift variables at the steps ``0.25/2**i``,
+    ``i = 0 .. 5``, with Richardson extrapolation; ``f`` and ``g`` may be
+    :class:`TauFunction` instances or any callables of ``(sigma, tau)``.
+    This route is independent of the closed-form atom rule of
+    :func:`relaxwave.hirota.d_op` and is the oracle used to validate it.
+    Orders ``m + n`` above 8 raise :class:`DomainError`, as in ``d_op``.
+
+    The stencil term at shift ``(e, d)`` and its mirror at ``(-e, -d)`` carry
+    coefficients that differ by the factor ``(-1)**(m+n)``; each mirrored pair
+    is summed before it is scaled and added to the total.  For ``f is g`` the
+    two products of a pair are the same floats in swapped order, so the
+    identity ``D_sigma^m D_tau^n (f.f) = 0`` for odd ``m+n`` holds exactly in
+    floating point, not only to round-off amplified by ``1/h**(m+n)``.
+    """
+    if m < 0 or n < 0 or m + n > 8:
+        raise DomainError(f"unsupported derivative orders ({m}, {n})")
+    cm = [(-1) ** j * comb(m, j) for j in range(m + 1)]
+    cn = [(-1) ** j * comb(n, j) for j in range(n + 1)]
+    sign = (-1) ** (m + n)
+
+    def stencil(hh: float) -> float:
+        total = 0.0
+        for j in range(m + 1):
+            e = (m / 2.0 - j) * hh
+            for l in range(n + 1):
+                mirror = (m - j, n - l)
+                if (j, l) > mirror:
+                    continue  # added together with its mirror term
+                d = (n / 2.0 - l) * hh
+                pair = float(f(sigma + e, tau + d)) * float(g(sigma - e, tau - d))
+                if (j, l) < mirror:
+                    pair += sign * (float(f(sigma - e, tau - d))
+                                    * float(g(sigma + e, tau + d)))
+                total += cm[j] * cn[l] * pair
+        return total / hh ** (m + n)
+
+    # Round-off grows as the step shrinks, so rather than trusting the deepest
+    # extrapolation blindly, return the diagonal value whose agreement with its
+    # predecessor is best (Ridders' stopping rule).
+    diag = _richardson_diagonal([stencil(0.25 / 2.0 ** i) for i in range(6)], 4.0)
+    best, err = diag[-1], abs(diag[-1] - diag[-2]) if len(diag) > 1 else 0.0
+    for k in range(1, len(diag)):
+        e = abs(diag[k] - diag[k - 1])
+        if e <= err:
+            best, err = diag[k], e
+    return best

@@ -32,15 +32,12 @@ from relaxwave import (
     tau_pair,
 )
 from relaxwave.cli import main as cli_main
-from relaxwave.hirota import ExpAtom, TauFunction, d_op, d_op_fd
+from relaxwave.hirota import ExpAtom, TauFunction, d_op
 from relaxwave.sim import boundary_from_wave
-from relaxwave.soliton import (
-    count_turning_points,
-    singular_thetas,
-    u_from_tau_pair,
-    Z_from_tau_pair,
-)
+from relaxwave.soliton import singular_thetas
 from relaxwave.verify import METHODS, exactness_forcing
+
+from helpers import Z_from_tau_pair, count_turning_points, d_op_fd, u_from_tau_pair
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import relaxwave.cli
-from relaxwave import MediumParams, reduce_swsp
+from relaxwave import MediumParams, alpha_critical, reduce_swsp
 from relaxwave.cli import main
 
 from helpers import (
@@ -287,6 +287,7 @@ def assert_refused(tmp_path, capsys, argv, message):
     ("19", "T = nan\n", "T must be nonnegative and finite, got nan"),
     ("mkdvb", "T = nan\n", "T must be nonnegative and finite, got nan"),
     ("19", "n = 1\n", "config key 'n': need at least 8 grid points, got 1"),
+    ("19", "theta0 = nan\n", "phase offset theta0 must be finite, got nan"),
 ])
 def test_simulate_refuses_non_finite_or_degenerate_run_parameters(tmp_path, capsys, system,
                                                                   config, message):
@@ -303,6 +304,32 @@ def test_simulate_refuses_non_finite_or_degenerate_run_parameters(tmp_path, caps
 def test_real_wave_commands_refuse_a_non_finite_alpha(tmp_path, capsys, argv):
     assert_refused(tmp_path, capsys, argv + ["--out", str(tmp_path / "out")],
                    "dissipative parameter must be finite, got inf")
+
+
+CUSP_ALPHA = repr(alpha_critical(0.24))
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["soliton-profile", "--v", "0.24", "--alpha", "0.1", "--theta0", "nan"],
+     "phase offset theta0 must be finite, got nan"),
+    (["soliton-profile", "--v", "0.24", "--alpha", "0.1", "--C", "inf"],
+     "profile needs a finite C, got inf"),
+    (["soliton-profile", "--v", "0.24", "--alpha", "0.1", "--tau=-inf"],
+     "profile needs a finite tau, got -inf"),
+    (["figure", "--v", "0.24", "--tau", "inf", "--alphas", "0.1"],
+     "figure tau must be finite, got inf"),
+    (["verify", "--system", "physical", "--alpha", "0.8", "--tau-point", "nan"],
+     "profile needs a finite tau, got nan"),
+    (["classify", "--v", "0.24", "--alpha", CUSP_ALPHA, "--tol", "nan"],
+     "cusp tolerance tol must be finite and >= 0, got nan"),
+    (["classify", "--v", "0.24", "--alpha", CUSP_ALPHA, "--tol", "-1"],
+     "cusp tolerance tol must be finite and >= 0, got -1.0"),
+    (["classify", "--v", "0.24", "--alpha", CUSP_ALPHA, "--tol", "inf"],
+     "cusp tolerance tol must be finite and >= 0, got inf"),
+])
+def test_closed_form_commands_refuse_non_finite_or_negative_parameters(tmp_path, capsys, argv,
+                                                                       message):
+    assert_refused(tmp_path, capsys, argv + ["--out", str(tmp_path / "out")], message)
 
 
 @pytest.mark.parametrize("flags", [["--alpha", "inf"], ["--k-re", "inf"], ["--k-re", "nan"]])

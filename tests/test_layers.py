@@ -1,9 +1,13 @@
-"""The package modules import each other in one direction only, and none
-imports scipy.
+"""The package modules import each other in one direction only, none
+imports scipy, and none keeps code that only the tests call.
 
 Every ``src/relaxwave/*.py`` is parsed with :mod:`ast`; imports inside
 functions and under ``TYPE_CHECKING`` count as much as top-level ones.  No
 module imports ``scipy`` in any form, so the package runs on numpy alone.
+Every module-level function and class is referenced somewhere in the
+package or exported by ``relaxwave`` or ``relaxwave.cli``, and every public
+method is read as an attribute somewhere in the package; test oracles live
+in ``tests/helpers.py``.
 """
 
 import ast
@@ -130,3 +134,62 @@ def test_import_graph_has_no_cycle():
 
     for mod in graph:
         visit(mod, ())
+
+
+def unreferenced(paths, exported: set[str]) -> list[str]:
+    """Functions, classes and public methods of the modules at ``paths`` that
+    no module there references.
+
+    A module-level function or class counts as referenced by an
+    ``ast.Name`` or ``ast.Attribute`` of its name in any of the modules, or
+    by being in ``exported``.  A public method counts as referenced by an
+    ``ast.Attribute`` only, so that a local variable of the same name does
+    not hide it.  Results read ``module.name`` and ``module.Class.method``.
+    """
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+    names, attrs = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (*defs, ast.ClassDef)) and node.name not in (
+                    names | attrs | exported):
+                found.append(f"{mod}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                found.extend(f"{mod}.{node.name}.{item.name}" for item in node.body
+                             if isinstance(item, defs) and not item.name.startswith("_")
+                             and item.name not in attrs)
+    return sorted(found)
+
+
+def test_the_reference_scanner_sees_names_attributes_and_exports(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("import math\n"
+                    "def used():\n    return math.pi\n"
+                    "def unused():\n    length = used()\n    return length\n"
+                    "def exported():\n    pass\n"
+                    "def _private():\n    pass\n"
+                    "class Kept:\n"
+                    "    def called(self):\n        return self.helper\n"
+                    "    @property\n    def helper(self):\n        pass\n"
+                    "    @property\n    def length(self):\n        pass\n"
+                    "    def _inner(self):\n        pass\n"
+                    "    def __call__(self):\n        pass\n"
+                    "class Orphan:\n    pass\n"
+                    "x = Kept().called() + _private()\n")
+    assert unreferenced([path], {"exported"}) == [
+        "probe.Kept.length", "probe.Orphan", "probe.unused"]
+
+
+def test_every_function_class_and_public_method_has_a_caller_in_the_package():
+    import relaxwave
+    import relaxwave.cli
+
+    exported = set(relaxwave.__all__) | set(relaxwave.cli.__all__)
+    assert unreferenced(sorted(PACKAGE.glob("*.py")), exported) == []

@@ -28,12 +28,7 @@ from relaxwave.soliton import (
     SHAPE_LOOP,
     complex_Z,
     complex_bundles,
-    count_turning_points,
-    dZ_dsigma,
-    momentum,
     real_bundles,
-    u_from_tau_pair,
-    Z_from_tau_pair,
 )
 
 from helpers import (
@@ -45,8 +40,19 @@ from helpers import (
     THETA_SING_024_01,
     Y_GAP_ORIGIN,
     Y_QUAD_ORIGIN,
+    Z_from_tau_pair,
+    count_turning_points,
     hand_y_quadrature,
+    tau_dsigma,
+    tau_dtau,
+    u_from_tau_pair,
 )
+
+
+def momentum(w, sigma, tau):
+    """Momentum density ``u_sigma + u_tau`` from the analytic bundle."""
+    bu, _bz = real_bundles(w, sigma, tau)
+    return bu.s + bu.t
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +106,7 @@ def test_tau_pair_rebuilds_fields(w_loop):
 
 def test_tau_pair_log_derivative_at_center(w_loop):
     pair = tau_pair(w_loop)
-    ld = (pair.F.dtau()(0.0, 0.0) - pair.F.dsigma()(0.0, 0.0)) / pair.F(0.0, 0.0)
+    ld = (tau_dtau(pair.F)(0.0, 0.0) - tau_dsigma(pair.F)(0.0, 0.0)) / pair.F(0.0, 0.0)
     assert ld == pytest.approx(-(w_loop.k + w_loop.omega), abs=1e-15)
 
 
@@ -196,16 +202,22 @@ def test_profile_rows_consistent(w_loop):
 @pytest.mark.parametrize(("v", "alpha", "theta0", "span"), (
     (0.24, 0.1, 0.0, 15.0), (0.24, 0.8, -2.0, 15.0), (0.5, 0.05, 3.0, 800.0)))
 def test_profile_columns_equal_the_pointwise_kernels(v, alpha, theta0, span):
-    # bit for bit, also where |theta| > 360 and sech(theta)**2 is subnormal
+    # theta, u and Z bit for bit, also where |theta| > 360 and sech(theta)**2
+    # is subnormal; the momentum and slope columns against the independent
+    # derivative formulas of real_bundles, u_s + u_t and Z_s, to 4 ulps of
+    # each column's sup
     w = solve_real(v, alpha, theta0=theta0)
     p = profile(w, tau=0.3, sigma_min=-span, sigma_max=span, n=2001)
     s2 = soliton.sech(p.theta) ** 2
     assert np.any((s2 > 0.0) & (s2 < np.finfo(float).tiny)) == (span > 15.0)
     assert np.array_equal(p.theta, soliton.theta(w, p.sigma, 0.3))
     u, Z = eval_uZ(w, p.sigma, 0.3)
-    for got, want in ((p.u, u), (p.Z, Z), (p.pi, momentum(w, p.sigma, 0.3)),
-                      (p.dZdsigma, dZ_dsigma(w, p.sigma, 0.3))):
-        assert np.array_equal(got, want)
+    assert np.array_equal(p.u, u)
+    assert np.array_equal(p.Z, Z)
+    bu, bz = real_bundles(w, p.sigma, 0.3)
+    for got, want in ((p.pi, bu.s + bu.t), (p.dZdsigma, bz.s)):
+        sup = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 4.0 * np.finfo(float).eps * sup
 
 
 def test_profile_evaluates_phase_tanh_and_sech_once(monkeypatch, w_loop):

@@ -38,13 +38,13 @@ from relaxwave.verify import (
     METHODS,
     EquationResidual,
     ResidualReport,
+    _complex_equations,
     _grid_fd_rows,
+    _point_bundles,
     _stencil_bundle,
-    complex_residuals_from_bundles,
     fd_bundle,
     manufactured_bundles,
     physical_operator_grid,
-    point_bundle,
     residuals_from_bundles,
 )
 
@@ -207,7 +207,7 @@ def test_grid_fd_bundles_match_callable_stencil(order):
     # included; the neighbour nodes differ from S +- j*h only by round-off
     w = solve_real(0.24, 0.1)
     cw = make_complex_wave(1.0 + 0.5j, 0.1)
-    S, T = SMALL_GRID.mesh()
+    S, T = np.meshgrid(*SMALL_GRID.axes(), indexing="ij")
     hs, ht = SMALL_GRID.spacings()
     cases = (
         (lambda s, t: eval_uZ(w, s, t),
@@ -258,7 +258,7 @@ def test_fd_point_residual_evaluates_closed_form_once_per_stencil_point(
     # Z come from the same eval_uZ call
     w = solve_real(0.24, 0.1)
     order = 2 if method == "fd2" else 4
-    ref = [point_bundle(lambda s, t, i=i: eval_uZ(w, s, t)[i], 0.7, -0.4, order)
+    ref = [_point_bundles(lambda s, t, i=i: (eval_uZ(w, s, t)[i],), 0.7, -0.4, order)[0]
            for i in (0, 1)]
     calls = Counter()
 
@@ -302,10 +302,10 @@ def test_analytic_and_fd_reports_on_a_multi_block_grid_evaluate_each_point_once(
 
 
 def _whole_grid_bundles(bundles, fields, grid, method):
-    """Unblocked reference: analytic bundles on ``grid.mesh()``, or the
+    """Unblocked reference: analytic bundles on the grid's full mesh, or the
     stencils taken as slices of one evaluation on the ghost-padded mesh."""
     if method == "analytic":
-        return bundles(*grid.mesh())
+        return bundles(*np.meshgrid(*grid.axes(), indexing="ij"))
     pad = 1 if method == "fd2" else 2
     hs, ht = grid.spacings()
     ghosts = np.arange(1.0, pad + 1.0)
@@ -329,7 +329,8 @@ def _whole_grid_report(system, grid, method, wave):
         bqr, bqi, bz = _whole_grid_bundles(
             lambda s, t: complex_bundles(wave, s, t),
             lambda s, t: (*eval_complex_Q(wave, s, t), complex_Z(wave, s, t)), grid, method)
-        r1, r2, r3 = complex_residuals_from_bundles(bqr, bqi, bz, wave.alpha)
+        r1, r2, r3 = (total for _name, total, _terms
+                      in _complex_equations(bqr, bqi, bz, wave.alpha))
         phi = bz.s + bz.t
         pr, pi_ = bqr.s + bqr.t, bqi.s + bqi.t
         eqs = (("Q_re", r1, [bqr.ss, -bqr.tt, phi * bqr.f, wave.alpha * pr]),
@@ -585,7 +586,7 @@ def test_physical_operator_grid_zero_and_validation():
         physical_operator_grid(np.zeros((2, 31)), y, np.linspace(0, 1, 2), 0.5)
 
 
-def test_physical_frame_residual_of_single_valued_profile():
+def test_physical_frame_residual_of_single_valued_profile(monkeypatch):
     w8 = solve_real(0.24, 0.8)
     p = profile(w8)
     rep = eq11_residual_physical(p, 0.8)
@@ -593,7 +594,9 @@ def test_physical_frame_residual_of_single_valued_profile():
     assert rep.equations[0].equation == "u-physical"
     # nonzero residual is the measured finding; its value is resolution-stable
     assert rep.equations[0].linf == pytest.approx(1.6805032, abs=1e-3)
-    refined = eq11_residual_physical(p, 0.8, n_y=301, n_eta=49)
+    monkeypatch.setattr(relaxwave.verify, "_PHYS_N_Y", 301)
+    monkeypatch.setattr(relaxwave.verify, "_PHYS_N_ETA", 49)
+    refined = eq11_residual_physical(p, 0.8)
     rel = abs(refined.equations[0].linf - rep.equations[0].linf) / rep.equations[0].linf
     assert rel < 1e-4
 
@@ -632,16 +635,6 @@ def test_physical_frame_rejects_multivalued_profiles():
         eq11_residual_physical(p_loop, 0.1)
 
 
-def test_physical_frame_validation():
-    p = profile(solve_real(0.24, 0.8))
-    with pytest.raises(DomainError):
-        eq11_residual_physical(p, 0.8, n_y=5)
-    with pytest.raises(DomainError):
-        eq11_residual_physical(p, 0.8, trim=0.5)
-    with pytest.raises(DomainError):
-        eq11_residual_physical(p, 0.8, eta_halfwidth=0.0)
-
-
 def test_manufactured_selftest_passes():
     rep = manufactured_selftest()
     assert rep.passed
@@ -677,7 +670,7 @@ def test_point_bundle_hits_roundoff():
     w = solve_real(0.24, 0.1)
     bu, _ = real_bundles(w, 0.7, -0.4)
     for order in (2, 4):
-        pb = point_bundle(lambda s, t: eval_uZ(w, s, t)[0], 0.7, -0.4, order)
+        pb, _ = _point_bundles(lambda s, t: eval_uZ(w, s, t), 0.7, -0.4, order)
         assert pb.f == bu.f
         assert pb.s == pytest.approx(bu.s, abs=1e-10)
         assert pb.t == pytest.approx(bu.t, abs=1e-10)
