@@ -102,8 +102,10 @@ class FigureSpec:
             raise DomainError(f"figure format must be csv or svg, got {self.fmt!r}")
         if not self.alphas:
             raise DomainError("figure needs at least one alpha")
-        if not math.isfinite(self.tau):
-            raise DomainError(f"figure tau must be finite, got {self.tau}")
+        for name in ("tau", "sigma_min", "sigma_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"figure {name} must be finite, got {value}")
 
 
 def _print(args, text: str) -> None:

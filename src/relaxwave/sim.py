@@ -79,6 +79,8 @@ _BoundaryFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 _FORCING_POINTS = 4096
 # Stage times per bc call.
 _BC_TIMES = 2048
+# Symbol values per block of the ETDRK4 contour means (see _etdrk4_coeffs).
+_ETD_ROWS = 128
 
 
 def _uniform_spacing(x: np.ndarray, label: str) -> float:
@@ -470,19 +472,52 @@ def _etdrk4_coeffs(L: np.ndarray, dt: float):
     The phi-functions are evaluated as means over 32 points of a unit circle
     around each ``dt*L`` value, which stays accurate when ``dt*L`` is near
     zero; the symbol is complex (odd dispersion), so everything stays complex.
+
+    The means are taken over blocks of ``_ETD_ROWS`` values.  A block's
+    ``(_ETD_ROWS, 32)`` complex temporaries (64 KiB) stay below NumPy's
+    256 KiB temporary-elision threshold, and the products by ``eLR`` are
+    explicit, so every value is computed by the same operations in the same
+    operand order, whatever the size of ``L``: the result is that of one
+    call per value.
     """
     E = np.exp(dt * L)
     E2 = np.exp(0.5 * dt * L)
     theta = 2.0 * np.pi * (np.arange(32) + 0.5) / 32
     r = np.exp(1j * theta)
-    LR = dt * L[:, None] + r[None, :]
-    eLR = np.exp(LR)
-    LR3 = LR**3
-    Q = dt * np.mean((np.exp(0.5 * LR) - 1.0) / LR, axis=1)
-    f1 = dt * np.mean((-4.0 - LR + eLR * (4.0 - 3.0 * LR + LR * LR)) / LR3, axis=1)
-    f2 = dt * np.mean((2.0 + LR + eLR * (-2.0 + LR)) / LR3, axis=1)
-    f3 = dt * np.mean((-4.0 - 3.0 * LR - LR * LR + eLR * (4.0 - LR)) / LR3, axis=1)
-    return E, E2, Q, f1, f2, f3
+    coeffs = np.empty((4, L.size), dtype=complex)
+    for i in range(0, L.size, _ETD_ROWS):
+        Q, f1, f2, f3 = coeffs[:, i:i + _ETD_ROWS]
+        LR = dt * L[i:i + _ETD_ROWS, None] + r[None, :]
+        eLR = np.exp(LR)
+        LR3 = LR**3
+        np.mean((np.exp(0.5 * LR) - 1.0) / LR, axis=1, out=Q)
+        np.mean((-4.0 - LR + np.multiply(eLR, 4.0 - 3.0 * LR + LR * LR)) / LR3,
+                axis=1, out=f1)
+        np.mean((2.0 + LR + np.multiply(eLR, -2.0 + LR)) / LR3, axis=1, out=f2)
+        np.mean((-4.0 - 3.0 * LR - LR * LR + np.multiply(eLR, 4.0 - LR)) / LR3,
+                axis=1, out=f3)
+    np.multiply(dt, coeffs, out=coeffs)
+    return (E, E2, *coeffs)
+
+
+def _real_transforms(n: int):
+    """The gufuncs behind ``np.fft.irfft`` and ``np.fft.rfft`` for ``n`` points.
+
+    They are private to NumPy and are called without the Python wrappers,
+    which cost about as much as an n = 256 transform: ``irfft(a, 1/n,
+    out=...)`` and ``rfft(a, 1.0, out=...)`` over the last axis, the factors
+    being the ones the wrappers' default norm passes.  Where NumPy has no
+    such gufuncs, the public functions stand in with the same signature and
+    make the same calls.  Looked up per run, not at import, so that
+    importing the package loads no numpy.fft.
+    """
+    try:
+        from numpy.fft import _pocketfft_umath as pfu
+
+        return pfu.irfft, (pfu.rfft_n_even if n % 2 == 0 else pfu.rfft_n_odd)
+    except (ImportError, AttributeError):
+        return (lambda a, _fct, out: np.fft.irfft(a, n=n, out=out),
+                lambda a, _fct, out: np.fft.rfft(a, out=out))
 
 
 def evolve_mkdvb(init: SimStateMKdVB, T: float, dt: float,
@@ -512,15 +547,8 @@ def evolve_mkdvb(init: SimStateMKdVB, T: float, dt: float,
     # both complex, the type every product with a spectrum casts them to.
     sym_quad = (c.quad * (k * k) * mask).astype(complex)
     sym_cubic = -1j * c.cubic * k * mask
-    # The gufuncs behind np.fft.irfft/rfft (private to NumPy), called without
-    # the Python wrappers, which cost about as much as an n = 256 transform.
-    # The factor is the 1/n that irfft's default norm passes, 1.0 for rfft,
-    # and the transform runs over the last axis.  Looked up here, not at
-    # import, so that importing the package loads no numpy.fft.
-    from numpy.fft import _pocketfft_umath as pfu
-
+    irfft, rfft = _real_transforms(n)
     inv_n = 1 / n
-    rfft = pfu.rfft_n_even if n % 2 == 0 else pfu.rfft_n_odd
     # Buffers of ``nonlinear`` alone; the transforms write into them.
     pd = np.empty(n)
     powers = np.empty((2, n))
@@ -534,7 +562,7 @@ def evolve_mkdvb(init: SimStateMKdVB, T: float, dt: float,
 
     def nonlinear(vhat: np.ndarray, out: np.ndarray) -> None:
         # irfft zero-pads the retained modes: the same floats as mask*vhat
-        pfu.irfft(vhat[:m], inv_n, out=pd)
+        irfft(vhat[:m], inv_n, out=pd)
         np.multiply(pd, pd, out=square)
         np.multiply(square, pd, out=cube)
         rfft(powers, 1.0, out=fp)

@@ -305,9 +305,11 @@ def profile(w: RealWave, tau: float = 0.0, sigma_min: float = -15.0,
 
     ``y = -Z + C``; the returned rows also carry the momentum density
     ``u_sigma + u_tau`` and the slope factor ``dZ/dsigma``, whose zeros are
-    the turning points of ``y``.  ``tau`` and ``C`` must be finite.
+    the turning points of ``y``.  ``tau``, ``C`` and both sigma bounds must
+    be finite.
     """
-    for name, value in (("tau", tau), ("C", C)):
+    for name, value in (("tau", tau), ("C", C), ("sigma_min", sigma_min),
+                        ("sigma_max", sigma_max)):
         if not math.isfinite(value):
             raise DomainError(f"profile needs a finite {name}, got {value}")
     if not sigma_min < sigma_max:

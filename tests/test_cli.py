@@ -326,6 +326,14 @@ CUSP_ALPHA = repr(alpha_critical(0.24))
      "cusp tolerance tol must be finite and >= 0, got -1.0"),
     (["classify", "--v", "0.24", "--alpha", CUSP_ALPHA, "--tol", "inf"],
      "cusp tolerance tol must be finite and >= 0, got inf"),
+    (["soliton-profile", "--v", "0.24", "--alpha", "0.1", "--sigma-min=-inf", "--n", "5"],
+     "profile needs a finite sigma_min, got -inf"),
+    (["soliton-profile", "--v", "0.24", "--alpha", "0.1", "--sigma-max", "inf"],
+     "profile needs a finite sigma_max, got inf"),
+    (["figure", "--v", "0.24", "--sigma-max", "inf", "--alphas", "0.1"],
+     "figure sigma_max must be finite, got inf"),
+    (["figure", "--v", "0.24", "--sigma-min=-inf", "--alphas", "0.1"],
+     "figure sigma_min must be finite, got -inf"),
 ])
 def test_closed_form_commands_refuse_non_finite_or_negative_parameters(tmp_path, capsys, argv,
                                                                        message):

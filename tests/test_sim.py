@@ -1,7 +1,9 @@
 """Time integration of the coupled system and of the periodic reduced equation."""
 
+import sys
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 import sympy as sp
@@ -631,3 +633,107 @@ def test_mkdvb_matches_the_allocating_reference_loop_bit_for_bit(n):
     ref = reference_mkdvb(init, 0.3, 0.002, 4)
     assert len(ref) == len(traj.p) == 4
     assert all(np.array_equal(a, b) for a, b in zip(traj.p, ref))
+
+
+def etdrk4_coeffs_reference(L, dt):
+    """The contour means of ``_etdrk4_coeffs`` over all of ``L`` at once, one
+    new array per operation (reference).  Called on one value at a time, its
+    arrays are far below NumPy's temporary-elision threshold, so every
+    product keeps the operand order written here."""
+    E = np.exp(dt * L)
+    E2 = np.exp(0.5 * dt * L)
+    r = np.exp(1j * 2.0 * np.pi * (np.arange(32) + 0.5) / 32)
+    LR = dt * L[:, None] + r[None, :]
+    eLR = np.exp(LR)
+    LR3 = LR**3
+    Q = dt * np.mean((np.exp(0.5 * LR) - 1.0) / LR, axis=1)
+    f1 = dt * np.mean((-4.0 - LR + eLR * (4.0 - 3.0 * LR + LR * LR)) / LR3, axis=1)
+    f2 = dt * np.mean((2.0 + LR + eLR * (-2.0 + LR)) / LR3, axis=1)
+    f3 = dt * np.mean((-4.0 - 3.0 * LR - LR * LR + eLR * (4.0 - LR)) / LR3, axis=1)
+    return E, E2, Q, f1, f2, f3
+
+
+def mkdvb_symbol(n, v_e=1.0, beta=0.1, gamma=0.02, length=50.0):
+    """The linear symbol ``evolve_mkdvb`` builds on an ``n``-point grid of ``length``."""
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
+    return (-1j * v_e * k - beta * k * k + 1j * gamma * k**3).astype(complex)
+
+
+def phi_coeffs_exact(z, dt):
+    """``Q, f1, f2, f3`` at ``z = dt*L`` from the closed-form phi-expressions
+    of Kassam & Trefethen (SIAM J. Sci. Comput. 26, 2005), at 40 digits; at
+    ``z = 0`` their limits ``dt/2`` and ``dt/6``."""
+    with mp.workdps(40):
+        dt = mp.mpf(dt)
+        if z == 0:
+            return dt / 2, dt / 6, dt / 6, dt / 6
+        z = mp.mpc(z.real, z.imag)
+        ez = mp.exp(z)
+        return (dt * (mp.exp(z / 2) - 1) / z,
+                dt * (-4 - z + ez * (4 - 3 * z + z * z)) / z**3,
+                dt * (2 + z + ez * (z - 2)) / z**3,
+                dt * (-4 - 3 * z - z * z + ez * (4 - z)) / z**3)
+
+
+# Worst relative error measured over both (symbol, dt) sets below, rounded up:
+# 1.8e-15 at n <= 256, and 3.3e-12 (f1, dt = 0.002) at n = 1024, where some
+# dt*L lie near the unit circle, so that contour points pass close to 0 and
+# the f-expressions cancel there.
+PHI_RTOL = {64: 2e-15, 256: 2e-15, 1024: 4e-12}
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_etdrk4_coeffs_match_the_phi_functions_at_40_digits(n):
+    for L, dt in ((mkdvb_symbol(n), 1e-3),
+                  (mkdvb_symbol(n, v_e=0.9, beta=0.15), 2e-3)):
+        got = _etdrk4_coeffs(L, dt)
+        assert np.array_equal(got[0], np.exp(dt * L))
+        assert np.array_equal(got[1], np.exp(0.5 * dt * L))
+        worst = 0.0
+        for j, z in enumerate(dt * L):
+            for c, exact in enumerate(phi_coeffs_exact(z, dt)):
+                value = mp.mpc(got[2 + c][j].real, got[2 + c][j].imag)
+                worst = max(worst, float(abs(value - exact) / abs(exact)))
+        assert worst <= PHI_RTOL[n], (n, dt, worst)
+
+
+@pytest.mark.parametrize("n", [64, 256, 1000, 1024, 4096])
+def test_etdrk4_coeffs_equal_one_value_at_a_time_bit_for_bit(n):
+    # At n >= 1024 the whole-array reference crosses the elision threshold
+    # and rounds differently; the blocked coefficients must not.
+    L = mkdvb_symbol(n, v_e=0.9, beta=0.15)
+    got = _etdrk4_coeffs(L, 2e-3)
+    rows = [etdrk4_coeffs_reference(L[j:j + 1], 2e-3) for j in range(L.size)]
+    for c, a in enumerate(got):
+        assert np.array_equal(a, np.concatenate([r[c] for r in rows])), c
+
+
+def test_etdrk4_coeffs_memory_is_bounded_by_the_block():
+    L = mkdvb_symbol(4096)
+    tracemalloc.start()
+    try:
+        _etdrk4_coeffs(L, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # six (2049,) complex results take 0.2 MB; the whole-array form peaked at 6.4 MB
+    assert peak <= 1_000_000, peak
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_mkdvb_without_the_private_pocketfft_module_gives_the_same_run(monkeypatch, n):
+    x = np.arange(n) * (50.0 / n)
+    c = MKdVBCoeffs(v_e=0.9, quad=0.8, cubic=0.6, beta=0.15, gamma=0.02)
+    p0 = 0.03 * np.exp(-((x - 25.0) / 3.0) ** 2) + 0.005 * np.random.default_rng(n).standard_normal(n)
+    init = SimStateMKdVB(x=x, p=p0, coeffs=c)
+    with_module = evolve_mkdvb(init, 0.1, 0.002, n_snapshots=3)
+
+    monkeypatch.delattr(np.fft, "_pocketfft_umath")
+    monkeypatch.setitem(sys.modules, "numpy.fft._pocketfft_umath", None)
+    calls = []
+    public_rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda *a, **kw: calls.append(1) or public_rfft(*a, **kw))
+    without = evolve_mkdvb(init, 0.1, 0.002, n_snapshots=3)
+    assert len(calls) == 1 + 4 * 50  # the initial transform, then four per step
+    assert all(np.array_equal(a, b) for a, b in zip(with_module.p, without.p))
+    assert with_module.means == without.means and with_module.rms == without.rms

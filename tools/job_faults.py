@@ -1,4 +1,4 @@
-"""Minor page faults and CPU time of every job of one benchmark pass, per job.
+"""Minor page faults, CPU time and peak RSS of every job of one benchmark pass.
 
     python3 tools/job_faults.py TREE --workload closed-form-sweep --seed 11
     python3 tools/job_faults.py TREE --workload integrate --passes 8 --json out.json
@@ -10,8 +10,12 @@ interpreter, the way ``perfbench/run.py`` does: one untimed pass first
 ``main`` call the script reads ``resource.getrusage(RUSAGE_SELF)``; a job's
 minor faults are the change of ``ru_minflt`` and its CPU time the change of
 user plus system time, so writing its config and removing its directory
-are not counted.  It prints one line per job with the median over the
-passes, then the median per-pass total.  It sets no environment variable
+are not counted.  Its peak RSS is ``ru_maxrss`` after it returns in the
+untimed first pass: the level the process had reached, and the rise that
+job caused, which is zero unless it set a new peak; so the job that sets a
+workload's ``peak_rss_mb`` is the last one with a rise.  It prints one line
+per job with the medians over the passes and the first pass's RSS, then
+the median per-pass total.  It sets no environment variable
 and no malloc setting; ``run.py`` pins ``OMP_NUM_THREADS``,
 ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1, so set those in the
 calling shell to match it.  Artifacts go to a temporary directory.
@@ -31,14 +35,15 @@ import tempfile
 from pathlib import Path
 
 
-def usage() -> tuple[int, float]:
-    """This process's minor faults and CPU seconds so far."""
+def usage() -> tuple[int, float, int]:
+    """This process's minor faults, CPU seconds and peak RSS (KiB) so far."""
     ru = resource.getrusage(resource.RUSAGE_SELF)
-    return ru.ru_minflt, ru.ru_utime + ru.ru_stime
+    return ru.ru_minflt, ru.ru_utime + ru.ru_stime, ru.ru_maxrss
 
 
-def run_pass(cli, jobmod, jobs, work: Path) -> list[tuple[int, float]]:
-    """Run every job once; one ``(minor faults, CPU seconds)`` per job."""
+def run_pass(cli, jobmod, jobs, work: Path) -> list[tuple[int, float, int, int]]:
+    """Run every job once; one ``(minor faults, CPU seconds, peak RSS KiB,
+    its rise KiB)`` per job."""
     rows = []
     for index, job in enumerate(jobs):
         d = work / f"{index:02d}-{job.name}"
@@ -49,13 +54,13 @@ def run_pass(cli, jobmod, jobs, work: Path) -> list[tuple[int, float]]:
             (d / jobmod.CONFIG_NAME).write_text(job.config, encoding="utf-8")
         argv = job.resolved_argv(d)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            faults0, cpu0 = usage()
+            faults0, cpu0, rss0 = usage()
             try:
                 cli.main(argv)
             except SystemExit:
                 pass
-            faults1, cpu1 = usage()
-        rows.append((faults1 - faults0, cpu1 - cpu0))
+            faults1, cpu1, rss1 = usage()
+        rows.append((faults1 - faults0, cpu1 - cpu0, rss1, rss1 - rss0))
     return rows
 
 
@@ -78,7 +83,7 @@ def main(argv=None) -> int:
         raise RuntimeError(f"imported relaxwave from {cli.__file__}, not {tree}")
     jobs = jobmod.make_pass(args.workload, args.seed)
     with tempfile.TemporaryDirectory(prefix="job-faults-") as tmp:
-        run_pass(cli, jobmod, jobs, Path(tmp))
+        first = run_pass(cli, jobmod, jobs, Path(tmp))
         passes = [run_pass(cli, jobmod, jobs, Path(tmp)) for _ in range(args.passes)]
 
     per_job = {}
@@ -86,12 +91,14 @@ def main(argv=None) -> int:
         faults = [p[index][0] for p in passes]
         cpu = [p[index][1] for p in passes]
         per_job[f"{index:02d}-{job.name}"] = {
-            "minflt": statistics.median(faults), "cpu_s": statistics.median(cpu)}
-    total = {"minflt": statistics.median(sum(f for f, _c in p) for p in passes),
-             "cpu_s": statistics.median(sum(c for _f, c in p) for p in passes)}
-    print(f"{'job':40s} {'minflt':>10s} {'cpu_ms':>9s}")
+            "minflt": statistics.median(faults), "cpu_s": statistics.median(cpu),
+            "peak_rss_mb": first[index][2] / 1024, "peak_rss_rise_mb": first[index][3] / 1024}
+    total = {"minflt": statistics.median(sum(row[0] for row in p) for p in passes),
+             "cpu_s": statistics.median(sum(row[1] for row in p) for p in passes)}
+    print(f"{'job':40s} {'minflt':>10s} {'cpu_ms':>9s} {'rss_mb':>8s} {'rise_mb':>8s}")
     for name, row in per_job.items():
-        print(f"{name:40s} {row['minflt']:10g} {row['cpu_s'] * 1e3:9.2f}")
+        print(f"{name:40s} {row['minflt']:10g} {row['cpu_s'] * 1e3:9.2f} "
+              f"{row['peak_rss_mb']:8.2f} {row['peak_rss_rise_mb']:8.2f}")
     print(f"{'pass total':40s} {total['minflt']:10g} {total['cpu_s'] * 1e3:9.2f}")
     if args.json:
         args.json.write_text(json.dumps(
