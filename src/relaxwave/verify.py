@@ -10,19 +10,20 @@ complex) is written once, as a function of the derivative bundles giving
 each equation's total and normalizing terms; every residual path and
 :func:`exactness_forcing` (the negated residual) evaluate it.
 
-On a grid the finite-difference steps are the grid spacings: each closed
-form is evaluated once on the grid padded with ``order/2`` ghost nodes per
-side, and every stencil operand of a row block is a contiguous run of that
-one evaluation.  Grid reports walk sigma in row blocks; the squares of each
-residual, whose one whole-grid mean gives the RMS norm, go to a whole-grid
-buffer that each thread keeps between reports, so a repeated report
-neither allocates those squares nor touches fresh pages for them.
-:func:`real_residual_reports` and :func:`complex_residual_reports` give
-several methods (and, for the real wave, both systems) from one call: the
-``fd2`` and ``fd4`` reports slice one padded evaluation at ``fd4`` width,
-whose inner ghost nodes are the same floats as the ``fd2`` padding, and one
-analytic bundle per row block feeds the coupled and the factored equations,
-whose shared terms are computed once.
+On a grid the finite-difference steps are the grid spacings, and every
+stencil neighbour is a node of the grid padded with ``order/2`` ghost nodes
+per side.  A grid report is one walk over sigma row blocks that keeps, per
+method and equation, only running sup norms and one sum of squares per
+block, so no array spans the grid.  Before the walk it allocates and
+frees one untouched 3 MiB array, which sets glibc's allocator thresholds
+above the walk's per-block working set (:func:`_lift_malloc_thresholds`).
+The module keeps no state between reports.  :func:`real_residual_reports` and
+:func:`complex_residual_reports` give several methods (and, for the real
+wave, both systems) from one call: in each block the closed forms are
+evaluated once on the block's padded rows at ``fd4`` width, whose inner
+ghost nodes are the same floats as the ``fd2`` padding, so ``fd2`` and
+``fd4`` read the same evaluation, and one analytic bundle feeds the coupled
+and the factored equations, whose shared terms are computed once.
 A manufactured-solution self-test calibrates the verifier itself: smooth
 fields with known forcing must reproduce that forcing to round-off on the
 analytic path and converge at nominal order on the finite-difference paths.
@@ -43,8 +44,9 @@ system exactly.  These residuals are reported as findings.
 
 from __future__ import annotations
 
-import threading
+import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -87,7 +89,7 @@ __all__ = [
 
 METHODS = ("analytic", "fd2", "fd4")
 REAL_SYSTEMS = ("coupled", "factored")
-_FD_ORDERS = {"fd2": 2, "fd4": 4}
+_FD_ORDERS = MappingProxyType({"fd2": 2, "fd4": 4})
 
 _GRID_BOUND = 50.0
 
@@ -276,56 +278,35 @@ def _fd_bundles(fields: Callable, S, T, hs: float, ht: float,
         for i in range(len(f0)))
 
 
-def _grid_fd_rows(fields: Callable, grid: GridSpec,
-                  order: int) -> Callable[[int, int, int], tuple[FieldBundle, ...]]:
-    """Row-block finite-difference bundles of every field ``fields(S, T)`` returns.
+def _block_fd_bundles(flat, rows: int, pad: int, order: int, hs: float,
+                      ht: float) -> tuple[FieldBundle, ...]:
+    """Order-``order`` finite-difference bundles of one row block of a grid.
 
-    Returns ``rows(i0, i1, m)``, the order-``m`` bundles on grid rows
-    ``i0:i1`` for any ``m`` up to ``order``.  The steps are the grid
-    spacings, so every stencil neighbour is a node of the grid padded with
-    ``order/2`` ghost nodes per side.  ``fields`` is called once, here, on
-    the open mesh of those padded axes (interior nodes bit-identical to
-    :meth:`GridSpec.axes`).  A narrower stencil uses the inner ghost nodes,
-    which are the same floats (``a[0] - j*h``) as in its own padding, so one
-    evaluation at ``order`` serves every order below it bit for bit.  A
-    neighbour ``S + j*hs`` and the grid node it stands for differ only by the
-    round-off of the coordinates (at most 2 ulps of the largest coordinate
-    on the grids tried).
-
-    ``rows`` takes each shifted stencil value of a block as one contiguous
-    run of the C-ordered padded output, ``W = n_tau + 2*(order/2)`` values
-    per row: a shift of ``j`` rows in sigma is an offset of ``j*W`` and a
+    ``flat`` holds every field, flattened in C order, on the block's ``rows``
+    grid rows with ``pad >= order/2`` padded-axis rows on each side, over
+    the tau axis padded with ``pad`` ghost nodes per side: ``W = n_tau +
+    2*pad`` values per row.  Every shifted stencil value is one contiguous
+    run of it: a shift of ``j`` rows in sigma is an offset of ``j*W`` and a
     shift of ``j`` in tau an offset of ``j``.  The differences run over
     whole padded rows, and the bundles are the ``[:, pad:pad + n_tau]``
     views of their results.  A tau run crosses a row end only in the ghost
     columns, whose lanes are dropped; every interior value is the same float
     as from the grid slice it stands for.
     """
-    pad = order // 2
-    hs, ht = grid.spacings()
-    ghosts = np.arange(1.0, pad + 1.0)
-    axes = [np.concatenate((a[0] - h * ghosts[::-1], a, a[-1] + h * ghosts))
-            for a, h in zip(grid.axes(), (hs, ht))]
-    flat = [F.reshape(-1) for F in fields(*np.meshgrid(*axes, indexing="ij", sparse=True))]
-    nt = grid.n_tau
-    width = nt + 2 * pad
+    width = flat[0].size // (rows + 2 * pad)
+    start, n = pad * width, rows * width
+    steps = range(1, order // 2 + 1)
 
-    def rows(i0: int, i1: int, m: int) -> tuple[FieldBundle, ...]:
-        steps = range(1, m // 2 + 1)
-        start, n = (pad + i0) * width, (i1 - i0) * width
+    def at(F, o: int):
+        # the padded rows of the block's grid rows, shifted by o values
+        return F[start + o:start + o + n]
 
-        def at(F, o: int):
-            # the padded rows of grid rows i0:i1, shifted by o values
-            return F[start + o:start + o + n]
+    def interior(x):
+        return x.reshape(rows, width)[:, pad:width - pad]
 
-        def interior(x):
-            return x.reshape(i1 - i0, width)[:, pad:pad + nt]
-
-        runs = (_stencil_bundle(at(F, 0), [(at(F, j * width), at(F, -j * width)) for j in steps],
-                                [(at(F, j), at(F, -j)) for j in steps], hs, ht) for F in flat)
-        return tuple(FieldBundle(*map(interior, (b.f, b.s, b.t, b.ss, b.tt))) for b in runs)
-
-    return rows
+    runs = (_stencil_bundle(at(F, 0), [(at(F, j * width), at(F, -j * width)) for j in steps],
+                            [(at(F, j), at(F, -j)) for j in steps], hs, ht) for F in flat)
+    return tuple(FieldBundle(*map(interior, (b.f, b.s, b.t, b.ss, b.tt))) for b in runs)
 
 
 def _point_bundles(fields: Callable, sigma: float, tau: float,
@@ -361,95 +342,90 @@ def _point_bundles(fields: Callable, sigma: float, tau: float,
 _BLOCK_POINTS = 8192
 
 
-# This thread's whole-grid squares of _block_norms, kept between reports.
-_SQUARES = threading.local()
+def _lift_malloc_thresholds() -> None:
+    """Allocate and free one untouched 3 MiB array, so that glibc keeps a grid
+    report's block arrays on the heap.
 
-
-def _squares_buffer(ns: int, nt: int, count: int) -> np.ndarray:
-    """This thread's squares buffer: at least ``count`` slots of ``(ns, nt)``.
-
-    One ``(slots, ns, nt)`` array per thread is kept for the most recent grid
-    shape, with as many slots as the most equations one report on that grid
-    has needed (3 at most), so repeated reports neither allocate nor touch
-    fresh pages.  Another shape, or more equations, replaces it; concurrent
-    callers in other threads each have their own.
+    glibc serves the array with mmap, and freeing an mmapped block raises its
+    dynamic mmap threshold to the block's size and its trim threshold to
+    twice that (unless the thresholds were set by hand).  With both above the
+    walk's per-block working set (about 2 MB at most), each block's arrays
+    come from the heap and the pages they free stay there for the next
+    block, instead of going back to the system and being faulted in again.
+    The array costs one mmap/munmap pair and touches no page; other
+    allocators ignore it.
     """
-    buf = getattr(_SQUARES, "buf", None)
-    if buf is None or buf.shape[1:] != (ns, nt) or len(buf) < count:
-        _SQUARES.buf = buf = None  # release the old array before making the new one
-        buf = _SQUARES.buf = np.empty((count, ns, nt))
-    return buf
+    np.empty(3 << 20, dtype=np.uint8)
 
 
 def _grid_reports(grid: GridSpec, methods, bundles: Callable, fields: Callable,
                   equations: Callable) -> dict[tuple[str, str], ResidualReport]:
-    """Residual reports on ``grid`` under every method of ``methods``.
+    """Residual reports on ``grid`` under every method of ``methods``, from one
+    walk over sigma row blocks.
 
     ``equations(*bundles)`` returns one ``(system, name, total, terms)`` per
     equation; the result maps each ``(system, method)`` to its report, with
-    the equations in the order given.  The methods run one after the other,
-    each walked in row blocks by :func:`_block_norms`.  Their blocks are
-    ``bundles(S, T)`` on the block's open mesh (``analytic``) or runs of
-    one ghost-padded evaluation of ``fields`` at the widest requested order,
-    which ``fd2`` and ``fd4`` share; it is made at the first of them, after
-    the analytic pass has freed its arrays.
+    the equations in the order given.  The walk takes ``_BLOCK_POINTS //
+    n_tau`` rows at a time (at least one).  In each block ``analytic`` reads
+    ``bundles(S, T)`` on the block's open mesh, and ``fd2`` and ``fd4``
+    read :func:`_block_fd_bundles` of one call of ``fields`` on the block's
+    rows of the grid padded with ``pad`` ghost nodes per side, ``pad`` being
+    half the widest requested order.  The ghost nodes are ``a[0] - j*h`` and
+    ``a[-1] + j*h`` and the interior nodes those of :meth:`GridSpec.axes`,
+    so a narrower stencil's neighbours are the same floats as in its own
+    padding, and every value equals that of a whole-grid evaluation.  A
+    neighbour ``S + j*hs`` and the grid node it stands for differ only by
+    the round-off of the coordinates (at most 2 ulps of the largest
+    coordinate on the grids tried).
+
+    Per method and equation the walk keeps the running sup norms of
+    ``total`` and of every term, and one ``np.sum(np.square(total))`` per
+    block; ``l2`` is ``sqrt(math.fsum(block sums) / N)`` over the ``N``
+    grid nodes.  No array spans the grid, and each block's arrays are freed
+    before the next block's are made.
     """
-    sig, tau = grid.axes()
-    widest = max((_FD_ORDERS[m] for m in methods if m != "analytic"), default=0)
-    fd_rows = None
+    _lift_malloc_thresholds()
+    ns, nt = grid.n_sigma, grid.n_tau
+    (sig, tau), (hs, ht) = grid.axes(), grid.spacings()
+    methods = tuple(dict.fromkeys(methods))
+    pad = max((_FD_ORDERS[m] // 2 for m in methods if m != "analytic"), default=0)
+    ghosts = np.arange(1.0, pad + 1.0)
+    s_pad, t_pad = (np.concatenate((a[0] - h * ghosts[::-1], a, a[-1] + h * ghosts))
+                    for a, h in ((sig, hs), (tau, ht)))
+    rows = max(1, _BLOCK_POINTS // nt)
+    keys, peaks, sums = [], {}, {m: [] for m in methods}
+    for i0 in range(0, ns, rows):
+        i1 = min(i0 + rows, ns)
+        flat = None
+        for method in methods:
+            order = _FD_ORDERS.get(method)
+            if order is None:
+                block = bundles(*np.meshgrid(sig[i0:i1], tau, indexing="ij", sparse=True))
+            else:
+                if flat is None:
+                    flat = [F.reshape(-1) for F in fields(*np.meshgrid(
+                        s_pad[i0:i1 + 2 * pad], t_pad, indexing="ij", sparse=True))]
+                block = _block_fd_bundles(flat, i1 - i0, pad, order, hs, ht)
+            eqs = equations(*block)
+            keys = [(system, name) for system, name, _total, _terms in eqs]
+            maxima = [np.array([np.abs(x).max() for x in (total, *terms)])
+                      for _system, _name, total, terms in eqs]
+            peaks[method] = list(map(np.maximum, peaks.get(method, maxima), maxima))
+            sums[method].append([np.sum(np.square(total)) for _s, _n, total, _t in eqs])
+            block = eqs = None  # free this block's arrays before the next are made
     reports: dict[tuple[str, str], ResidualReport] = {}
     for method in methods:
-        order = _FD_ORDERS.get(method)
-        if order is not None and fd_rows is None:
-            fd_rows = _grid_fd_rows(fields, grid, widest)
-
-        def block(i0: int, i1: int, order=order):
-            if order is None:
-                return bundles(*np.meshgrid(sig[i0:i1], tau, indexing="ij", sparse=True))
-            return fd_rows(i0, i1, order)
-
         by_system: dict[str, list[EquationResidual]] = {}
-        for system, entry in _block_norms(grid, block, equations):
-            by_system.setdefault(system, []).append(entry)
+        for e, (system, name) in enumerate(keys):
+            linf, *norms = peaks[method][e]
+            by_system.setdefault(system, []).append(EquationResidual(
+                equation=name, linf=float(linf),
+                l2=math.sqrt(math.fsum(s[e] for s in sums[method]) / (ns * nt)),
+                normalization=max(float(x) for x in norms)))
         for system, eqs in by_system.items():
             reports[system, method] = ResidualReport(system=system, method=method,
                                                      grid=grid, equations=tuple(eqs))
     return reports
-
-
-def _block_norms(grid: GridSpec, block: Callable,
-                 equations: Callable) -> list[tuple[str, EquationResidual]]:
-    """Norms of every equation over ``grid``, computed in row blocks.
-
-    The sigma axis is walked in blocks of ``_BLOCK_POINTS // n_tau`` rows
-    (at least one); ``equations(*block(i0, i1))`` gives the residuals of rows
-    ``i0:i1``.  The sup norms of ``total`` and of every term are the maxima
-    over the block maxima; the squares of ``total`` fill one whole-grid slot
-    of :func:`_squares_buffer` per equation, whose one mean gives ``l2`` with
-    the summation order of an unblocked report.
-    """
-    ns, nt = grid.n_sigma, grid.n_tau
-    rows = max(1, _BLOCK_POINTS // nt)
-    keys, squares, peaks = [], None, []
-    for i0 in range(0, ns, rows):
-        i1 = min(i0 + rows, ns)
-        eqs = equations(*block(i0, i1))
-        if squares is None:
-            squares = _squares_buffer(ns, nt, len(eqs))
-            keys = [(system, name) for system, name, _total, _terms in eqs]
-            peaks = [[] for _ in eqs]
-        for e, (_system, _name, total, terms) in enumerate(eqs):
-            np.square(total, out=squares[e, i0:i1])
-            peaks[e].append([np.abs(x).max() for x in (total, *terms)])
-        eqs = total = terms = None  # free this block's arrays before the next is made
-    out = []
-    for (system, name), sq, pk in zip(keys, squares, peaks):
-        linf, *norms = np.max(pk, axis=0)
-        out.append((system, EquationResidual(
-            equation=name, linf=float(linf), l2=float(np.sqrt(np.mean(sq))),
-            normalization=max(float(n) for n in norms))))
-    return out
-
 
 def _entry(name: str, total: np.ndarray, terms: list[np.ndarray]) -> EquationResidual:
     linf = float(np.max(np.abs(total)))
@@ -472,11 +448,11 @@ def real_residual_reports(w: RealWave, grid: GridSpec = GridSpec(), methods=METH
 
     The reports come system by system, each in the order of ``methods``, and
     each equals the report of a call with that one method and system.  They
-    share one evaluation of the closed forms: one :func:`real_bundles` call
-    per analytic row block feeds every system, and ``fd2`` and ``fd4`` slice
-    one ghost-padded :func:`eval_uZ` call.  The ``fd2``/``fd4`` steps are the
-    grid spacings; stencils at the edge nodes reach ``order/2`` ghost nodes
-    outside the grid.
+    share one evaluation of the closed forms per row block: one
+    :func:`real_bundles` call feeds every system, and ``fd2`` and ``fd4``
+    read one :func:`eval_uZ` call on the block's ghost-padded rows.  The
+    ``fd2``/``fd4`` steps are the grid spacings; stencils at the edge nodes
+    reach ``order/2`` ghost nodes outside the grid.
     """
     for m in methods:
         _check_method(m)
@@ -509,9 +485,10 @@ def complex_residual_reports(cw: ComplexWave, grid: GridSpec = GridSpec(),
     The companion field is the quadrature reconstruction of
     :func:`relaxwave.soliton.complex_Z`; its own equation is satisfied by
     construction, the other two residuals are findings.  The reports share
-    one evaluation of the closed forms: ``fd2`` and ``fd4`` slice one
-    ghost-padded :func:`eval_complex_Q` and :func:`complex_Z` call each, with
-    the grid spacings as steps and ghost nodes at the edges.
+    one evaluation of the closed forms per row block: ``fd2`` and ``fd4``
+    read one :func:`eval_complex_Q` and one :func:`complex_Z` call on the
+    block's ghost-padded rows, with the grid spacings as steps and ghost
+    nodes at the edges.
     """
     for m in methods:
         _check_method(m)

@@ -1,5 +1,6 @@
 """The package modules import each other in one direction only, none
-imports scipy, and none keeps code that only the tests call.
+imports scipy, none keeps code that only the tests call, and ``verify``
+keeps no state between calls.
 
 Every ``src/relaxwave/*.py`` is parsed with :mod:`ast`; imports inside
 functions and under ``TYPE_CHECKING`` count as much as top-level ones.  No
@@ -7,10 +8,14 @@ module imports ``scipy`` in any form, so the package runs on numpy alone.
 Every module-level function and class is referenced somewhere in the
 package or exported by ``relaxwave`` or ``relaxwave.cli``, and every public
 method is read as an attribute somewhere in the package; test oracles live
-in ``tests/helpers.py``.
+in ``tests/helpers.py``.  Every name that the top level of
+``relaxwave.verify`` binds holds a value no call can change, so its grid
+reports are reentrant by construction.
 """
 
 import ast
+import importlib.util
+import types
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "relaxwave"
@@ -193,3 +198,55 @@ def test_every_function_class_and_public_method_has_a_caller_in_the_package():
 
     exported = set(relaxwave.__all__) | set(relaxwave.cli.__all__)
     assert unreferenced(sorted(PACKAGE.glob("*.py")), exported) == []
+
+
+def frozen(value) -> bool:
+    """Whether ``value`` is a number, string, function or class, or a tuple,
+    frozenset or read-only mapping of those."""
+    if isinstance(value, (tuple, frozenset)):
+        return all(map(frozen, value))
+    if isinstance(value, types.MappingProxyType):
+        return all(map(frozen, value.values()))
+    return isinstance(value, (bool, int, float, complex, str, bytes, type(None), type,
+                              types.FunctionType))
+
+
+def module_state(path: Path, module) -> list[str]:
+    """Names bound by the top level of the module at ``path`` (assignments,
+    ``def`` and ``class``) whose value in ``module`` is not :func:`frozen`.
+
+    Dunder names such as ``__all__`` are module metadata and are skipped.
+    """
+    bound = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return sorted(name for name in bound
+                  if not name.startswith("__") and not frozen(getattr(module, name)))
+
+
+def test_the_state_scanner_sees_locals_caches_arrays_and_containers(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("import functools, threading\nfrom types import MappingProxyType\n"
+                    "import numpy as np\n"
+                    "LIMIT, NAMES = 3, ('a', 1.0)\n"
+                    "ORDERS = MappingProxyType({'x': 2})\n"
+                    "_LOCAL = threading.local()\n_BUF: object = np.zeros(3)\n"
+                    "_SEEN = {}\nPAIRS = ((1, []),)\n"
+                    "@functools.lru_cache\ndef cached(x):\n    return x\n"
+                    "def plain():\n    pass\n"
+                    "class Kept:\n    pass\n"
+                    "__all__ = ['plain']\n")
+    spec = importlib.util.spec_from_file_location("probe", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module_state(path, module) == ["PAIRS", "_BUF", "_LOCAL", "_SEEN", "cached"]
+
+
+def test_verify_holds_no_module_level_mutable_state():
+    import relaxwave.verify
+
+    assert module_state(PACKAGE / "verify.py", relaxwave.verify) == []
