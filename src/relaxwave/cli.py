@@ -411,7 +411,7 @@ def _simulate_system19(cfg: dict[str, str], out: Path, args) -> None:
     sigma = np.linspace(sigma_min, sigma_max, n)
     init = soliton_state19(w, sigma)
     bc = boundary_from_wave(w, sigma_min, sigma_max) if bc_mode == "wave" else None
-    forcing = exactness_forcing(w) if forcing_mode == "exactness" else None
+    forcing = exactness_forcing(w, linearized) if forcing_mode == "exactness" else None
     traj = evolve_system19(init, alpha, T, dt, bc=bc, forcing=forcing,
                            linearized=linearized, n_snapshots=n_snapshots)
     errs = compare_to_exact(traj, w)

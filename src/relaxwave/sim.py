@@ -2,29 +2,17 @@
 quadratic-cubic dispersive-dissipative wave equation.
 
 The coupled system is advanced in the characteristic plane as a first-order
-reduction in ``tau``:
-
-    u_tau = p,   p_tau = u_ss - (Z_s + Z_tau)*u + alpha*(u_s + p),
-    Z_tau = q,   q_tau = Z_ss + (u + 1)*(u_s + p),
-
-with time-dependent Dirichlet data for ``u`` and ``Z`` at both ends of the
-``sigma`` interval.  The data come from a plain callable
-``bc(tau) -> (trace, rate)`` that gives the boundary values and their exact
-tau-derivatives (:func:`boundary_from_wave`), as ``(..., 2, 2)`` arrays over
-the shape of ``tau``; a run calls it on 1-D blocks of up to 2048
-consecutive stage times, each time exactly once.  Without one the initial
-boundary values are held, with a rate of exactly zero.  An optional
-``forcing(sigma, tau) -> (G_u, G_Z)`` is added to the two accelerations; it
-is called on ``(B, 1)`` columns of consecutive stage times,
-``B = max(1, 4096 // n)`` on an ``n``-point grid (the last column may be
-shorter), each time exactly once, and returns ``(B, n)`` stacks or ``(n,)``
-arrays held over the column.  The state is one ``(4, n)`` array with rows
-``(u, Z, u_tau, Z_tau)``, so that ``[u; Z]`` is one contiguous vector whose
-order-4 stencil gives ``[u_s; Z_s; u_ss; Z_ss]``.  Characteristic
-coordinates are used deliberately: loop profiles are multivalued in the
-physical frame, so only this chart can represent their dynamics.  Periodic
-boundaries are invalid here because the kink-asymptotic ``u`` has unequal
-left/right limits.
+reduction in ``tau``: ``u_tau = p`` and ``Z_tau = q``, with ``p_tau`` and
+``q_tau`` the accelerations of :func:`relaxwave.soliton.coupled_system` plus
+an optional forcing, and time-dependent Dirichlet data for ``u`` and ``Z``
+at both ends of the ``sigma`` interval; :func:`evolve_system19` says how
+it calls the callables that supply both.  The state is one ``(4, n)`` array
+with rows ``(u, Z, u_tau, Z_tau)``, so that ``[u; Z]`` is one contiguous
+vector whose order-4 stencil gives ``[u_s; Z_s; u_ss; Z_ss]``.
+Characteristic coordinates are used deliberately: loop profiles are
+multivalued in the physical frame, so only this chart can represent their
+dynamics.  Periodic boundaries are invalid here because the kink-asymptotic
+``u`` has unequal left/right limits.
 
 The quadratic-cubic equation
 
@@ -58,7 +46,7 @@ import numpy as np
 from .dispersion import RealWave
 from .errors import DomainError, NumericalError
 from .medium import MediumParams, low_freq_coeffs
-from .soliton import eval_uZ, real_bundles
+from .soliton import coupled_system, eval_uZ, real_bundles
 
 __all__ = [
     "SimState19",
@@ -268,9 +256,8 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
     stage times in loop order, with ``B`` at most ``max(1, 4096 // n)`` on an
     ``n``-point grid, and each of ``G_u``, ``G_Z`` must be a ``(B, n)`` stack
     (row ``b`` at ``tau[b, 0]``) or one ``(n,)`` array held at every time;
-    every stage time is passed exactly once.  ``linearized`` freezes the
-    auxiliary gradient at its quiescent value 1 and drops the quadratic
-    coupling, leaving the small-amplitude system.
+    every stage time is passed exactly once.  The accelerations are those of
+    :func:`relaxwave.soliton.coupled_system`, with its ``linearized``.
 
     ``bc`` and ``forcing`` must be pure functions of ``tau`` (``forcing``
     also of the fixed ``sigma`` grid), shared by the stages at one time; the
@@ -326,13 +313,8 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
         K = np.empty_like(Y)
         K[0] = ut
         K[1] = zt
-        pi = D1U + ut
-        if linearized:
-            K[2] = D2U - u + alpha * pi
-            K[3] = D2W + pi
-        else:
-            K[2] = D2U - (D1W + zt) * u + alpha * pi
-            K[3] = D2W + (u + 1.0) * pi
+        phi = None if linearized else D1W + zt  # the linearized system has no phi
+        K[2], K[3] = coupled_system(u, D1U + ut, phi, D2U, D2W, alpha, linearized=linearized)
         if G is not None:
             K[2] += G[0]
             K[3] += G[1]

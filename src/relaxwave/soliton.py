@@ -46,6 +46,8 @@ __all__ = [
     "theta",
     "eval_uZ",
     "real_bundles",
+    "coupled_u_parts",
+    "coupled_system",
     "eval_complex_Q",
     "complex_Z",
     "complex_bundles",
@@ -168,6 +170,31 @@ def real_bundles(w: RealWave, sigma, tau) -> tuple[FieldBundle, FieldBundle]:
         tt=-2.0 * A * om * om * S2 * T,
     )
     return bu, _z_bundle(sigma, tau, 2.0 * (w.omega + w.k), k, om, T, S2)
+
+
+def coupled_u_parts(u, pi, phi, uss, alpha, utt=None, linearized=False):
+    """``(u_ss - u_tt, phi*u, alpha*pi)``, the parts of :func:`coupled_system`'s equation ``u``."""
+    return uss if utt is None else uss - utt, u if linearized else phi * u, alpha * pi
+
+
+def coupled_system(u, pi, phi, uss, zss, alpha, utt=None, ztt=None,
+                   linearized=False, terms=False):
+    """Equations ``u``, ``u_ss - u_tt - phi*u + alpha*pi``, and ``Z``,
+    ``Z_ss - Z_tt + (u + 1)*pi``, of the coupled characteristic system
+    (system 19), with ``pi = u_s + u_t`` and ``phi = Z_s + Z_t``.
+    ``linearized`` sets ``phi`` to its quiescent value 1 and drops ``u*pi``.
+    Without ``utt``/``ztt`` their terms are left out, so the totals
+    ``(r_u, r_Z)`` are the accelerations.  ``terms`` adds the parts of
+    :func:`coupled_u_parts` and each equation's constituents, whose largest
+    sup norm normalizes its report.
+    """
+    d, phi_u, api = parts = coupled_u_parts(u, pi, phi, uss, alpha, utt, linearized)
+    r_u = d - phi_u + api
+    r_z = (zss if ztt is None else zss - ztt) + (pi if linearized else (u + 1.0) * pi)
+    if not terms:
+        return r_u, r_z
+    z_terms = (zss, ztt, pi) if linearized else (zss, ztt, u * pi, pi)
+    return r_u, r_z, parts, ((uss, utt, phi_u, api), z_terms)
 
 
 def _complex_phase(cw: ComplexWave, sigma, tau):

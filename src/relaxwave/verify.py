@@ -6,24 +6,17 @@ pointwise residual is measured, never assumed.  Derivatives can be taken
 three ways (closed-form analytic, order-2 finite differences, order-4 finite
 differences) so that any nonzero residual can be attributed to the formulas
 rather than to the numerics.  Each model system (coupled, factored,
-complex) is written once, as a function of the derivative bundles giving
-each equation's total and normalizing terms; every residual path and
-:func:`exactness_forcing` (the negated residual) evaluate it.
+complex) is written once, giving each equation's total and normalizing
+terms; every residual path and :func:`exactness_forcing` (the negated
+residual) evaluate it.  The coupled one is
+:func:`relaxwave.soliton.coupled_system`, which :mod:`relaxwave.sim` steps.
 
-On a grid the finite-difference steps are the grid spacings, and every
-stencil neighbour is a node of the grid padded with ``order/2`` ghost nodes
-per side.  A grid report is one walk over sigma row blocks that keeps, per
-method and equation, only running sup norms and one sum of squares per
-block, so no array spans the grid.  Before the walk it allocates and
-frees one untouched 3 MiB array, which sets glibc's allocator thresholds
-above the walk's per-block working set (:func:`_lift_malloc_thresholds`).
-The module keeps no state between reports.  :func:`real_residual_reports` and
-:func:`complex_residual_reports` give several methods (and, for the real
-wave, both systems) from one call: in each block the closed forms are
-evaluated once on the block's padded rows at ``fd4`` width, whose inner
-ghost nodes are the same floats as the ``fd2`` padding, so ``fd2`` and
-``fd4`` read the same evaluation, and one analytic bundle feeds the coupled
-and the factored equations, whose shared terms are computed once.
+A grid report is one walk over sigma row blocks (:func:`_grid_reports`), with
+the grid spacings as finite-difference steps and ``order/2`` ghost nodes
+per side; no array spans the grid and the module keeps no state between
+reports.  :func:`real_residual_reports` and :func:`complex_residual_reports`
+give several methods (and, for the real wave, both systems) from one
+evaluation of the closed forms per block.
 A manufactured-solution self-test calibrates the verifier itself: smooth
 fields with known forcing must reproduce that forcing to round-off on the
 analytic path and converge at nominal order on the finite-difference paths.
@@ -60,6 +53,8 @@ from .soliton import (
     _check_decaying,
     complex_bundles,
     complex_Z,
+    coupled_system,
+    coupled_u_parts,
     eval_complex_Q,
     eval_uZ,
     real_bundles,
@@ -163,29 +158,23 @@ def _check_method(method: str) -> None:
 
 
 def _real_equations(bu: FieldBundle, bz: FieldBundle, alpha: float, systems):
-    """The real model equations of each of ``systems``, in that order.
+    """The real model equations of ``systems``, coupled first.
 
     One ``(system, name, total, terms)`` per equation; ``terms`` are the
     constituents whose largest sup norm normalizes the equation's report.
-    With ``d = u_ss - u_tt``, ``pi = u_s + u_t`` and ``phi = Z_s + Z_t``, all
-    computed once: ``"coupled"`` has equation ``u``,
-    ``d - phi*u + alpha*pi``, and equation ``Z``, ``Z_ss - Z_tt + (u + 1)*pi``;
-    ``"factored"`` has ``u-factored``, ``-d - alpha*pi + phi*u`` summed
-    negated as ``d + alpha*pi - phi*u``: bit for bit the same up to the sign
-    of a zero, and the norms see only ``|r|`` and ``r**2``.
+    ``"coupled"`` is :func:`relaxwave.soliton.coupled_system`; ``"factored"``
+    has ``u-factored``, ``-d - alpha*pi + phi*u`` from the same
+    :func:`relaxwave.soliton.coupled_u_parts`, summed negated as
+    ``d + alpha*pi - phi*u``: bit for bit the same up to the sign of a zero,
+    and the norms see only ``|r|`` and ``r**2``.
     """
-    pi = bu.s + bu.t
-    phi_u = (bz.s + bz.t) * bu.f
-    api = alpha * pi
-    d = bu.ss - bu.tt
-    out = []
-    for system in systems:
-        if system == "coupled":
-            out += [("coupled", "u", d - phi_u + api, (bu.ss, bu.tt, phi_u, api)),
-                    ("coupled", "Z", bz.ss - bz.tt + (bu.f + 1.0) * pi,
-                     (bz.ss, bz.tt, bu.f * pi, pi))]
-        else:
-            out.append(("factored", "u-factored", d + api - phi_u, (d, api, phi_u)))
+    args, out = (bu.f, bu.s + bu.t, bz.s + bz.t, bu.ss), []
+    if "coupled" in systems:
+        r_u, r_z, parts, terms = coupled_system(*args, bz.ss, alpha, bu.tt, bz.tt, terms=True)
+        out += [("coupled", "u", r_u, terms[0]), ("coupled", "Z", r_z, terms[1])]
+    if "factored" in systems:
+        d, phi_u, api = parts if "coupled" in systems else coupled_u_parts(*args, alpha, bu.tt)
+        out.append(("factored", "u-factored", d + api - phi_u, (d, api, phi_u)))
     return out
 
 
@@ -206,9 +195,11 @@ def _complex_equations(bqr: FieldBundle, bqi: FieldBundle, bz: FieldBundle, alph
             ("Z", bz.ss - bz.tt + q_r + q_i, (bz.ss, bz.tt, q_r, q_i)))
 
 
-def residuals_from_bundles(bu: FieldBundle, bz: FieldBundle, alpha: float):
-    """Residual fields ``(r1, r2)`` of the coupled characteristic system."""
-    return tuple(eq[2] for eq in _real_equations(bu, bz, alpha, ("coupled",)))
+def residuals_from_bundles(bu: FieldBundle, bz: FieldBundle, alpha: float,
+                           linearized: bool = False):
+    """Residual fields ``(r1, r2)`` of :func:`relaxwave.soliton.coupled_system`."""
+    return coupled_system(bu.f, bu.s + bu.t, bz.s + bz.t, bu.ss, bz.ss, alpha, bu.tt,
+                          bz.tt, linearized=linearized)
 
 
 def _stencil_bundle(f0, s_shifts, t_shifts, hs: float, ht: float) -> FieldBundle:
@@ -652,20 +643,20 @@ def manufactured_forcing(S, T, alpha: float):
     return residuals_from_bundles(bu, bz, alpha)
 
 
-def exactness_forcing(w: RealWave):
+def exactness_forcing(w: RealWave, linearized: bool = False):
     """Forcing that turns the closed-form soliton into an exact solution.
 
-    The returned callable gives ``(-r1, -r2)`` where ``(r1, r2)`` are the
-    closed-form residuals in the coupled system, so a run of
-    :func:`relaxwave.sim.evolve_system19` forced with it should track the
-    closed form to pure discretization error.  ``tau`` broadcasts against
-    ``sigma``: a ``(B, 1)`` column of times gives ``(B, n)`` arrays, row
-    ``b`` bit for bit the call at ``tau[b, 0]``.
+    The returned callable gives ``(-r1, -r2)``, the negated closed-form
+    residuals in the coupled system, ``linearized`` or not, so a run of
+    :func:`relaxwave.sim.evolve_system19` with the same ``linearized`` forced
+    with it tracks the closed form to pure discretization error.  ``tau``
+    broadcasts against ``sigma``: a ``(B, 1)`` column of times gives
+    ``(B, n)`` arrays, row ``b`` bit for bit the call at ``tau[b, 0]``.
     """
 
     def forcing(sigma: np.ndarray, tau):
         bu, bz = real_bundles(w, sigma, tau)
-        r1, r2 = residuals_from_bundles(bu, bz, w.alpha)
+        r1, r2 = residuals_from_bundles(bu, bz, w.alpha, linearized)
         return -np.asarray(r1, dtype=float), -np.asarray(r2, dtype=float)
 
     return forcing

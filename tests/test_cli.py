@@ -159,6 +159,22 @@ def test_simulate_coupled_artifacts(tmp_path):
         assert snap["drift_u_linf"] < 1e-4
 
 
+def test_linearized_exactness_run_tracks_the_closed_form(tmp_path):
+    # the forcing negates the residual of the system the run steps, so the
+    # closed form is an exact solution of the linearized run too
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("v = 0.24\nalpha = 0.8\nT = 2\nn_snapshots = 3\n"
+                   "forcing = exactness\nlinearized = true\n")
+    out = tmp_path / "run19"
+    code = main(["simulate", "--system", "19", "--config", str(cfg),
+                 "--out", str(out), "--quiet"])
+    assert code == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["params"]["n"] == 301
+    assert manifest["params"]["linearized"] is True
+    assert max(snap["drift_u_linf"] for snap in manifest["snapshots"]) < 1e-5
+
+
 def test_simulate_mkdvb_artifacts(tmp_path):
     cfg = tmp_path / "mk.cfg"
     cfg.write_text("n = 32\nT = 0.01\ndt = 0.005\nn_snapshots = 2\nic = sine\n")

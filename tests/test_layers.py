@@ -11,12 +11,25 @@ method is read as an attribute somewhere in the package; test oracles live
 in ``tests/helpers.py``.  Every name that the top level of
 ``relaxwave.verify`` binds holds a value no call can change, so its grid
 reports are reentrant by construction.
+
+The coupled characteristic system (system 19) is written once, as
+``soliton.coupled_system`` with the parts of its equation ``u`` in
+``soliton.coupled_u_parts``.  Patching either, wherever the package binds
+it, must change a ``residuals_from_bundles`` value, a
+``real_residual_reports`` norm, one ``evolve_system19`` step and an
+``exactness_forcing`` value; patching the parts must also change a
+factored-frame report, which reads them.  A module that spelled the
+equations out again would keep its old numbers and fail the check.
 """
 
 import ast
 import importlib.util
+import sys
 import types
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "relaxwave"
 
@@ -250,3 +263,54 @@ def test_verify_holds_no_module_level_mutable_state():
     import relaxwave.verify
 
     assert module_state(PACKAGE / "verify.py", relaxwave.verify) == []
+
+
+def system19_probes() -> dict[str, np.ndarray]:
+    """A value of every path that evaluates system 19, on one small wave."""
+    from relaxwave import evolve_system19, real_residual_reports, solve_real, soliton_state19
+    from relaxwave.soliton import real_bundles
+    from relaxwave.verify import GridSpec, exactness_forcing, residuals_from_bundles
+
+    w = solve_real(0.24, 0.8)
+    sigma = np.linspace(-15.0, 15.0, 41)
+    grid = GridSpec(n_sigma=21, n_tau=21)
+    step = evolve_system19(soliton_state19(w, sigma), w.alpha, 0.1, 0.1, n_snapshots=2)
+    reports = {system: [(e.linf, e.l2, e.normalization) for r in
+                        real_residual_reports(w, grid, ("analytic", "fd4"), (system,))
+                        for e in r.equations]
+               for system in ("coupled", "factored")}
+    return {
+        "residuals_from_bundles": np.array(residuals_from_bundles(*real_bundles(w, sigma, 0.3),
+                                                                  w.alpha)),
+        "coupled report": np.array(reports["coupled"]),
+        "factored report": np.array(reports["factored"]),
+        "evolve_system19 step": np.array([step.u[-1], step.ut[-1], step.Z[-1], step.zt[-1]]),
+        "exactness_forcing": np.array(exactness_forcing(w)(sigma, np.array([[0.0], [0.5]]))),
+    }
+
+
+@pytest.mark.parametrize("name", ["coupled_system", "coupled_u_parts"])
+def test_every_system19_path_evaluates_the_one_copy_in_soliton(monkeypatch, name):
+    import relaxwave.soliton
+
+    original = getattr(relaxwave.soliton, name)
+
+    # each flips the sign of alpha*pi
+    if name == "coupled_system":
+        def flipped(u, pi, phi, uss, zss, alpha, *rest, **options):
+            return original(u, pi, phi, uss, zss, -alpha, *rest, **options)
+    else:
+        def flipped(u, pi, phi, uss, alpha, *rest, **options):
+            return original(u, pi, phi, uss, -alpha, *rest, **options)
+
+    before = system19_probes()
+    bound = [mod for key, mod in list(sys.modules.items())
+             if (key == "relaxwave" or key.startswith("relaxwave."))
+             and getattr(mod, name, None) is original]
+    assert relaxwave.soliton in bound
+    for mod in bound:
+        monkeypatch.setattr(mod, name, flipped)
+    after = system19_probes()
+    moved = {probe for probe in before if not np.array_equal(before[probe], after[probe])}
+    expected = set(before) - ({"factored report"} if name == "coupled_system" else set())
+    assert moved == expected

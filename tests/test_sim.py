@@ -41,11 +41,12 @@ def zero_state(n=101, lo=-10.0, hi=10.0):
     return SimState19(sigma=sig, u=z.copy(), ut=z.copy(), Z=z.copy(), zt=z.copy())
 
 
-def forced_soliton_run(w, n, dt, T, n_snapshots=2, lo=-15.0, hi=15.0):
+def forced_soliton_run(w, n, dt, T, n_snapshots=2, lo=-15.0, hi=15.0, linearized=False):
     sig = np.linspace(lo, hi, n)
     init = soliton_state19(w, sig)
     return evolve_system19(init, w.alpha, T, dt, bc=boundary_from_wave(w, lo, hi),
-                           forcing=exactness_forcing(w), n_snapshots=n_snapshots)
+                           forcing=exactness_forcing(w, linearized),
+                           linearized=linearized, n_snapshots=n_snapshots)
 
 
 def test_zero_state_is_exact_fixed_point():
@@ -90,6 +91,19 @@ def test_grid_convergence_is_fourth_order():
         errs.append(max(compare_to_exact(traj, w).u_linf))
     assert 10.0 < errs[0] / errs[1] < 22.0
     assert 10.0 < errs[1] / errs[2] < 22.0
+
+
+def test_linearized_exactness_run_converges_at_fourth_order():
+    # the forcing negates the linearized residual, so the linearized run must
+    # follow the closed form to pure discretization error, dt shrinking with h
+    w = solve_real(0.24, 0.8)
+    errs = []
+    for n in (151, 301, 601):
+        traj = forced_soliton_run(w, n=n, dt=0.4 * 30.0 / (n - 1), T=2.0, linearized=True)
+        errs.append(max(compare_to_exact(traj, w).u_linf))
+    orders = [np.log2(coarse / fine) for coarse, fine in zip(errs, errs[1:])]
+    assert min(orders) >= 3.8
+    assert errs[-1] < 1e-7
 
 
 def test_linearized_alpha0_u_is_time_reversible():
