@@ -336,20 +336,23 @@ def evolve_system19(init: SimState19, alpha: float, T: float, dt: float,
 
     if 0 in snap_at:
         snapshot()
-    for step in range(1, steps + 1):
-        mid = stage_terms()
-        nxt = stage_terms()
-        k1 = rhs(Y, terms)
-        k2 = rhs(Y + 0.5 * dt * k1, mid)
-        k3 = rhs(Y + 0.5 * dt * k2, mid)
-        k4 = rhs(Y + dt * k3, nxt)
-        Y = Y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tau, terms = tau0 + step * dt, nxt
-        Y[:2, ends] = terms[0]
-        if not np.isfinite(Y).all():
-            raise NumericalError(f"non-finite state at step {step} (tau={tau:.6g})")
-        if step in snap_at:
-            snapshot()
+    # A diverging run overflows before the finiteness check sees it; the
+    # NumericalError is its one report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, steps + 1):
+            mid = stage_terms()
+            nxt = stage_terms()
+            k1 = rhs(Y, terms)
+            k2 = rhs(Y + 0.5 * dt * k1, mid)
+            k3 = rhs(Y + 0.5 * dt * k2, mid)
+            k4 = rhs(Y + dt * k3, nxt)
+            Y = Y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            tau, terms = tau0 + step * dt, nxt
+            Y[:2, ends] = terms[0]
+            if not np.isfinite(Y).all():
+                raise NumericalError(f"non-finite state at step {step} (tau={tau:.6g})")
+            if step in snap_at:
+                snapshot()
 
     u, Z, ut, zt = (tuple(s[i] for s in snaps) for i in range(4))
     return Trajectory19(sigma=sigma, taus=tuple(taus), u=u, ut=ut, Z=Z, zt=zt,
@@ -568,39 +571,42 @@ def evolve_mkdvb(init: SimStateMKdVB, T: float, dt: float,
 
     if 0 in snap_at:
         snapshot()
-    for step in range(1, steps + 1):
-        nonlinear(v, Nv)
-        np.multiply(E2, v, out=E2v)
-        # a = E2*v + Q*Nv
-        np.multiply(Q, Nv, out=a)
-        np.add(E2v, a, out=a)
-        nonlinear(a, Na)
-        # b = E2*v + Q*Na
-        np.multiply(Q, Na, out=b)
-        np.add(E2v, b, out=b)
-        nonlinear(b, Nb)
-        # c = E2*a + Q*(2*Nb - Nv)
-        np.multiply(2.0, Nb, out=tmp)
-        np.subtract(tmp, Nv, out=tmp)
-        np.multiply(Q, tmp, out=tmp)
-        np.multiply(E2, a, out=cc)
-        np.add(cc, tmp, out=cc)
-        nonlinear(cc, Nc)
-        # v = E*v + Nv*f1 + 2*(Na + Nb)*f2 + Nc*f3, summed left to right
-        np.multiply(E, v, out=v)
-        np.multiply(Nv, f1, out=tmp)
-        np.add(v, tmp, out=v)
-        np.add(Na, Nb, out=tmp)
-        np.multiply(2.0, tmp, out=tmp)
-        np.multiply(tmp, f2, out=tmp)
-        np.add(v, tmp, out=v)
-        np.multiply(Nc, f3, out=tmp)
-        np.add(v, tmp, out=v)
-        t = float(init.t) + step * dt
-        if not np.isfinite(v).all():
-            raise NumericalError(f"non-finite spectrum at step {step} (t={t:.6g})")
-        if step in snap_at:
-            snapshot()
+    # A diverging run overflows before the finiteness check sees it; the
+    # NumericalError is its one report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, steps + 1):
+            nonlinear(v, Nv)
+            np.multiply(E2, v, out=E2v)
+            # a = E2*v + Q*Nv
+            np.multiply(Q, Nv, out=a)
+            np.add(E2v, a, out=a)
+            nonlinear(a, Na)
+            # b = E2*v + Q*Na
+            np.multiply(Q, Na, out=b)
+            np.add(E2v, b, out=b)
+            nonlinear(b, Nb)
+            # c = E2*a + Q*(2*Nb - Nv)
+            np.multiply(2.0, Nb, out=tmp)
+            np.subtract(tmp, Nv, out=tmp)
+            np.multiply(Q, tmp, out=tmp)
+            np.multiply(E2, a, out=cc)
+            np.add(cc, tmp, out=cc)
+            nonlinear(cc, Nc)
+            # v = E*v + Nv*f1 + 2*(Na + Nb)*f2 + Nc*f3, summed left to right
+            np.multiply(E, v, out=v)
+            np.multiply(Nv, f1, out=tmp)
+            np.add(v, tmp, out=v)
+            np.add(Na, Nb, out=tmp)
+            np.multiply(2.0, tmp, out=tmp)
+            np.multiply(tmp, f2, out=tmp)
+            np.add(v, tmp, out=v)
+            np.multiply(Nc, f3, out=tmp)
+            np.add(v, tmp, out=v)
+            t = float(init.t) + step * dt
+            if not np.isfinite(v).all():
+                raise NumericalError(f"non-finite spectrum at step {step} (t={t:.6g})")
+            if step in snap_at:
+                snapshot()
 
     return TrajectoryMKdVB(x=np.asarray(init.x, dtype=float), ts=tuple(ts),
                            p=tuple(fields), means=tuple(means), rms=tuple(rms),

@@ -583,7 +583,10 @@ def eq11_residual_physical(samples: ProfileSamples, alpha: float) -> ResidualRep
     y_hi = float(samples.y.max()) - trim * span
     hy = (y_hi - y_lo) / (n_y - 1)
     he = 2.0 * eta_halfwidth / (n_eta - 1)
-    eta_mid = float(np.median(0.5 * (samples.sigma - samples.tau)))
+    # np.median's value bit for bit, without the numpy.ma import it pays
+    eta = np.sort(0.5 * (samples.sigma - samples.tau))
+    half = eta.size // 2
+    eta_mid = float(eta[half] if eta.size % 2 else 0.5 * (eta[half - 1] + eta[half]))
     y_pad = y_lo + hy * (np.arange(n_y + 4) - 2.0)
     eta_pad = (eta_mid - eta_halfwidth) + he * (np.arange(n_eta + 2) - 1.0)
 

@@ -381,3 +381,50 @@ def test_commands_refuse_config_keys_they_do_not_read(tmp_path, capsys, argv, co
     cfg.write_text(config)
     assert_refused(tmp_path, capsys, argv + ["--config", str(cfg), "--out",
                                              str(tmp_path / "out"), "--quiet"], message)
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["run-report", "--seed", "-5"], "n_samples = 2\nalphas = 0.1\n"),
+    (["simulate", "--system", "mkdvb", "--seed", "-1"], "n = 32\nT = 0.01\nic = random\n"),
+    (["simulate", "--system", "mkdvb", "--seed", "1.5"], "n = 32\nT = 0.01\nic = random\n"),
+], ids=["run-report-negative", "mkdvb-negative", "mkdvb-fraction"])
+def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, argv, config):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --seed: expected a non-negative integer, got '{argv[-1]}'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_and_format_are_options_of_the_commands_that_read_them(capsys):
+    sub = next(a for a in relaxwave.cli.build_parser()._actions if a.choices)
+    owners = {opt: sorted(name for name, p in sub.choices.items()
+                          if opt in p._option_string_actions)
+              for opt in ("--seed", "--format")}
+    assert owners == {"--seed": ["run-report", "simulate"],
+                      "--format": ["critical-alpha", "figure"]}
+    for argv in (["classify", "--v", "0.24", "--alpha", "0.1", "--seed", "1"],
+                 ["dispersion", "--v", "0.24", "--alpha", "0.1", "--format", "csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("system,config,message", [
+    ("19", "n = 101\nT = 12\n", "numerical abort: non-finite state at step 80 (tau=9.6)"),
+    ("mkdvb", "n = 1024\namp = 2\nquad = 1\nbeta = 0.1\n",
+     "numerical abort: non-finite spectrum at step 11 (t=0.011)"),
+], ids=["19", "mkdvb"])
+def test_a_diverging_simulate_prints_only_its_abort(tmp_path, system, config, message):
+    (tmp_path / "run.cfg").write_text(config)
+    src = str(Path(relaxwave.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-m", "relaxwave.cli", "simulate", "--system",
+                           system, "--config", "run.cfg", "--out", "out", "--quiet"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message + "\n")

@@ -2,6 +2,7 @@
 
 import sys
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -454,9 +455,35 @@ def test_blowup_raises_numerical_error():
     def bomb(sigma, tau):
         return np.full_like(sigma, 1e155), np.zeros_like(sigma)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError, match="non-finite"):
-            evolve_system19(init, 0.0, 1.0, 0.05, forcing=bomb, n_snapshots=2)
+    with pytest.raises(NumericalError, match="non-finite"):
+        evolve_system19(init, 0.0, 1.0, 0.05, forcing=bomb, n_snapshots=2)
+
+
+def diverging_system19_run():
+    # wave BCs at n = 101: non-finite at step 80 (tau = 9.6)
+    w = solve_real(0.24, 0.8)
+    sig = np.linspace(-15.0, 15.0, 101)
+    evolve_system19(soliton_state19(w, sig), 0.8, 12.0, 0.4 * (sig[1] - sig[0]),
+                    bc=boundary_from_wave(w, -15.0, 15.0), n_snapshots=2)
+
+
+def diverging_mkdvb_run():
+    # the quadratic term is anti-diffusive above amp = beta / (2 quad)
+    x = 50.0 * np.arange(1024) / 1024
+    p0 = 2.0 * np.exp(-np.square((x - 25.0) / 2.0))
+    coeffs = MKdVBCoeffs(v_e=1.0, quad=1.0, cubic=1.0, beta=0.1, gamma=0.02)
+    evolve_mkdvb(SimStateMKdVB(x=x, p=p0, coeffs=coeffs), 1.0, 1e-3, n_snapshots=2)
+
+
+@pytest.mark.parametrize("run,message", [
+    (diverging_system19_run, r"non-finite state at step 80 \(tau=9\.6\)"),
+    (diverging_mkdvb_run, r"non-finite spectrum at step 11 \(t=0\.011\)"),
+], ids=["system19", "mkdvb"])
+def test_a_diverging_run_warns_nothing_before_its_numerical_error(run, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=message):
+            run()
 
 
 def test_evolve_system19_validation():

@@ -1,5 +1,8 @@
 """The CLI loads no scipy on any path, and no numpy.fft module until an
-mkdvb run needs one.
+mkdvb run needs one.  No path loads ``numpy.ma`` or ``numpy.random`` but
+the mkdvb random initial state, which draws from ``numpy.random``: each
+costs a fresh process several MB, for work as small as one median or a
+few hundred uniform draws.
 
 Each case runs in a fresh interpreter, so modules loaded by other tests in
 this process cannot hide an import.
@@ -71,3 +74,52 @@ def test_simulate_system19_loads_no_scipy(tmp_path):
     assert run_fresh(SIMULATE, tmp_path) == {"code": 0, "scipy": []}
     manifest = json.loads((tmp_path / "run19" / "run_manifest.json").read_text())
     assert len(manifest["snapshots"]) == 2
+
+
+SUBPACKAGES = """
+import json, sys
+from relaxwave.cli import main
+codes = [main(argv) for argv in {argvs!r}]
+loaded = sorted(m for m in sys.modules for pkg in ("numpy.ma", "numpy.random")
+                if m == pkg or m.startswith(pkg + "."))
+print(json.dumps(dict(codes=codes, loaded=loaded)))
+"""
+
+SMALL_GRID = ["--n-sigma", "21", "--n-tau", "21", "--method", "all"]
+
+
+def run_argvs(tmp_path, argvs):
+    """Exit codes of ``main(argv)`` for each of ``argvs`` in one fresh
+    interpreter, and the ``numpy.ma``/``numpy.random`` modules it loaded."""
+    return run_fresh(SUBPACKAGES.format(argvs=argvs), tmp_path)
+
+
+def test_cli_paths_load_no_numpy_ma_or_numpy_random(tmp_path):
+    (tmp_path / "report.cfg").write_text("alphas = 0.1\nn_samples = 5\n")
+    (tmp_path / "s19.cfg").write_text("n = 41\nT = 0.1\ndt = 0.05\nn_snapshots = 2\n")
+    (tmp_path / "mk.cfg").write_text("n = 32\nT = 0.01\ndt = 0.005\nn_snapshots = 2\n"
+                                     "ic = gauss\n")
+    out = ["--out", "out.json", "--quiet"]
+    argvs = [
+        ["classify", "--v", "0.24", "--alpha", "0.1", *out],
+        ["dispersion", "--v", "0.24", "--alpha", "0.1", *out],
+        ["bilinear", "--v", "0.24", "--alpha", "0.1", *out],
+        ["verify", "--system", "coupled", *SMALL_GRID, *out],
+        ["verify", "--system", "factored", *SMALL_GRID, *out],
+        ["verify", "--system", "complex", "--k-im", "0.3", *SMALL_GRID, *out],
+        ["verify", "--system", "physical", "--v", "0.24", "--alpha", "0.8", *out],
+        ["run-report", "--config", "report.cfg", *out],
+        ["simulate", "--system", "19", "--config", "s19.cfg", "--out", "run19", "--quiet"],
+        ["simulate", "--system", "mkdvb", "--config", "mk.cfg", "--out", "runmk", "--quiet"],
+    ]
+    assert run_argvs(tmp_path, argvs) == {"codes": [0] * len(argvs), "loaded": []}
+
+
+def test_mkdvb_random_initial_state_is_the_path_that_loads_numpy_random(tmp_path):
+    (tmp_path / "mk.cfg").write_text("n = 32\nT = 0.01\ndt = 0.005\nn_snapshots = 2\n"
+                                     "ic = random\n")
+    got = run_argvs(tmp_path, [["simulate", "--system", "mkdvb", "--config", "mk.cfg",
+                                "--seed", "3", "--out", "runmk", "--quiet"]])
+    assert got["codes"] == [0]
+    assert "numpy.random" in got["loaded"]
+    assert not any(m == "numpy.ma" or m.startswith("numpy.ma.") for m in got["loaded"])

@@ -697,6 +697,16 @@ def test_physical_frame_inversion_converges_in_a_few_newton_passes(monkeypatch, 
     assert np.max(np.abs((p.C - final[-1][1]) - Y)) <= 1e-14 * np.max(np.abs(y))
 
 
+@pytest.mark.parametrize("n", [201, 400])
+def test_physical_frame_window_is_centred_on_the_median_eta(n):
+    # the window starts at exactly eta_mid - 0.6, so an eta_mid that is not
+    # np.median's value bit for bit shows in tau_min
+    w8 = solve_real(0.24, 0.8)
+    s = profile(w8, tau=0.37, sigma_min=-13.3, sigma_max=17.1, n=n)
+    rep = eq11_residual_physical(s, 0.8)
+    assert rep.grid.tau_min == np.median(0.5 * (s.sigma - s.tau)) - 0.6
+
+
 def test_physical_frame_rejects_multivalued_profiles():
     p_loop = profile(solve_real(0.24, 0.1))
     with pytest.raises(DomainError, match="multivalued"):

@@ -7,10 +7,10 @@ A user who runs a command once pays the interpreter start, every import and
 the command itself; ``perfbench/run.py`` runs jobs in one long-lived process
 and sees only the last.  This script times ``python -m relaxwave.cli`` in a
 new interpreter with ``PYTHONPATH=<tree>/src``, from launch to exit, for
-three commands with fixed small configs: ``simulate --system 19``,
-``simulate --system mkdvb`` and ``run-report``.  ``OMP_NUM_THREADS``,
-``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` are pinned to 1, as
-``run.py`` pins them.  Each pair runs every command once per tree; the tree
+four commands with fixed small inputs: ``simulate --system 19``,
+``simulate --system mkdvb``, ``run-report`` and ``verify --system
+physical``.  ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
+``MKL_NUM_THREADS`` are pinned to 1, as ``run.py`` pins them.  Each pair runs every command once per tree; the tree
 that goes first alternates from pair to pair.  A call that exits non-zero
 stops the script.  Per command it prints the median and quartiles of each
 tree, the ratio of the medians (NEW / OLD) and in how many pairs NEW was
@@ -34,11 +34,13 @@ from pathlib import Path
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-# name -> (argv after ``relaxwave.cli``, config text)
+# name -> (argv after ``relaxwave.cli``, config text or None for no ``--config``)
 COMMANDS = {
     "simulate-19": (["simulate", "--system", "19"], "v = 0.24\nalpha = 0.8\nT = 1\n"),
     "simulate-mkdvb": (["simulate", "--system", "mkdvb"], "n = 256\nT = 0.1\n"),
     "run-report": (["run-report"], "alphas = 0.1, 0.8\nn_samples = 50\n"),
+    "verify-physical": (["verify", "--system", "physical", "--v", "0.24", "--alpha", "0.8"],
+                        None),
 }
 
 
@@ -56,9 +58,10 @@ def time_call(tree: Path, name: str, work: Path) -> float:
     argv, config = COMMANDS[name]
     d = work / name
     d.mkdir(parents=True)
-    (d / "in.cfg").write_text(config, encoding="utf-8")
-    cmd = [sys.executable, "-m", "relaxwave.cli", *argv, "--config", "in.cfg",
-           "--out", "out", "--quiet"]
+    if config is not None:
+        (d / "in.cfg").write_text(config, encoding="utf-8")
+        argv = [*argv, "--config", "in.cfg"]
+    cmd = [sys.executable, "-m", "relaxwave.cli", *argv, "--out", "out", "--quiet"]
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=d, env=tree_env(tree), capture_output=True, text=True,
                           timeout=600)
