@@ -44,6 +44,7 @@ from .sim import (
     SimStateMKdVB,
     Trajectory19,
     TrajectoryMKdVB,
+    boundary_from_wave,
     compare_to_exact,
     evolve_mkdvb,
     evolve_system19,
@@ -64,6 +65,7 @@ from .verify import (
     SelftestReport,
     complex_residual_reports,
     eq11_residual_physical,
+    exactness_forcing,
     manufactured_selftest,
     real_residual_reports,
     system19_point_residual,
@@ -113,6 +115,7 @@ __all__ = [
     "real_residual_reports",
     "complex_residual_reports",
     "eq11_residual_physical",
+    "exactness_forcing",
     "manufactured_selftest",
     "SimState19",
     "SimStateMKdVB",
@@ -120,6 +123,7 @@ __all__ = [
     "Trajectory19",
     "TrajectoryMKdVB",
     "soliton_state19",
+    "boundary_from_wave",
     "evolve_system19",
     "evolve_mkdvb",
     "compare_to_exact",

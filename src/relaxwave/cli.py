@@ -71,8 +71,6 @@ from .verify import (
     system19_point_residual,
 )
 
-__all__ = ["FigureSpec", "figure", "run_report", "main"]
-
 _DEFAULT_FIGURE_ALPHAS = (alpha_critical(0.24), 0.1, 0.8)
 
 # verify --system token -> system name
@@ -230,7 +228,11 @@ def _cmd_bilinear(args) -> int:
 
 def _cmd_verify(args) -> int:
     token = _SYSTEM_TOKENS[args.system]
-    methods = METHODS if args.method == "all" else (args.method,)
+    if args.method is not None and token == "physical":
+        raise DomainError("--method is not read by --system physical")
+    if args.point is not None and token != "coupled":
+        raise DomainError(f"--point is read by --system coupled only, not {args.system}")
+    methods = METHODS if args.method == "all" else (args.method or "analytic",)
     grid = _grid_from_args(args)
     obj: dict = {"system": token, "reports": []}
     if token == "complex":
@@ -594,7 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("critical-alpha", parents=[common],
                        help="critical dissipative parameter at velocity v")
     p.add_argument("--v", type=float, required=True)
-    p.add_argument("--format", default=None, help="json for a JSON object; plain text otherwise")
+    p.add_argument("--format", choices=("json",), default=None,
+                   help="json for a JSON object; the plain number without it")
     p.set_defaults(func=_cmd_critical_alpha)
 
     p = sub.add_parser("soliton-profile", parents=[common],
@@ -629,7 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True, choices=tuple(_SYSTEM_TOKENS))
     p.add_argument("--v", type=float, default=0.24)
     p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--method", choices=(*METHODS, "all"), default="analytic")
+    p.add_argument("--method", choices=(*METHODS, "all"), default=None,
+                   help="grid systems: derivative route (default analytic)")
     p.add_argument("--k-re", type=float, default=1.25,
                    help="complex system: real part of k")
     p.add_argument("--k-im", type=float, default=0.0,

@@ -20,17 +20,6 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-__all__ = [
-    "RealWave",
-    "ComplexWave",
-    "alpha_critical",
-    "solve_real",
-    "real_dispersion_residual",
-    "solve_complex_omega",
-    "complex_dispersion_residual",
-    "make_complex_wave",
-]
-
 
 @dataclass(frozen=True)
 class RealWave:

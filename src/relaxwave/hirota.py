@@ -34,17 +34,6 @@ import numpy as np
 from .dispersion import RealWave
 from .errors import DomainError
 
-__all__ = [
-    "ExpAtom",
-    "TauFunction",
-    "TauPair",
-    "tau_pair",
-    "d_op",
-    "BilinearReport",
-    "VARIANTS",
-    "bilinear_residual",
-]
-
 _MAX_DOP_ORDER = 8
 _BILINEAR_RANGE = (-10.0, 10.0)
 _BILINEAR_NODES = 101
@@ -139,24 +128,6 @@ def d_op(m: int, n: int, f: TauFunction, g: TauFunction) -> TauFunction:
             coeff = fa.coeff * ga.coeff * (fa.a - ga.a) ** m * (fa.b - ga.b) ** n
             atoms.append(ExpAtom(coeff, fa.a + ga.a, fa.b + ga.b))
     return TauFunction.from_atoms(atoms)
-
-
-def _richardson_diagonal(values: list[float], factor: float) -> list[float]:
-    """Diagonal of the Richardson table of step-halving estimates ``values``.
-
-    ``values[i]`` is an estimate at step ``h/2**i`` whose error series runs in
-    ``h**p, h**(p+2), ...`` with ``factor = 2**p``; column ``j`` of the table
-    removes ``j`` terms of it, its factor growing fourfold per column.  Entry
-    ``j`` of the result is the first value of column ``j``.
-    """
-    row = list(values)
-    diag = [row[0]]
-    fac = factor
-    while len(row) > 1:
-        row = [(fac * row[i + 1] - row[i]) / (fac - 1.0) for i in range(len(row) - 1)]
-        diag.append(row[0])
-        fac *= 4.0
-    return diag
 
 
 @dataclass(frozen=True)

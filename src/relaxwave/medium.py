@@ -23,17 +23,6 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-__all__ = [
-    "MediumParams",
-    "HighFreqCoeffs",
-    "LowFreqCoeffs",
-    "ReducedParams",
-    "high_freq_coeffs",
-    "low_freq_coeffs",
-    "reduce_swsp",
-    "reduce_combined",
-]
-
 
 @dataclass(frozen=True)
 class MediumParams:

@@ -16,19 +16,6 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = [
-    "fmt",
-    "csv_text",
-    "write_csv",
-    "write_csv_series",
-    "to_jsonable",
-    "canonical_json",
-    "write_json",
-    "parse_config",
-    "config_value",
-    "write_svg",
-]
-
 _PALETTE = ("#1f3a93", "#c0392b", "#14865c", "#8e44ad", "#b7950b", "#1a7a8a")
 _CSV_BLOCK_ROWS = 2048
 

@@ -48,20 +48,6 @@ from .errors import DomainError, NumericalError
 from .medium import MediumParams, low_freq_coeffs
 from .soliton import coupled_system, eval_uZ, real_bundles
 
-__all__ = [
-    "SimState19",
-    "Trajectory19",
-    "MKdVBCoeffs",
-    "SimStateMKdVB",
-    "TrajectoryMKdVB",
-    "soliton_state19",
-    "boundary_from_wave",
-    "evolve_system19",
-    "compare_to_exact",
-    "ErrorsVsTime",
-    "evolve_mkdvb",
-]
-
 _BoundaryFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 # Grid points per forcing call: a call takes max(1, _FORCING_POINTS // n) stage times.
 _FORCING_POINTS = 4096

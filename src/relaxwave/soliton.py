@@ -35,27 +35,6 @@ import numpy as np
 from .dispersion import ComplexWave, RealWave, alpha_critical
 from .errors import DomainError
 
-__all__ = [
-    "FieldBundle",
-    "ProfileSamples",
-    "ShapeClass",
-    "SHAPE_LOOP",
-    "SHAPE_CUSP",
-    "SHAPE_KINK",
-    "sech",
-    "theta",
-    "eval_uZ",
-    "real_bundles",
-    "coupled_u_parts",
-    "coupled_system",
-    "eval_complex_Q",
-    "complex_Z",
-    "complex_bundles",
-    "singular_thetas",
-    "classify",
-    "profile",
-]
-
 SHAPE_LOOP = "loop"
 SHAPE_CUSP = "cusp"
 SHAPE_KINK = "kink"

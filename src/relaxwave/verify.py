@@ -46,7 +46,6 @@ import numpy as np
 
 from .dispersion import ComplexWave, RealWave
 from .errors import DomainError
-from .hirota import _richardson_diagonal
 from .soliton import (
     FieldBundle,
     ProfileSamples,
@@ -59,28 +58,6 @@ from .soliton import (
     eval_uZ,
     real_bundles,
 )
-
-__all__ = [
-    "METHODS",
-    "GridSpec",
-    "EquationResidual",
-    "ResidualReport",
-    "SelftestReport",
-    "residuals_from_bundles",
-    "fd_bundle",
-    "REAL_SYSTEMS",
-    "real_residual_reports",
-    "complex_residual_reports",
-    "system19_point_residual",
-    "physical_operator_grid",
-    "eq11_residual_physical",
-    "manufactured_u",
-    "manufactured_Z",
-    "manufactured_bundles",
-    "manufactured_forcing",
-    "exactness_forcing",
-    "manufactured_selftest",
-]
 
 METHODS = ("analytic", "fd2", "fd4")
 REAL_SYSTEMS = ("coupled", "factored")
@@ -298,6 +275,24 @@ def _block_fd_bundles(flat, rows: int, pad: int, order: int, hs: float,
     runs = (_stencil_bundle(at(F, 0), [(at(F, j * width), at(F, -j * width)) for j in steps],
                             [(at(F, j), at(F, -j)) for j in steps], hs, ht) for F in flat)
     return tuple(FieldBundle(*map(interior, (b.f, b.s, b.t, b.ss, b.tt))) for b in runs)
+
+
+def _richardson_diagonal(values: list[float], factor: float) -> list[float]:
+    """Diagonal of the Richardson table of step-halving estimates ``values``.
+
+    ``values[i]`` is an estimate at step ``h/2**i`` whose error series runs in
+    ``h**p, h**(p+2), ...`` with ``factor = 2**p``; column ``j`` of the table
+    removes ``j`` terms of it, its factor growing fourfold per column.  Entry
+    ``j`` of the result is the first value of column ``j``.
+    """
+    row = list(values)
+    diag = [row[0]]
+    fac = factor
+    while len(row) > 1:
+        row = [(fac * row[i + 1] - row[i]) / (fac - 1.0) for i in range(len(row) - 1)]
+        diag.append(row[0])
+        fac *= 4.0
+    return diag
 
 
 def _point_bundles(fields: Callable, sigma: float, tau: float,

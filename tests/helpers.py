@@ -16,7 +16,8 @@ from math import comb
 import numpy as np
 
 from relaxwave.errors import DomainError
-from relaxwave.hirota import ExpAtom, TauFunction, _richardson_diagonal
+from relaxwave.hirota import ExpAtom, TauFunction
+from relaxwave.verify import _richardson_diagonal
 
 # Critical dissipative parameter v*sqrt(1+v)/(1-v) at v = 0.24 and v = 0.5.
 CRIT_ALPHA_024 = 0.35164827554715928

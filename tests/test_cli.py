@@ -102,6 +102,7 @@ def test_verify_factored_and_complex(capsys):
     code, obj = run_json(capsys, ["verify", "--system", "14"] + GRID_SMALL)
     assert code == 0
     assert obj["system"] == "factored"
+    assert [r["method"] for r in obj["reports"]] == ["analytic"]
     assert obj["reports"][0]["equations"][0]["equation"] == "u-factored"
     code, obj = run_json(capsys, ["verify", "--system", "complex", "--k-re", "1.0",
                                   "--k-im", "0.5", "--alpha", "0.1"] + GRID_SMALL)
@@ -119,6 +120,30 @@ def test_verify_physical(capsys):
     assert obj["system"] == "physical"
     assert obj["reports"][0]["equations"][0]["linf"] == pytest.approx(1.6805032,
                                                                       abs=1e-3)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--system", "physical", "--method", "fd4"], "--method is not read by --system physical"),
+    (["--system", "11", "--method", "analytic"], "--method is not read by --system physical"),
+    (["--system", "factored", "--point", "0", "0"],
+     "--point is read by --system coupled only, not factored"),
+    (["--system", "complex", "--point", "0", "0"],
+     "--point is read by --system coupled only, not complex"),
+    (["--system", "physical", "--point", "0", "0"],
+     "--point is read by --system coupled only, not physical"),
+])
+def test_verify_refuses_an_option_its_system_does_not_read(tmp_path, capsys, argv, message):
+    assert_refused(tmp_path, capsys, ["verify", *argv, "--out", str(tmp_path / "out")],
+                   message)
+
+
+def test_critical_alpha_refuses_a_format_other_than_json(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["critical-alpha", "--v", "0.2", "--format", "xml"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --format: invalid choice: 'xml'" in captured.err
+    assert captured.out == ""
 
 
 def test_medium_command_and_config_route(tmp_path, capsys):

@@ -1,16 +1,30 @@
 """The package modules import each other in one direction only, none
-imports scipy, none keeps code that only the tests call, and ``verify``
-keeps no state between calls.
+imports scipy, none keeps code that only the tests call, each public name
+is declared once, and ``verify`` keeps no state between calls.
 
 Every ``src/relaxwave/*.py`` is parsed with :mod:`ast`; imports inside
 functions and under ``TYPE_CHECKING`` count as much as top-level ones.  No
 module imports ``scipy`` in any form, so the package runs on numpy alone.
 Every module-level function and class is referenced somewhere in the
-package or exported by ``relaxwave`` or ``relaxwave.cli``, and every public
-method is read as an attribute somewhere in the package; test oracles live
-in ``tests/helpers.py``.  Every name that the top level of
+package or exported by ``relaxwave``, and every public method is read as an
+attribute somewhere in the package; test oracles live in
+``tests/helpers.py``.  Every name that the top level of
 ``relaxwave.verify`` binds holds a value no call can change, so its grid
 reports are reentrant by construction.
+
+``relaxwave.__all__`` is the one list of the public API, and the import
+rule is:
+
+1. no ``src/relaxwave/*.py`` but ``__init__.py`` binds ``__all__``, and no
+   module of the package and no test star-imports;
+2. every name in ``relaxwave.__all__`` but ``__version__`` is the same
+   object as a non-underscore top-level definition (``def``, ``class`` or
+   assignment) in exactly one module of the package;
+3. a module of the package, a test or a helper imports a name from
+   ``relaxwave.<mod>`` only if ``<mod>`` defines it at top level, so a name
+   that ``<mod>`` only re-binds by its own import (such as
+   ``relaxwave.verify.FieldBundle``) is refused; ``from relaxwave import``
+   takes only names in ``relaxwave.__all__`` and module names.
 
 The coupled characteristic system (system 19) is written once, as
 ``soliton.coupled_system`` with the parts of its equation ``u`` in
@@ -32,6 +46,7 @@ import numpy as np
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "relaxwave"
+TESTS = Path(__file__).resolve().parent
 
 # Lowest layer first; a module may import only modules of lower layers.
 LAYERS = (("errors",), ("output",), ("medium",), ("dispersion",), ("hirota",),
@@ -207,10 +222,90 @@ def test_the_reference_scanner_sees_names_attributes_and_exports(tmp_path):
 
 def test_every_function_class_and_public_method_has_a_caller_in_the_package():
     import relaxwave
-    import relaxwave.cli
 
-    exported = set(relaxwave.__all__) | set(relaxwave.cli.__all__)
-    assert unreferenced(sorted(PACKAGE.glob("*.py")), exported) == []
+    assert unreferenced(sorted(PACKAGE.glob("*.py")), set(relaxwave.__all__)) == []
+
+
+def top_level_definitions(path: Path) -> set[str]:
+    """Names that the top level of the module at ``path`` binds by ``def``,
+    ``class`` or assignment; an import defines no name."""
+    bound = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return bound
+
+
+def test_only_the_package_binds_all_and_nothing_star_imports():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and any(a.name == "*" for a in node.names):
+                found.append(f"{path.parent.name}/{path.name}: import *")
+            elif (isinstance(node, ast.Name) and node.id == "__all__"
+                  and isinstance(node.ctx, ast.Store) and path.parent == PACKAGE
+                  and path.stem != "__init__"):
+                found.append(f"{path.parent.name}/{path.name}: __all__")
+    assert found == []
+
+
+def test_every_export_is_defined_in_exactly_one_module():
+    import relaxwave
+
+    modules = {p.stem: (top_level_definitions(p), importlib.import_module(f"relaxwave.{p.stem}"))
+               for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"}
+    owners = {name: [mod for mod, (defined, module) in modules.items()
+                     if name in defined and getattr(module, name) is getattr(relaxwave, name)]
+              for name in relaxwave.__all__ if name != "__version__"}
+    assert len(set(relaxwave.__all__)) == len(relaxwave.__all__)
+    assert {name: mods for name, mods in owners.items() if len(mods) != 1} == {}
+
+
+def misplaced_imports(paths, exported) -> list[str]:
+    """Imports at ``paths`` of a name that the named package module does not
+    define at top level, or ``from relaxwave import`` of a name that is
+    neither in ``exported`` nor a package module.  Results read
+    ``file: module.name``."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 1 and path.parent == PACKAGE:
+                mod = node.module
+            elif node.level == 0 and (node.module or "").split(".")[0] == "relaxwave":
+                mod = node.module.partition(".")[2] or None
+            else:
+                continue
+            for alias in node.names:
+                if mod is None:
+                    ok = alias.name in exported or (PACKAGE / f"{alias.name}.py").exists()
+                else:
+                    ok = alias.name in top_level_definitions(PACKAGE / f"{mod}.py")
+                if not ok:
+                    found.append(f"{path.name}: {mod or 'relaxwave'}.{alias.name}")
+    return found
+
+
+def test_the_import_rule_scanner_refuses_re_bound_and_unexported_names(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("from relaxwave.verify import FieldBundle, GridSpec\n"
+                    "from relaxwave.soliton import FieldBundle as FB\n"
+                    "from relaxwave import solve_real, soliton, real_bundles\n"
+                    "def f():\n    from relaxwave.sim import eval_uZ\n")
+    assert misplaced_imports([path], {"solve_real"}) == [
+        "probe.py: verify.FieldBundle", "probe.py: relaxwave.real_bundles",
+        "probe.py: sim.eval_uZ"]
+
+
+def test_every_import_names_the_module_that_defines_the_name():
+    import relaxwave
+
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert misplaced_imports(paths, set(relaxwave.__all__)) == []
 
 
 def frozen(value) -> bool:
@@ -230,14 +325,7 @@ def module_state(path: Path, module) -> list[str]:
 
     Dunder names such as ``__all__`` are module metadata and are skipped.
     """
-    bound = set()
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            bound.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
-    return sorted(name for name in bound
+    return sorted(name for name in top_level_definitions(path)
                   if not name.startswith("__") and not frozen(getattr(module, name)))
 
 
