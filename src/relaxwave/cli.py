@@ -12,11 +12,11 @@ Exit codes: 0 success, 2 domain error, 3 numerical abort, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,6 @@ from .output import (
     fmt,
     parse_config,
     to_jsonable,
-    write_csv,
     write_csv_series,
     write_json,
     write_svg,
@@ -73,13 +72,27 @@ from .verify import (
 
 _DEFAULT_FIGURE_ALPHAS = (alpha_critical(0.24), 0.1, 0.8)
 
-# verify --system token -> system name
+# --system token -> system name
 _SYSTEM_TOKENS = {"19": "coupled", "coupled": "coupled", "14": "factored",
                   "factored": "factored", "eqq11": "complex", "complex": "complex",
-                  "11": "physical", "physical": "physical"}
+                  "11": "physical", "physical": "physical", "mkdvb": "mkdvb"}
+
+# verify's grid options: one per GridSpec field, with its default
+_GRID = tuple(f"--{f.name.replace('_', '-')}" for f in dataclasses.fields(GridSpec))
+
+# The options that each --system of verify and simulate reads.  Any other
+# option of the command that the command line names is refused before any
+# work (exit 2).
+_READS = {
+    "verify": {"coupled": ("--v", "--alpha", "--method", "--point", *_GRID),
+               "factored": ("--v", "--alpha", "--method", *_GRID),
+               "complex": ("--k-re", "--k-im", "--root", "--alpha", "--method", *_GRID),
+               "physical": ("--v", "--alpha", "--tau-point", *_GRID[:3])},
+    "simulate": {"coupled": ("--config",), "mkdvb": ("--config", "--seed")},
+}
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class FigureSpec:
     """Parameters of the profile-figure emitter.
 
@@ -120,18 +133,12 @@ def _emit_json(args, obj) -> None:
         sys.stdout.write(canonical_json(obj))
 
 
-def _emit_csv(args, header, rows) -> None:
+def _emit_csv(args, header, lead, table) -> None:
     if args.out:
-        write_csv(args.out, header, rows)
+        write_csv_series([args.out], header, lead, [table])
         _print(args, f"wrote {args.out}")
     else:
-        sys.stdout.write(csv_text(header, rows))
-
-
-def _grid_from_args(args) -> GridSpec:
-    return GridSpec(sigma_min=args.sigma_min, sigma_max=args.sigma_max,
-                    n_sigma=args.n_sigma, tau_min=args.tau_min,
-                    tau_max=args.tau_max, n_tau=args.n_tau)
+        sys.stdout.write(csv_text(header, np.column_stack((lead, table))))
 
 
 def _report_obj(rep: ResidualReport) -> dict:
@@ -203,9 +210,8 @@ def _cmd_soliton_profile(args) -> int:
     w = solve_real(args.v, args.alpha, theta0=args.theta0)
     p = profile(w, tau=args.tau, sigma_min=args.sigma_min,
                 sigma_max=args.sigma_max, n=args.n, C=args.C)
-    header = ("sigma", "theta", "u", "Z", "y", "pi", "dZdsigma")
-    rows = np.column_stack((p.sigma, p.theta, p.u, p.Z, p.y, p.pi, p.dZdsigma))
-    _emit_csv(args, header, rows)
+    _emit_csv(args, ("sigma", "theta", "u", "Z", "y", "pi", "dZdsigma"), p.sigma,
+              np.column_stack((p.theta, p.u, p.Z, p.y, p.pi, p.dZdsigma)))
     return 0
 
 
@@ -226,14 +232,17 @@ def _cmd_bilinear(args) -> int:
     return 0
 
 
+def _refuse_unread_options(args) -> None:
+    system = _SYSTEM_TOKENS[args.system]
+    for option in args.named:
+        if option not in _READS[args.command][system]:
+            raise DomainError(f"{option} is not read by --system {system}")
+
+
 def _cmd_verify(args) -> int:
     token = _SYSTEM_TOKENS[args.system]
-    if args.method is not None and token == "physical":
-        raise DomainError("--method is not read by --system physical")
-    if args.point is not None and token != "coupled":
-        raise DomainError(f"--point is read by --system coupled only, not {args.system}")
-    methods = METHODS if args.method == "all" else (args.method or "analytic",)
-    grid = _grid_from_args(args)
+    methods = METHODS if args.method == "all" else (args.method,)
+    grid = GridSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(GridSpec)})
     obj: dict = {"system": token, "reports": []}
     if token == "complex":
         cw = make_complex_wave(complex(args.k_re, args.k_im), args.alpha,
@@ -293,19 +302,15 @@ def figure(spec: FigureSpec, out_dir: str | Path) -> dict:
         sc = classify(w)
         p = profile(w, tau=spec.tau, sigma_min=spec.sigma_min,
                     sigma_max=spec.sigma_max, n=spec.n)
-        fu = f"curve_{i:02d}_u.csv"
-        fp = f"curve_{i:02d}_pi.csv"
-        write_csv(out / fu, ("sigma", "y", "u"), np.column_stack((p.sigma, p.y, p.u)))
-        write_csv(out / fp, ("sigma", "y", "pi"), np.column_stack((p.sigma, p.y, p.pi)))
-        files = {"u": fu, "pi": fp}
-        if spec.fmt == "svg":
-            su = f"curve_{i:02d}_u.svg"
-            sp = f"curve_{i:02d}_pi.svg"
-            label = f"alpha={fmt(a)}"
-            write_svg(out / su, [(p.y, p.u, label)], "y", "u")
-            write_svg(out / sp, [(p.y, p.pi, label)], "y", "pi")
-            files["svg_u"] = su
-            files["svg_pi"] = sp
+        files = {}
+        for name, field in (("u", p.u), ("pi", p.pi)):
+            files[name] = f"curve_{i:02d}_{name}.csv"
+            write_csv_series([out / files[name]], ("sigma", "y", name), p.sigma,
+                             [np.column_stack((p.y, field))])
+            if spec.fmt == "svg":
+                files[f"svg_{name}"] = f"curve_{i:02d}_{name}.svg"
+                write_svg(out / files[f"svg_{name}"], [(p.y, field, f"alpha={fmt(a)}")],
+                          "y", name)
         panels.append({"alpha": a, **_shape_obj(sc), "files": files})
     manifest = {"schema_version": 1, "v": spec.v, "tau": spec.tau,
                 "sigma_min": spec.sigma_min, "sigma_max": spec.sigma_max,
@@ -321,7 +326,7 @@ def _cmd_figure(args) -> int:
               else _DEFAULT_FIGURE_ALPHAS)
     spec = FigureSpec(v=args.v, alphas=alphas, tau=args.tau,
                       sigma_min=args.sigma_min, sigma_max=args.sigma_max,
-                      n=args.n, fmt=args.format or "csv")
+                      n=args.n, fmt=args.format)
     figure(spec, args.out)
     _print(args, f"wrote {args.out}")
     return 0
@@ -519,7 +524,7 @@ def _cmd_simulate(args) -> int:
         raise DomainError("simulate requires --out <directory>")
     cfg = _config_from_path(args.config)
     out = Path(args.out)
-    if args.system in ("19", "coupled"):
+    if _SYSTEM_TOKENS[args.system] == "coupled":
         _simulate_system19(cfg, out)
     else:
         _simulate_mkdvb(cfg, out, args.seed)
@@ -559,13 +564,13 @@ def _cmd_medium(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser assembly.
 
-def _add_grid_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sigma-min", type=float, default=-15.0)
-    p.add_argument("--sigma-max", type=float, default=15.0)
-    p.add_argument("--n-sigma", type=int, default=301)
-    p.add_argument("--tau-min", type=float, default=-15.0)
-    p.add_argument("--tau-max", type=float, default=15.0)
-    p.add_argument("--n-tau", type=int, default=301)
+class _Named(argparse.Action):
+    """Store the value and note the option as named on the command line, so
+    that ``_READS`` can refuse it where its system does not read it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.named = (*namespace.named, self.option_strings[0])
 
 
 def _seed(text: str) -> int:
@@ -574,12 +579,24 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _system_tokens(command: str) -> tuple[str, ...]:
+    return tuple(t for t, system in _SYSTEM_TOKENS.items() if system in _READS[command])
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None,
                         help="output file (or directory for multi-file commands)")
     common.add_argument("--quiet", action="store_true",
                         help="suppress informational notes")
+    wave = argparse.ArgumentParser(add_help=False)
+    wave.add_argument("--v", type=float, required=True)
+    wave.add_argument("--alpha", type=float, required=True)
+    # the profile samples of soliton-profile and figure, FigureSpec's by default
+    samples = argparse.ArgumentParser(add_help=False)
+    for name in ("tau", "sigma_min", "sigma_max", "n"):
+        default = getattr(FigureSpec, name)
+        samples.add_argument(f"--{name.replace('_', '-')}", type=type(default), default=default)
 
     ap = argparse.ArgumentParser(
         prog="relaxwave",
@@ -587,10 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "for nonlinear waves in relaxing media.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dispersion", parents=[common],
+    p = sub.add_parser("dispersion", parents=[common, wave],
                        help="solve the real dispersion relation")
-    p.add_argument("--v", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
     p.set_defaults(func=_cmd_dispersion)
 
     p = sub.add_parser("critical-alpha", parents=[common],
@@ -600,72 +615,60 @@ def build_parser() -> argparse.ArgumentParser:
                    help="json for a JSON object; the plain number without it")
     p.set_defaults(func=_cmd_critical_alpha)
 
-    p = sub.add_parser("soliton-profile", parents=[common],
+    p = sub.add_parser("soliton-profile", parents=[common, wave, samples],
                        help="parametric profile samples as CSV")
-    p.add_argument("--v", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--tau", type=float, default=0.0)
     p.add_argument("--theta0", type=float, default=0.0)
     p.add_argument("--C", type=float, default=0.0)
-    p.add_argument("--sigma-min", type=float, default=-15.0)
-    p.add_argument("--sigma-max", type=float, default=15.0)
-    p.add_argument("--n", type=int, default=601)
     p.set_defaults(func=_cmd_soliton_profile)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[common, wave],
                        help="loop/cusp/kink shape classification")
-    p.add_argument("--v", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("bilinear", parents=[common],
+    p = sub.add_parser("bilinear", parents=[common, wave],
                        help="bilinear-line residual measurement")
-    p.add_argument("--v", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--variant", choices=("both", "squared", "linear"),
                    default="both")
     p.set_defaults(func=_cmd_bilinear)
 
     p = sub.add_parser("verify", parents=[common],
                        help="residual report of a candidate solution")
-    p.add_argument("--system", required=True, choices=tuple(_SYSTEM_TOKENS))
-    p.add_argument("--v", type=float, default=0.24)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--method", choices=(*METHODS, "all"), default=None,
-                   help="grid systems: derivative route (default analytic)")
-    p.add_argument("--k-re", type=float, default=1.25,
+    p.add_argument("--system", required=True, choices=_system_tokens("verify"))
+    p.add_argument("--v", type=float, default=0.24, action=_Named)
+    p.add_argument("--alpha", type=float, default=0.1, action=_Named)
+    p.add_argument("--method", choices=(*METHODS, "all"), default="analytic",
+                   action=_Named, help="derivative route")
+    p.add_argument("--k-re", type=float, default=1.25, action=_Named,
                    help="complex system: real part of k")
-    p.add_argument("--k-im", type=float, default=0.0,
+    p.add_argument("--k-im", type=float, default=0.0, action=_Named,
                    help="complex system: imaginary part of k")
-    p.add_argument("--root", type=int, choices=(0, 1), default=0,
+    p.add_argument("--root", type=int, choices=(0, 1), default=0, action=_Named,
                    help="complex system: dispersion root index")
-    p.add_argument("--tau-point", type=float, default=0.0,
+    p.add_argument("--tau-point", type=float, default=0.0, action=_Named,
                    help="physical system: profile time")
     p.add_argument("--point", type=float, nargs=2, metavar=("SIGMA", "TAU"),
-                   default=None, help="also report pointwise residuals here")
-    _add_grid_args(p)
-    p.set_defaults(func=_cmd_verify)
+                   default=None, action=_Named,
+                   help="coupled system: also report pointwise residuals here")
+    for option, f in zip(_GRID, dataclasses.fields(GridSpec)):
+        p.add_argument(option, type=type(f.default), default=f.default, action=_Named)
+    p.set_defaults(func=_cmd_verify, named=())
 
     p = sub.add_parser("simulate", parents=[common],
                        help="time-integrate one of the model systems")
-    p.add_argument("--system", required=True,
-                   choices=("19", "coupled", "mkdvb"))
-    p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--seed", type=_seed, default=0,
+    p.add_argument("--system", required=True, choices=_system_tokens("simulate"))
+    p.add_argument("--config", default=None, action=_Named,
+                   help="flat key=value config file")
+    p.add_argument("--seed", type=_seed, default=0, action=_Named,
                    help="numpy.random seed of the mkdvb random initial state")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, named=())
 
-    p = sub.add_parser("figure", parents=[common],
+    p = sub.add_parser("figure", parents=[common, samples],
                        help="emit profile curves (u vs y, momentum vs y)")
-    p.add_argument("--v", type=float, default=0.24)
+    p.add_argument("--v", type=float, default=FigureSpec.v)
     p.add_argument("--alphas", default=None,
                    help="comma list of alpha values; token 'critical' allowed")
-    p.add_argument("--tau", type=float, default=0.0)
-    p.add_argument("--sigma-min", type=float, default=-15.0)
-    p.add_argument("--sigma-max", type=float, default=15.0)
-    p.add_argument("--n", type=int, default=601)
-    p.add_argument("--format", default=None, help="csv (default) or svg curves")
+    p.add_argument("--format", default=FigureSpec.fmt, help="csv (default) or svg curves")
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("run-report", parents=[common],
@@ -696,6 +699,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.command in _READS:
+            _refuse_unread_options(args)
         return args.func(args)
     except NumericalError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)

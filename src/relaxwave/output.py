@@ -28,67 +28,61 @@ def fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _csv_parts(header: Sequence[str], rows: np.ndarray) -> Iterator[str]:
-    """Pieces of the CSV text, in order; see :func:`csv_text`."""
-    yield ",".join(header) + "\r\n"
-    # Adding 0.0 maps -0.0 to 0.0, as fmt() does; 17-digit numbers, inf and
-    # nan never need CSV quoting.  Blocks of rows bound the temporary Python
-    # floats and strings on large tables.
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
-    for start in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
-        block = rows[start:start + _CSV_BLOCK_ROWS] + 0.0
-        yield (line * block.shape[0]) % tuple(block.ravel().tolist())
+def _csv_texts(header: Sequence[str], lead: np.ndarray,
+               tables: Iterable[np.ndarray]) -> Iterator[Iterator[str]]:
+    """Per table, the pieces of the CSV text of ``np.column_stack((lead, table))``.
+
+    ``lead`` is 1-D; each ``table`` has ``len(lead)`` rows and
+    ``len(header) - 1`` columns (1-D for one column).
+    """
+    lead = np.asarray(lead, dtype=float)
+    if lead.ndim != 1:
+        raise DomainError(f"leading column must be 1-D, got shape {lead.shape}")
+    head = ",".join(header) + "\r\n"
+    shape = (lead.size, len(header) - 1)
+    # One template per block of rows: the block's leads formatted once, with
+    # each field's "%.17g" escaped so that it survives; a table then costs one
+    # "%" per block.  Adding 0.0 maps -0.0 to 0.0, as fmt() does; 17-digit
+    # numbers, inf and nan never contain "%" or need CSV quoting.
+    row = "%.17g" + ",%%.17g" * shape[1] + "\r\n"
+    starts = range(0, lead.size, _CSV_BLOCK_ROWS)
+    templates = [(row * part.size) % tuple(part.tolist())
+                 for part in (lead[i:i + _CSV_BLOCK_ROWS] + 0.0 for i in starts)]
+
+    def pieces(table: np.ndarray) -> Iterator[str]:
+        yield head
+        for i, template in zip(starts, templates):
+            block = table[i:i + _CSV_BLOCK_ROWS] + 0.0
+            yield template % tuple(block.ravel().tolist())
+
+    for table in tables:
+        table = np.asarray(table, dtype=float)
+        table = table[:, None] if table.ndim == 1 else table
+        if table.shape != shape:
+            raise DomainError(f"table has shape {table.shape}; expected {shape}")
+        yield pieces(table)
 
 
 def csv_text(header: Sequence[str], rows: np.ndarray) -> str:
     """CSV text of a 2-D float array: CRLF endings, 17-digit floats.
 
-    ``header`` holds plain identifiers, which CSV never quotes.  The rows are
-    formatted one block of rows per ``%`` operation.
+    ``header`` holds plain identifiers, which CSV never quotes.
     """
-    return "".join(_csv_parts(header, rows))
-
-
-def write_csv(path: str | Path, header: Sequence[str], rows: np.ndarray) -> None:
-    """Write :func:`csv_text` of a 2-D float array (RFC 4180, CRLF endings)."""
-    with open(Path(path), "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(_csv_parts(header, rows))
+    rows = np.asarray(rows, dtype=float)
+    (pieces,) = _csv_texts(header, rows[:, 0], [rows[:, 1:]])
+    return "".join(pieces)
 
 
 def write_csv_series(paths: Iterable[str | Path], header: Sequence[str], lead: np.ndarray,
                      tables: Iterable[np.ndarray]) -> None:
     """Write one CSV per ``(path, table)`` pair, all sharing the leading column.
 
-    Each file has the bytes of ``write_csv(path, header,
-    np.column_stack((lead, table)))``.  ``lead`` is 1-D and every ``table``
-    is a float array of ``len(lead)`` rows and ``len(header) - 1`` columns
-    (1-D for one column).  The leading column is formatted once, into the
-    row templates, so a file costs one ``%`` per block of rows over its own
-    columns alone.
+    Each file has the bytes of ``csv_text(header, np.column_stack((lead,
+    table)))``; see :func:`_csv_texts` for the shapes.
     """
-    lead = np.asarray(lead, dtype=float)
-    if lead.ndim != 1:
-        raise DomainError(f"leading column must be 1-D, got shape {lead.shape}")
-    head = csv_text(header, np.empty((0, len(header))))
-    shape = (lead.size, len(header) - 1)
-    # One template per block of rows, as in _csv_parts: the block's leads
-    # formatted by one "%", with each field's "%.17g" escaped so that it
-    # survives.  Adding 0.0 maps -0.0 to 0.0, as fmt() does; a 17-digit
-    # number never contains "%".
-    row = "%.17g" + ",%%.17g" * shape[1] + "\r\n"
-    starts = range(0, lead.size, _CSV_BLOCK_ROWS)
-    templates = [(row * part.size) % tuple(part.tolist())
-                 for part in (lead[i:i + _CSV_BLOCK_ROWS] + 0.0 for i in starts)]
-    for path, table in zip(paths, tables, strict=True):
-        table = np.asarray(table, dtype=float)
-        table = table[:, None] if table.ndim == 1 else table
-        if table.shape != shape:
-            raise DomainError(f"table has shape {table.shape}; expected {shape}")
+    for path, pieces in zip(paths, _csv_texts(header, lead, tables), strict=True):
         with open(Path(path), "w", newline="", encoding="utf-8") as fh:
-            fh.write(head)
-            for i, template in zip(starts, templates):
-                block = table[i:i + _CSV_BLOCK_ROWS] + 0.0
-                fh.write(template % tuple(block.ravel().tolist()))
+            fh.writelines(pieces)
 
 
 def to_jsonable(obj: Any) -> Any:

@@ -1,9 +1,11 @@
 """End-to-end command-line checks: outputs, file artifacts, exit codes."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -123,18 +125,77 @@ def test_verify_physical(capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["--system", "physical", "--method", "fd4"], "--method is not read by --system physical"),
-    (["--system", "11", "--method", "analytic"], "--method is not read by --system physical"),
-    (["--system", "factored", "--point", "0", "0"],
-     "--point is read by --system coupled only, not factored"),
-    (["--system", "complex", "--point", "0", "0"],
-     "--point is read by --system coupled only, not complex"),
-    (["--system", "physical", "--point", "0", "0"],
-     "--point is read by --system coupled only, not physical"),
+    (["verify", "--system", "physical", "--method", "fd4"],
+     "--method is not read by --system physical"),
+    (["verify", "--system", "11", "--method", "analytic"],
+     "--method is not read by --system physical"),
+    (["verify", "--system", "factored", "--point", "0", "0"],
+     "--point is not read by --system factored"),
+    (["verify", "--system", "complex", "--point", "0", "0"],
+     "--point is not read by --system complex"),
+    (["verify", "--system", "physical", "--point", "0", "0"],
+     "--point is not read by --system physical"),
+    # named on the command line, even at its default value
+    (["verify", "--system", "complex", "--v", "0.24"], "--v is not read by --system complex"),
+    *[(["verify", "--system", system, option, value], f"{option} is not read by --system {system}")
+      for system in ("coupled", "factored", "physical")
+      for option, value in (("--k-re", "3"), ("--k-im", "0"), ("--root", "1"))],
+    *[(["verify", "--system", system, "--tau-point", "4"],
+       f"--tau-point is not read by --system {system}")
+      for system in ("coupled", "factored", "complex")],
+    (["verify", "--system", "physical", "--alpha", "0.8", "--tau-min", "-3"],
+     "--tau-min is not read by --system physical"),
+    (["verify", "--system", "physical", "--alpha", "0.8", "--tau-max=3"],
+     "--tau-max is not read by --system physical"),
+    (["verify", "--system", "physical", "--alpha", "0.8", "--n-t", "11"],
+     "--n-tau is not read by --system physical"),
+    (["simulate", "--system", "19", "--seed", "3"], "--seed is not read by --system coupled"),
 ])
 def test_verify_refuses_an_option_its_system_does_not_read(tmp_path, capsys, argv, message):
-    assert_refused(tmp_path, capsys, ["verify", *argv, "--out", str(tmp_path / "out")],
-                   message)
+    assert_refused(tmp_path, capsys, [*argv, "--out", str(tmp_path / "out")], message)
+
+
+def test_the_reads_table_names_every_option_of_verify_and_simulate(capsys):
+    # each option but --system and the common ones is noted when named, is
+    # read by some system, and passes the check with every system that reads it
+    cli = relaxwave.cli
+    sub = next(a for a in cli.build_parser()._actions if a.choices)
+    for command, reads in cli._READS.items():
+        actions = [a for a in sub.choices[command]._actions
+                   if a.option_strings[0] not in ("-h", "--out", "--quiet", "--system")]
+        assert all(isinstance(a, cli._Named) for a in actions)
+        assert ({a.option_strings[0] for a in actions}
+                == {option for options in reads.values() for option in options})
+        values = {a.option_strings[0]: ["1"] * (a.nargs or 1) for a in actions}
+        values["--method"] = ["fd2"]
+        for token, system in cli._SYSTEM_TOKENS.items():
+            if system in reads:
+                argv = [command, "--system", token,
+                        *[s for option in reads[system] for s in (option, *values[option])]]
+                args = cli._parser().parse_args(argv)
+                cli._refuse_unread_options(args)
+                assert sorted(args.named) == sorted(reads[system])
+
+
+def test_perfbench_verify_and_simulate_argvs_pass_the_reads_check(monkeypatch):
+    # the closed-form-sweep and integrate jobs of seeds 1-20, generated and
+    # parsed, never run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_jobs", Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py")
+    jobs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, jobs)  # its dataclass looks itself up
+    spec.loader.exec_module(jobs)
+    option_sets = Counter()
+    for seed in range(1, 21):
+        for job in jobs.closed_form_sweep(seed) + jobs.integrate(seed):
+            argv = job.resolved_argv(Path("d"))
+            if argv[0] in relaxwave.cli._READS:
+                args = relaxwave.cli._parser().parse_args(argv)
+                relaxwave.cli._refuse_unread_options(args)
+                option_sets[argv[0], args.system, *sorted(args.named)] += 1
+    verify = {key: n for key, n in option_sets.items() if key[0] == "verify"}
+    assert sum(verify.values()) == 223 and len(verify) == 6
+    assert option_sets["simulate", "mkdvb", "--config", "--seed"] == 120
 
 
 def test_critical_alpha_refuses_a_format_other_than_json(capsys):

@@ -17,6 +17,12 @@ them exactly; at 50 digits they fix the frozen quadrature constants of
 the manufactured pair of the verifier's self-test from its formulas, which
 checks the hand-written forcing that the self-test's analytic path only
 compares with itself.
+
+Last, sympy puts symbolic fields into ``soliton.coupled_system`` itself.  One
+Fourier mode of the linearized system grows at a rate ``lambda`` with
+``lambda**2 - alpha*lambda + k**2 + 1 - i*alpha*k = 0``, whose two roots sum
+to ``alpha``; and the ``Z`` equation is the balance law
+``d/dsigma (Z_s + g) - d/dtau (Z_t - g)`` with ``g = u + u**2/2``.
 """
 
 import functools
@@ -27,7 +33,7 @@ import pytest
 import sympy as sp
 
 from relaxwave import solve_real, system19_point_residual
-from relaxwave.soliton import real_bundles
+from relaxwave.soliton import coupled_system, real_bundles
 from relaxwave.verify import (
     exactness_forcing,
     manufactured_forcing,
@@ -244,3 +250,56 @@ def test_manufactured_forcing_is_the_coupled_residual_of_the_manufactured_pair()
             for n, (g, f) in enumerate(zip(got, exact)):
                 worst[n] = max(worst[n], float(abs(g[i, j] - f(s, t, a))))
     assert max(worst) <= 1e-13, worst
+
+
+def symbolic_coupled_residual(u, Z, linearized=False):
+    """``(r_u, r_Z)`` of ``soliton.coupled_system`` on sympy fields of ``(sg, tu)``."""
+    d = sp.diff
+    return coupled_system(u, d(u, sg) + d(u, tu), d(Z, sg) + d(Z, tu), d(u, sg, 2),
+                          d(Z, sg, 2), al, utt=d(u, tu, 2), ztt=d(Z, tu, 2),
+                          linearized=linearized)
+
+
+lam = sp.symbols("lambda")
+
+
+def growth_law_gaps():
+    """What is left of the linearized residual of one Fourier mode once the
+    growth law is taken off: ``u = exp(i*k*sigma + lambda*tau)`` and
+    ``Z = (sigma+tau)/2 + c*u`` with ``c = (i*k + lambda)/(k**2 + lambda**2)``
+    should leave ``r_Z = 0`` and ``r_u = -(lambda**2 - alpha*lambda + k**2 + 1
+    - i*alpha*k)*u``."""
+    u = sp.exp(sp.I * k * sg + lam * tu)
+    Z = (sg + tu) / 2 + (sp.I * k + lam) / (k**2 + lam**2) * u
+    r_u, r_z = symbolic_coupled_residual(u, Z, linearized=True)
+    law = lam**2 - al * lam + k**2 + 1 - sp.I * al * k
+    return sp.simplify(r_u + law * u), sp.simplify(r_z), law
+
+
+def test_linearized_system19_grows_at_rate_alpha_over_two_at_least(monkeypatch):
+    # each wavenumber k has two rates lambda, the roots of the law; they sum
+    # to alpha, so for alpha > 0 one of them has Re lambda >= alpha/2, and a
+    # run stepped forward in tau amplifies its error by e^(alpha*T/2) or more
+    gap_u, gap_z, law = growth_law_gaps()
+    assert (gap_u, gap_z) == (0, 0)
+    assert sp.simplify(sum(sp.solve(law, lam)) - al) == 0
+
+    import relaxwave.soliton
+
+    original = relaxwave.soliton.coupled_u_parts
+
+    def flipped(u, pi, phi, uss, alpha, *rest, **options):
+        return original(u, pi, phi, uss, -alpha, *rest, **options)
+
+    monkeypatch.setattr(relaxwave.soliton, "coupled_u_parts", flipped)
+    assert growth_law_gaps()[0] != 0
+
+
+def test_the_z_equation_of_system19_is_a_balance_law():
+    # r_Z = d/dsigma (Z_s + g) - d/dtau (Z_t - g), with g = u + u**2/2, and
+    # g = u when linearized
+    u, Z = sp.Function("u")(sg, tu), sp.Function("Z")(sg, tu)
+    for linearized, g in ((False, u + u**2 / 2), (True, u)):
+        r_z = symbolic_coupled_residual(u, Z, linearized)[1]
+        flux = sp.diff(sp.diff(Z, sg) + g, sg) - sp.diff(sp.diff(Z, tu) - g, tu)
+        assert sp.expand(r_z - flux) == 0, linearized

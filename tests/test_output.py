@@ -18,7 +18,6 @@ from relaxwave.output import (
     fmt,
     parse_config,
     to_jsonable,
-    write_csv,
     write_csv_series,
     write_json,
     write_svg,
@@ -78,16 +77,16 @@ def test_csv_text_float_array_matches_per_cell_reference():
 
 def test_write_csv_bytes(tmp_path):
     p = tmp_path / "out.csv"
-    write_csv(p, ["x"], np.array([[1.5]]))
+    write_csv_series([p], ["x"], np.array([1.5]), [np.empty((1, 0))])
     assert p.read_bytes() == b"x\r\n1.5\r\n"
-    write_csv(p, ["x", "y"], np.array([[1.5, -0.0], [np.nan, 2.0]]))
+    write_csv_series([p], ["x", "y"], np.array([1.5, np.nan]), [np.array([-0.0, 2.0])])
     assert p.read_bytes() == b"x,y\r\n1.5,0\r\nnan,2\r\n"
 
 
-def test_write_csv_series_matches_write_csv_of_the_stacked_columns(tmp_path):
-    # each file of a series is byte for byte write_csv of (lead, table) as
-    # one column_stack: -0.0 in the lead and in the fields, nan and inf,
-    # one row, one field column (1-D and 2-D) and more than one block of rows
+def test_write_csv_series_matches_the_per_cell_reference(tmp_path):
+    # each file of a series is byte for byte the cell-by-cell CSV of (lead,
+    # table) as one column_stack: -0.0 in the lead and in the fields, nan and
+    # inf, one row, one field column (1-D and 2-D) and more than one block of rows
     rng = np.random.default_rng(17)
     special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -1e308, 1.0 / 3.0])
     cases = [
@@ -105,9 +104,8 @@ def test_write_csv_series_matches_write_csv_of_the_stacked_columns(tmp_path):
         paths = [tmp_path / f"series_{i}.csv" for i in range(len(tables))]
         write_csv_series(paths, header, lead, iter(tables))
         for path, table in zip(paths, tables):
-            ref = tmp_path / "ref.csv"
-            write_csv(ref, header, np.column_stack((lead, table)))
-            assert path.read_bytes() == ref.read_bytes()
+            ref = per_cell_csv(header, np.column_stack((lead, table)))
+            assert path.read_bytes() == ref.encode()
     write_csv_series([tmp_path / "neg.csv"], ["x", "y"], np.array([-0.0]), [np.array([-0.0])])
     assert (tmp_path / "neg.csv").read_bytes() == b"x,y\r\n0,0\r\n"
 
