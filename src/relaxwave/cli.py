@@ -87,7 +87,8 @@ _READS = {
     "verify": {"coupled": ("--v", "--alpha", "--method", "--point", *_GRID),
                "factored": ("--v", "--alpha", "--method", *_GRID),
                "complex": ("--k-re", "--k-im", "--root", "--alpha", "--method", *_GRID),
-               "physical": ("--v", "--alpha", "--tau-point", *_GRID[:3])},
+               "physical": ("--v", "--alpha", "--tau-point", "--sigma-min", "--sigma-max",
+                            "--n-sigma")},
     "simulate": {"coupled": ("--config",), "mkdvb": ("--config", "--seed")},
 }
 
@@ -265,12 +266,10 @@ def _cmd_verify(args) -> int:
         obj.update({"v": args.v, "alpha": args.alpha, "k": w.k, "omega": w.omega})
         obj["reports"] = [_report_obj(r)
                           for r in real_residual_reports(w, grid, methods, (token,))]
-        if token == "coupled" and args.point is not None:
+        if args.point is not None:  # read by --system coupled only
             s0, t0 = args.point
-            pts = {}
-            for m in methods:
-                r1, r2 = system19_point_residual(w, s0, t0, m)
-                pts[m] = {"r1": r1, "r2": r2}
+            pts = {m: dict(zip(("r1", "r2"), system19_point_residual(w, s0, t0, m)))
+                   for m in methods}
             obj["point"] = {"sigma": s0, "tau": t0, "residuals": pts}
     _emit_json(args, obj)
     return 0
@@ -431,16 +430,14 @@ def _simulate_system19(cfg: dict[str, str], out: Path) -> None:
     write_csv_series([out / name for name in names], ("sigma", "u", "ut", "Z", "zt"),
                      traj.sigma, (np.column_stack(fields) for fields in
                                   zip(traj.u, traj.ut, traj.Z, traj.zt)))
-    snaps = []
-    for i, (tau, name) in enumerate(zip(traj.taus, names)):
-        snaps.append({
-            "index": i, "tau": tau, "file": name,
-            "u_linf": float(np.max(np.abs(traj.u[i]))),
-            "u_rms": float(np.sqrt(np.mean(np.square(traj.u[i])))),
-            "z_linf": float(np.max(np.abs(traj.Z[i]))),
-            "z_rms": float(np.sqrt(np.mean(np.square(traj.Z[i])))),
-            "drift_u_linf": errs.u_linf[i], "drift_u_rms": errs.u_l2[i],
-            "drift_z_linf": errs.z_linf[i], "drift_z_rms": errs.z_l2[i]})
+    snaps = [{"index": i, "tau": tau, "file": name,
+              "u_linf": float(np.max(np.abs(traj.u[i]))),
+              "u_rms": float(np.sqrt(np.mean(np.square(traj.u[i])))),
+              "z_linf": float(np.max(np.abs(traj.Z[i]))),
+              "z_rms": float(np.sqrt(np.mean(np.square(traj.Z[i])))),
+              "drift_u_linf": errs.u_linf[i], "drift_u_rms": errs.u_l2[i],
+              "drift_z_linf": errs.z_linf[i], "drift_z_rms": errs.z_l2[i]}
+             for i, (tau, name) in enumerate(zip(traj.taus, names))]
     manifest = {
         "schema_version": 1, "system": "19",
         "params": {"v": v, "alpha": alpha, "theta0": theta0,
@@ -503,10 +500,8 @@ def _simulate_mkdvb(cfg: dict[str, str], out: Path, seed: int) -> None:
     out.mkdir(parents=True, exist_ok=True)
     names = [f"snapshot_{i:03d}.csv" for i in range(len(traj.ts))]
     write_csv_series([out / name for name in names], ("x", "p"), traj.x, traj.p)
-    snaps = []
-    for i, (t, name) in enumerate(zip(traj.ts, names)):
-        snaps.append({"index": i, "t": t, "file": name,
-                      "mean": traj.means[i], "rms": traj.rms[i]})
+    snaps = [{"index": i, "t": t, "file": name, "mean": traj.means[i], "rms": traj.rms[i]}
+             for i, (t, name) in enumerate(zip(traj.ts, names))]
     manifest = {
         "schema_version": 1, "system": "mkdvb",
         "params": {"v_e": coeffs.v_e, "quad": coeffs.quad,
@@ -541,9 +536,7 @@ def _cmd_medium(args) -> int:
 
     def pick(name: str, default: float | None = None) -> float:
         flag = getattr(args, name)
-        if flag is not None:
-            return flag
-        return config_value(cfg, name, float, default)
+        return flag if flag is not None else config_value(cfg, name, float, default)
 
     m = MediumParams(tau=pick("tau"), v_e=pick("v_e"), v_f=pick("v_f"),
                      alpha_e=pick("alpha_e", 0.0), a_e=pick("a_e", 1.0),
@@ -592,11 +585,12 @@ def build_parser() -> argparse.ArgumentParser:
     wave = argparse.ArgumentParser(add_help=False)
     wave.add_argument("--v", type=float, required=True)
     wave.add_argument("--alpha", type=float, required=True)
-    # the profile samples of soliton-profile and figure, FigureSpec's by default
+    # the profile samples of soliton-profile and figure
     samples = argparse.ArgumentParser(add_help=False)
-    for name in ("tau", "sigma_min", "sigma_max", "n"):
-        default = getattr(FigureSpec, name)
-        samples.add_argument(f"--{name.replace('_', '-')}", type=type(default), default=default)
+    samples.add_argument("--tau", type=float, default=0.0)
+    samples.add_argument("--sigma-min", type=float, default=-15.0)
+    samples.add_argument("--sigma-max", type=float, default=15.0)
+    samples.add_argument("--n", type=int, default=601)
 
     ap = argparse.ArgumentParser(
         prog="relaxwave",

@@ -28,49 +28,32 @@ def fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _csv_texts(header: Sequence[str], lead: np.ndarray,
-               tables: Iterable[np.ndarray]) -> Iterator[Iterator[str]]:
-    """Per table, the pieces of the CSV text of ``np.column_stack((lead, table))``.
+def _csv_lines(rows: int, line: str) -> list[str]:
+    """The ``%`` format of each block of ``rows`` rows: ``line`` once per row."""
+    return [line * min(_CSV_BLOCK_ROWS, rows - i) for i in range(0, rows, _CSV_BLOCK_ROWS)]
 
-    ``lead`` is 1-D; each ``table`` has ``len(lead)`` rows and
-    ``len(header) - 1`` columns (1-D for one column).
-    """
-    lead = np.asarray(lead, dtype=float)
-    if lead.ndim != 1:
-        raise DomainError(f"leading column must be 1-D, got shape {lead.shape}")
-    head = ",".join(header) + "\r\n"
-    shape = (lead.size, len(header) - 1)
-    # One template per block of rows: the block's leads formatted once, with
-    # each field's "%.17g" escaped so that it survives; a table then costs one
-    # "%" per block.  Adding 0.0 maps -0.0 to 0.0, as fmt() does; 17-digit
-    # numbers, inf and nan never contain "%" or need CSV quoting.
-    row = "%.17g" + ",%%.17g" * shape[1] + "\r\n"
-    starts = range(0, lead.size, _CSV_BLOCK_ROWS)
-    templates = [(row * part.size) % tuple(part.tolist())
-                 for part in (lead[i:i + _CSV_BLOCK_ROWS] + 0.0 for i in starts)]
 
-    def pieces(table: np.ndarray) -> Iterator[str]:
-        yield head
-        for i, template in zip(starts, templates):
-            block = table[i:i + _CSV_BLOCK_ROWS] + 0.0
-            yield template % tuple(block.ravel().tolist())
-
-    for table in tables:
-        table = np.asarray(table, dtype=float)
-        table = table[:, None] if table.ndim == 1 else table
-        if table.shape != shape:
-            raise DomainError(f"table has shape {table.shape}; expected {shape}")
-        yield pieces(table)
+def _csv_pieces(header: Sequence[str], formats: list[str], values: np.ndarray) -> Iterator[str]:
+    """CSV text in pieces: the header line, then each block of rows of
+    ``values`` formatted by its entry of ``formats`` (see :func:`_csv_lines`)."""
+    # Adding 0.0 maps -0.0 to 0.0, as fmt() does; 17-digit numbers, inf and
+    # nan never contain "%" or need CSV quoting.  Blocks of rows bound the
+    # temporary Python floats and strings on large tables.
+    yield ",".join(header) + "\r\n"
+    for start, form in zip(range(0, len(values), _CSV_BLOCK_ROWS), formats):
+        block = values[start:start + _CSV_BLOCK_ROWS] + 0.0
+        yield form % tuple(block.ravel().tolist())
 
 
 def csv_text(header: Sequence[str], rows: np.ndarray) -> str:
     """CSV text of a 2-D float array: CRLF endings, 17-digit floats.
 
-    ``header`` holds plain identifiers, which CSV never quotes.
+    ``header`` holds plain identifiers, which CSV never quotes.  The rows are
+    formatted one block of rows per ``%`` operation.
     """
     rows = np.asarray(rows, dtype=float)
-    (pieces,) = _csv_texts(header, rows[:, 0], [rows[:, 1:]])
-    return "".join(pieces)
+    formats = _csv_lines(rows.shape[0], ",".join(["%.17g"] * rows.shape[1]) + "\r\n")
+    return "".join(_csv_pieces(header, formats, rows))
 
 
 def write_csv_series(paths: Iterable[str | Path], header: Sequence[str], lead: np.ndarray,
@@ -78,11 +61,32 @@ def write_csv_series(paths: Iterable[str | Path], header: Sequence[str], lead: n
     """Write one CSV per ``(path, table)`` pair, all sharing the leading column.
 
     Each file has the bytes of ``csv_text(header, np.column_stack((lead,
-    table)))``; see :func:`_csv_texts` for the shapes.
+    table)))``.  ``lead`` is 1-D and every ``table`` is a float array of
+    ``len(lead)`` rows and ``len(header) - 1`` columns (1-D for one column).
+    The first file is formatted as :func:`csv_text` does, one ``%`` per block
+    of rows over all its columns.  For a second file the leading column is
+    formatted once, into the line formats, so each further file costs one
+    ``%`` per block over its own columns alone.
     """
-    for path, pieces in zip(paths, _csv_texts(header, lead, tables), strict=True):
+    lead = np.asarray(lead, dtype=float)
+    if lead.ndim != 1:
+        raise DomainError(f"leading column must be 1-D, got shape {lead.shape}")
+    shape = (lead.size, len(header) - 1)
+    formats = _csv_lines(lead.size, ",".join(["%.17g"] * len(header)) + "\r\n")
+    for k, (path, table) in enumerate(zip(paths, tables, strict=True)):
+        table = np.asarray(table, dtype=float)
+        table = table[:, None] if table.ndim == 1 else table
+        if table.shape != shape:
+            raise DomainError(f"table has shape {table.shape}; expected {shape}")
+        if k == 1:
+            # the leads formatted into the line formats, each field's "%.17g"
+            # escaped so that it survives
+            lines = _csv_lines(lead.size, "%.17g" + ",%%.17g" * shape[1] + "\r\n")
+            formats = [form % tuple((lead[i:i + _CSV_BLOCK_ROWS] + 0.0).tolist())
+                       for i, form in zip(range(0, lead.size, _CSV_BLOCK_ROWS), lines)]
+        values = np.column_stack((lead, table)) if k == 0 else table
         with open(Path(path), "w", newline="", encoding="utf-8") as fh:
-            fh.writelines(pieces)
+            fh.writelines(_csv_pieces(header, formats, values))
 
 
 def to_jsonable(obj: Any) -> Any:
