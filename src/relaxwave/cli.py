@@ -139,7 +139,7 @@ def _emit_csv(args, header, lead, table) -> None:
         write_csv_series([args.out], header, lead, [table])
         _print(args, f"wrote {args.out}")
     else:
-        sys.stdout.write(csv_text(header, np.column_stack((lead, table))))
+        sys.stdout.write(csv_text(header, lead, table))
 
 
 def _report_obj(rep: ResidualReport) -> dict:

@@ -33,60 +33,62 @@ def _csv_lines(rows: int, line: str) -> list[str]:
     return [line * min(_CSV_BLOCK_ROWS, rows - i) for i in range(0, rows, _CSV_BLOCK_ROWS)]
 
 
-def _csv_pieces(header: Sequence[str], formats: list[str], values: np.ndarray) -> Iterator[str]:
-    """CSV text in pieces: the header line, then each block of rows of
-    ``values`` formatted by its entry of ``formats`` (see :func:`_csv_lines`)."""
-    # Adding 0.0 maps -0.0 to 0.0, as fmt() does; 17-digit numbers, inf and
-    # nan never contain "%" or need CSV quoting.  Blocks of rows bound the
-    # temporary Python floats and strings on large tables.
+def _csv_pieces(header: Sequence[str], formats: list[str], *parts: np.ndarray) -> Iterator[str]:
+    """CSV text in pieces: the header line, then each block of rows of the
+    ``parts`` side by side, formatted by its entry of ``formats``."""
+    # Stacking a block at a time bounds the copies, and the temporary Python
+    # floats and strings, on large tables.  Adding 0.0 maps -0.0 to 0.0, as
+    # fmt() does; 17-digit numbers, inf and nan never contain "%" or need CSV
+    # quoting.
     yield ",".join(header) + "\r\n"
-    for start, form in zip(range(0, len(values), _CSV_BLOCK_ROWS), formats):
-        block = values[start:start + _CSV_BLOCK_ROWS] + 0.0
-        yield form % tuple(block.ravel().tolist())
+    for start, form in zip(range(0, len(parts[0]), _CSV_BLOCK_ROWS), formats):
+        block = np.column_stack([part[start:start + _CSV_BLOCK_ROWS] for part in parts])
+        yield form % tuple((block + 0.0).ravel().tolist())
 
 
-def csv_text(header: Sequence[str], rows: np.ndarray) -> str:
-    """CSV text of a 2-D float array: CRLF endings, 17-digit floats.
+def csv_text(header: Sequence[str], *parts: np.ndarray) -> str:
+    """CSV text of float arrays side by side, as ``np.column_stack(parts)``:
+    CRLF endings, 17-digit floats.
 
-    ``header`` holds plain identifiers, which CSV never quotes.  The rows are
-    formatted one block of rows per ``%`` operation.
+    ``header`` holds plain identifiers, which CSV never quotes, one per
+    column.  The rows are formatted one block of rows per ``%`` operation.
     """
-    rows = np.asarray(rows, dtype=float)
-    formats = _csv_lines(rows.shape[0], ",".join(["%.17g"] * rows.shape[1]) + "\r\n")
-    return "".join(_csv_pieces(header, formats, rows))
+    parts = tuple(np.asarray(part, dtype=float) for part in parts)
+    formats = _csv_lines(len(parts[0]), ",".join(["%.17g"] * len(header)) + "\r\n")
+    return "".join(_csv_pieces(header, formats, *parts))
 
 
 def write_csv_series(paths: Iterable[str | Path], header: Sequence[str], lead: np.ndarray,
                      tables: Iterable[np.ndarray]) -> None:
     """Write one CSV per ``(path, table)`` pair, all sharing the leading column.
 
-    Each file has the bytes of ``csv_text(header, np.column_stack((lead,
-    table)))``.  ``lead`` is 1-D and every ``table`` is a float array of
-    ``len(lead)`` rows and ``len(header) - 1`` columns (1-D for one column).
-    The first file is formatted as :func:`csv_text` does, one ``%`` per block
-    of rows over all its columns.  For a second file the leading column is
-    formatted once, into the line formats, so each further file costs one
-    ``%`` per block over its own columns alone.
+    Each file has the bytes of ``csv_text(header, lead, table)``.  ``lead``
+    is 1-D and every ``table`` is a float array of ``len(lead)`` rows and
+    ``len(header) - 1`` columns (1-D for one column).  A single file is
+    formatted as :func:`csv_text` does, one ``%`` per block of rows over all
+    its columns.  For more files the leading column is formatted once, into
+    the line formats, so each file costs one ``%`` per block over its own
+    columns alone.
     """
     lead = np.asarray(lead, dtype=float)
     if lead.ndim != 1:
         raise DomainError(f"leading column must be 1-D, got shape {lead.shape}")
+    paths = list(paths)
     shape = (lead.size, len(header) - 1)
     formats = _csv_lines(lead.size, ",".join(["%.17g"] * len(header)) + "\r\n")
-    for k, (path, table) in enumerate(zip(paths, tables, strict=True)):
+    if len(paths) > 1:
+        # each field's "%.17g" escaped so that it survives the leads' "%"
+        lines = _csv_lines(lead.size, "%.17g" + ",%%.17g" * shape[1] + "\r\n")
+        formats = [form % tuple((lead[i:i + _CSV_BLOCK_ROWS] + 0.0).tolist())
+                   for i, form in zip(range(0, lead.size, _CSV_BLOCK_ROWS), lines)]
+    for path, table in zip(paths, tables, strict=True):
         table = np.asarray(table, dtype=float)
         table = table[:, None] if table.ndim == 1 else table
         if table.shape != shape:
             raise DomainError(f"table has shape {table.shape}; expected {shape}")
-        if k == 1:
-            # the leads formatted into the line formats, each field's "%.17g"
-            # escaped so that it survives
-            lines = _csv_lines(lead.size, "%.17g" + ",%%.17g" * shape[1] + "\r\n")
-            formats = [form % tuple((lead[i:i + _CSV_BLOCK_ROWS] + 0.0).tolist())
-                       for i, form in zip(range(0, lead.size, _CSV_BLOCK_ROWS), lines)]
-        values = np.column_stack((lead, table)) if k == 0 else table
+        parts = (table,) if len(paths) > 1 else (lead, table)
         with open(Path(path), "w", newline="", encoding="utf-8") as fh:
-            fh.writelines(_csv_pieces(header, formats, values))
+            fh.writelines(_csv_pieces(header, formats, *parts))
 
 
 def to_jsonable(obj: Any) -> Any:
