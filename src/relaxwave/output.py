@@ -28,18 +28,18 @@ def fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _csv_lines(rows: int, line: str) -> list[str]:
-    """The ``%`` format of each block of ``rows`` rows: ``line`` once per row."""
-    return [line * min(_CSV_BLOCK_ROWS, rows - i) for i in range(0, rows, _CSV_BLOCK_ROWS)]
+def _csv_lines(rows: int, line: str) -> Iterator[str]:
+    """The ``%`` format of each block of ``rows`` rows, one at a time: ``line`` per row."""
+    return (line * min(_CSV_BLOCK_ROWS, rows - i) for i in range(0, rows, _CSV_BLOCK_ROWS))
 
 
-def _csv_pieces(header: Sequence[str], formats: list[str], *parts: np.ndarray) -> Iterator[str]:
+def _csv_pieces(header: Sequence[str], formats: Iterable[str],
+                *parts: np.ndarray) -> Iterator[str]:
     """CSV text in pieces: the header line, then each block of rows of the
     ``parts`` side by side, formatted by its entry of ``formats``."""
-    # Stacking a block at a time bounds the copies, and the temporary Python
-    # floats and strings, on large tables.  Adding 0.0 maps -0.0 to 0.0, as
-    # fmt() does; 17-digit numbers, inf and nan never contain "%" or need CSV
-    # quoting.
+    # A block of rows at a time bounds the copies and the temporary Python
+    # floats and strings.  Adding 0.0 maps -0.0 to 0.0, as fmt() does;
+    # 17-digit numbers, inf and nan never contain "%" or need CSV quoting.
     yield ",".join(header) + "\r\n"
     for start, form in zip(range(0, len(parts[0]), _CSV_BLOCK_ROWS), formats):
         block = np.column_stack([part[start:start + _CSV_BLOCK_ROWS] for part in parts])
