@@ -134,12 +134,12 @@ def _emit_json(args, obj) -> None:
         sys.stdout.write(canonical_json(obj))
 
 
-def _emit_csv(args, header, lead, table) -> None:
+def _emit_csv(args, header, rows) -> None:
     if args.out:
-        write_csv_series([args.out], header, lead, [table])
+        write_csv_series([args.out], header, rows[:, 0], [rows[:, 1:]])
         _print(args, f"wrote {args.out}")
     else:
-        sys.stdout.write(csv_text(header, lead, table))
+        sys.stdout.write(csv_text(header, rows))
 
 
 def _report_obj(rep: ResidualReport) -> dict:
@@ -211,8 +211,8 @@ def _cmd_soliton_profile(args) -> int:
     w = solve_real(args.v, args.alpha, theta0=args.theta0)
     p = profile(w, tau=args.tau, sigma_min=args.sigma_min,
                 sigma_max=args.sigma_max, n=args.n, C=args.C)
-    _emit_csv(args, ("sigma", "theta", "u", "Z", "y", "pi", "dZdsigma"), p.sigma,
-              np.column_stack((p.theta, p.u, p.Z, p.y, p.pi, p.dZdsigma)))
+    rows = np.column_stack((p.sigma, p.theta, p.u, p.Z, p.y, p.pi, p.dZdsigma))
+    _emit_csv(args, ("sigma", "theta", "u", "Z", "y", "pi", "dZdsigma"), rows)
     return 0
 
 
