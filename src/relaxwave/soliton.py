@@ -111,15 +111,19 @@ def _z_field(sigma, tau, c: float, T):
         - c * (T + 1.0)
 
 
-def _z_bundle(sigma, tau, c: float, k: float, omega: float, T, S2) -> FieldBundle:
+_PARTS = frozenset(("f", "s", "t", "ss", "tt"))  # every part of a FieldBundle
+
+
+def _z_bundle(sigma, tau, c: float, k: float, omega: float, T, S2, parts) -> FieldBundle:
     """Bundle of :func:`_z_field` with ``T``, ``S2 = tanh``, ``sech**2`` of the
-    phase ``k*sigma - omega*tau + theta0``; it serves the real and the complex wave."""
+    phase ``k*sigma - omega*tau + theta0``; it serves the real and the complex wave.
+    Only the parts named in ``parts`` are built; the others are None."""
     return FieldBundle(
-        f=_z_field(sigma, tau, c, T),
-        s=0.5 - c * k * S2,
-        t=0.5 + c * omega * S2,
-        ss=2.0 * c * k * k * S2 * T,
-        tt=2.0 * c * omega * omega * S2 * T,
+        f=_z_field(sigma, tau, c, T) if "f" in parts else None,
+        s=0.5 - c * k * S2 if "s" in parts else None,
+        t=0.5 + c * omega * S2 if "t" in parts else None,
+        ss=2.0 * c * k * k * S2 * T if "ss" in parts else None,
+        tt=2.0 * c * omega * omega * S2 * T if "tt" in parts else None,
     )
 
 
@@ -134,21 +138,24 @@ def eval_uZ(w: RealWave, sigma, tau):
     return _uZ(w, sigma, tau, np.tanh(theta(w, sigma, tau)))
 
 
-def real_bundles(w: RealWave, sigma, tau) -> tuple[FieldBundle, FieldBundle]:
-    """Analytic derivative bundles of ``(u, Z)`` (first and pure second partials)."""
+def real_bundles(w: RealWave, sigma, tau, *,
+                 _reads=(_PARTS, _PARTS)) -> tuple[FieldBundle, FieldBundle]:
+    """Analytic derivative bundles of ``(u, Z)`` (first and pure second partials);
+    a report passes ``_reads``, the parts of each that it reads, and the rest are None."""
     th = theta(w, sigma, tau)
     T = np.tanh(th)
     S2 = sech(th) ** 2
     A = 4.0 * (w.omega + w.k) ** 2
     k, om = w.k, w.omega
+    u_parts, z_parts = _reads
     bu = FieldBundle(
-        f=A * (T + 1.0),
-        s=A * k * S2,
-        t=-A * om * S2,
-        ss=-2.0 * A * k * k * S2 * T,
-        tt=-2.0 * A * om * om * S2 * T,
+        f=A * (T + 1.0) if "f" in u_parts else None,
+        s=A * k * S2 if "s" in u_parts else None,
+        t=-A * om * S2 if "t" in u_parts else None,
+        ss=-2.0 * A * k * k * S2 * T if "ss" in u_parts else None,
+        tt=-2.0 * A * om * om * S2 * T if "tt" in u_parts else None,
     )
-    return bu, _z_bundle(sigma, tau, 2.0 * (w.omega + w.k), k, om, T, S2)
+    return bu, _z_bundle(sigma, tau, 2.0 * (w.omega + w.k), k, om, T, S2, z_parts)
 
 
 def coupled_u_parts(u, pi, phi, uss, alpha, utt=None, linearized=False):
@@ -239,14 +246,15 @@ def complex_Z(cw: ComplexWave, sigma, tau):
     return _z_field(sigma, tau, _complex_zeta_coeff(cw), np.tanh(thr))
 
 
-def complex_bundles(cw: ComplexWave, sigma, tau):
+def complex_bundles(cw: ComplexWave, sigma, tau, *, _z_reads=_PARTS):
     """Analytic derivative bundles ``(Re Q, Im Q, Z)`` of the complex soliton.
 
     Each derivative of ``Q`` is ``(U + i*V)*exp(i*Im theta)`` with real
     ``U``, ``V`` built from ``sech``/``tanh`` of ``Re theta``; its parts are
     ``U*c - V*s`` and ``U*s + V*c`` with ``c``/``s`` from the angle addition
     of :func:`eval_complex_Q`, so no complex array is formed and open meshes
-    are the inputs that gain.  The ``Z`` bundle depends on ``Re theta`` only.
+    are the inputs that gain.  The ``Z`` bundle depends on ``Re theta`` only;
+    a report passes ``_z_reads``, the parts of it that its equations read.
     """
     kr, ki = cw.k.real, cw.k.imag
     wr, wi = cw.omega.real, cw.omega.imag
@@ -269,7 +277,7 @@ def complex_bundles(cw: ComplexWave, sigma, tau):
     d_tt = parts(wr * wr * P2 - wi * wi * P0, -2.0 * wr * wi * P1)
     bqr, bqi = (FieldBundle(f=f[i], s=d_s[i], t=d_t[i], ss=d_ss[i], tt=d_tt[i])
                 for i in (0, 1))
-    return bqr, bqi, _z_bundle(sigma, tau, _complex_zeta_coeff(cw), kr, wr, T, S0sq)
+    return bqr, bqi, _z_bundle(sigma, tau, _complex_zeta_coeff(cw), kr, wr, T, S0sq, _z_reads)
 
 
 def singular_thetas(w: RealWave, tol: float = 1e-9) -> tuple[float, ...]:

@@ -16,7 +16,9 @@ the grid spacings as finite-difference steps and ``order/2`` ghost nodes
 per side; no array spans the grid and the module keeps no state between
 reports.  :func:`real_residual_reports` and :func:`complex_residual_reports`
 give several methods (and, for the real wave, both systems) from one
-evaluation of the closed forms per block.
+evaluation of the closed forms per block, which builds only the bundle parts
+the equations read (``_READS``): ``u-factored`` reads of ``Z`` only ``Z_s``
+and ``Z_t``, and the coupled and complex systems every part but ``Z`` itself.
 A manufactured-solution self-test calibrates the verifier itself: smooth
 fields with known forcing must reproduce that forcing to round-off on the
 analytic path and converge at nominal order on the finite-difference paths.
@@ -47,6 +49,7 @@ import numpy as np
 from .dispersion import ComplexWave, RealWave
 from .errors import DomainError
 from .soliton import (
+    _PARTS,
     FieldBundle,
     ProfileSamples,
     _check_decaying,
@@ -62,6 +65,13 @@ from .soliton import (
 METHODS = ("analytic", "fd2", "fd4")
 REAL_SYSTEMS = ("coupled", "factored")
 _FD_ORDERS = MappingProxyType({"fd2": 2, "fd4": 4})
+
+# The bundle parts that each system's equations read, one set per bundle:
+# (u, Z), or (Re Q, Im Q, Z); "physical" is its resampling's Newton loop.
+_READS = MappingProxyType({"coupled": (_PARTS, _PARTS - {"f"}),
+                           "factored": (_PARTS, frozenset({"s", "t"})),
+                           "complex": (_PARTS, _PARTS, _PARTS - {"f"}),
+                           "physical": (frozenset(), frozenset({"f", "s", "t"}))})
 
 _GRID_BOUND = 50.0
 
@@ -179,20 +189,22 @@ def residuals_from_bundles(bu: FieldBundle, bz: FieldBundle, alpha: float,
                           bz.tt, linearized=linearized)
 
 
-def _stencil_bundle(f0, s_shifts, t_shifts, hs: float, ht: float) -> FieldBundle:
+def _stencil_bundle(f0, s_shifts, t_shifts, hs: float, ht: float, parts=_PARTS) -> FieldBundle:
     """Central-difference bundle from shifted field values.
 
     ``s_shifts[j - 1]`` is the pair ``(f(S + j*hs), f(S - j*hs))`` for
     ``j = 1 .. order/2`` and ``t_shifts`` the same in ``tau``; one pair per
-    axis gives the order-2 stencil, two pairs the order-4 stencil.
+    axis gives the order-2 stencil, two pairs the order-4 stencil.  The parts
+    that ``parts`` does not name are None; the first differences are always taken.
     """
-    s, ss = _central_differences(f0, s_shifts, hs)
-    t, tt = _central_differences(f0, t_shifts, ht)
-    return FieldBundle(f=f0, s=s, t=t, ss=ss, tt=tt)
+    s, ss = _central_differences(f0, s_shifts, hs, "ss" in parts)
+    t, tt = _central_differences(f0, t_shifts, ht, "tt" in parts)
+    return FieldBundle(f=f0 if "f" in parts else None, s=s, t=t, ss=ss, tt=tt)
 
 
-def _central_differences(f0, shifts, h: float):
-    """First and second central differences along one axis, order 2 or 4.
+def _central_differences(f0, shifts, h: float, second: bool = True):
+    """First and second central differences along one axis, order 2 or 4;
+    without ``second`` the second is not taken and is None.
 
     The order-4 pair is ``(-p2 + 8*p - 8*m + m2)/(12*h)`` and
     ``(-p2 + 16*p - 30*f0 + 16*m - m2)/(12*h**2)``.  Each is accumulated in
@@ -204,23 +216,25 @@ def _central_differences(f0, shifts, h: float):
         ((p, m),) = shifts
         d1 = p - m
         d1 /= 2.0 * h
-        d2 = p - 2.0 * f0
-        d2 += m
-        d2 /= h**2
-        return d1, d2
+        if second:
+            d2 = p - 2.0 * f0
+            d2 += m
+            d2 /= h**2
+        return d1, d2 if second else None
     (p, m), (p2, m2) = shifts
     d1 = 8.0 * p
     d1 -= p2
     d1 -= 8.0 * m
     d1 += m2
     d1 /= 12.0 * h
-    d2 = 16.0 * p
-    d2 -= p2
-    d2 -= 30.0 * f0
-    d2 += 16.0 * m
-    d2 -= m2
-    d2 /= 12.0 * h**2
-    return d1, d2
+    if second:
+        d2 = 16.0 * p
+        d2 -= p2
+        d2 -= 30.0 * f0
+        d2 += 16.0 * m
+        d2 -= m2
+        d2 /= 12.0 * h**2
+    return d1, d2 if second else None
 
 
 def fd_bundle(fn: Callable, S, T, hs: float, ht: float, order: int) -> FieldBundle:
@@ -235,8 +249,7 @@ def _fd_bundles(fields: Callable, S, T, hs: float, ht: float,
         raise DomainError(f"finite-difference order must be one of "
                           f"{tuple(_FD_ORDERS.values())}, got {order}")
     steps = range(1, order // 2 + 1)
-    S = np.asarray(S, dtype=float)
-    T = np.asarray(T, dtype=float)
+    S, T = np.asarray(S, dtype=float), np.asarray(T, dtype=float)
     f0 = fields(S, T)
     s_shifts = [(fields(S + j * hs, T), fields(S - j * hs, T)) for j in steps]
     t_shifts = [(fields(S, T + j * ht), fields(S, T - j * ht)) for j in steps]
@@ -246,9 +259,9 @@ def _fd_bundles(fields: Callable, S, T, hs: float, ht: float,
         for i in range(len(f0)))
 
 
-def _block_fd_bundles(flat, rows: int, pad: int, order: int, hs: float,
-                      ht: float) -> tuple[FieldBundle, ...]:
-    """Order-``order`` finite-difference bundles of one row block of a grid.
+def _block_fd_bundles(flat, rows: int, pad: int, order: int, hs: float, ht: float,
+                      reads) -> tuple[FieldBundle, ...]:
+    """Finite-difference bundles of one row block of a grid, with the parts ``reads`` names.
 
     ``flat`` holds every field, flattened in C order, on the block's ``rows``
     grid rows with ``pad >= order/2`` padded-axis rows on each side, over
@@ -273,8 +286,10 @@ def _block_fd_bundles(flat, rows: int, pad: int, order: int, hs: float,
         return x.reshape(rows, width)[:, pad:width - pad]
 
     runs = (_stencil_bundle(at(F, 0), [(at(F, j * width), at(F, -j * width)) for j in steps],
-                            [(at(F, j), at(F, -j)) for j in steps], hs, ht) for F in flat)
-    return tuple(FieldBundle(*map(interior, (b.f, b.s, b.t, b.ss, b.tt))) for b in runs)
+                            [(at(F, j), at(F, -j)) for j in steps], hs, ht, parts)
+            for F, parts in zip(flat, reads, strict=True))
+    return tuple(FieldBundle(*(None if x is None else interior(x)
+                               for x in (b.f, b.s, b.t, b.ss, b.tt))) for b in runs)
 
 
 def _richardson_diagonal(values: list[float], factor: float) -> list[float]:
@@ -312,15 +327,10 @@ def _point_bundles(fields: Callable, sigma: float, tau: float,
         # halving the step divides the leading error term by 2**order
         return _richardson_diagonal([float(x) for x in values], 2.0**order)[-1]
 
-    return tuple(
-        FieldBundle(
-            f=float(np.asarray(per_level[0].f)),
-            s=extrapolated(b.s for b in per_level),
-            t=extrapolated(b.t for b in per_level),
-            ss=extrapolated(b.ss for b in per_level),
-            tt=extrapolated(b.tt for b in per_level),
-        )
-        for per_level in zip(*seq))
+    return tuple(FieldBundle(float(np.asarray(per_level[0].f)),
+                             *(extrapolated(getattr(b, p) for b in per_level)
+                               for p in ("s", "t", "ss", "tt")))
+                 for per_level in zip(*seq))
 
 
 # Grid points per row block of a grid report: about 64 KB per float64
@@ -333,36 +343,35 @@ def _lift_malloc_thresholds() -> None:
     report's block arrays on the heap.
 
     glibc serves the array with mmap, and freeing an mmapped block raises its
-    dynamic mmap threshold to the block's size and its trim threshold to
-    twice that (unless the thresholds were set by hand).  With both above the
-    walk's per-block working set (about 2 MB at most), each block's arrays
-    come from the heap and the pages they free stay there for the next
-    block, instead of going back to the system and being faulted in again.
-    The array costs one mmap/munmap pair and touches no page; other
-    allocators ignore it.
+    dynamic mmap threshold to the block's size and its trim threshold to twice
+    that (unless set by hand).  With both above the walk's per-block working
+    set (about 2 MB at most), the pages a block frees stay on the heap for the
+    next block instead of being returned and faulted in again.  The array
+    costs one mmap/munmap pair and touches no page; other allocators ignore it.
     """
     np.empty(3 << 20, dtype=np.uint8)
 
 
-def _grid_reports(grid: GridSpec, methods, bundles: Callable, fields: Callable,
+def _grid_reports(grid: GridSpec, methods, reads, bundles: Callable, fields: Callable,
                   equations: Callable) -> dict[tuple[str, str], ResidualReport]:
     """Residual reports on ``grid`` under every method of ``methods``, from one
     walk over sigma row blocks.
 
     ``equations(*bundles)`` returns one ``(system, name, total, terms)`` per
     equation; the result maps each ``(system, method)`` to its report, with
-    the equations in the order given.  The walk takes ``_BLOCK_POINTS //
-    n_tau`` rows at a time (at least one).  In each block ``analytic`` reads
-    ``bundles(S, T)`` on the block's open mesh, and ``fd2`` and ``fd4``
-    read :func:`_block_fd_bundles` of one call of ``fields`` on the block's
-    rows of the grid padded with ``pad`` ghost nodes per side, ``pad`` being
-    half the widest requested order.  The ghost nodes are ``a[0] - j*h`` and
-    ``a[-1] + j*h`` and the interior nodes those of :meth:`GridSpec.axes`,
-    so a narrower stencil's neighbours are the same floats as in its own
-    padding, and every value equals that of a whole-grid evaluation.  A
-    neighbour ``S + j*hs`` and the grid node it stands for differ only by
-    the round-off of the coordinates (at most 2 ulps of the largest
-    coordinate on the grids tried).
+    the equations in the order given.  ``reads`` names the parts of each
+    bundle that ``equations`` reads; ``bundles`` and the stencils build only
+    those.  The walk takes ``_BLOCK_POINTS // n_tau`` rows at a time (at
+    least one).  In each block ``analytic`` reads ``bundles(S, T)`` on the
+    block's open mesh, and ``fd2`` and ``fd4`` read :func:`_block_fd_bundles`
+    of one call of ``fields`` on the block's rows of the grid padded with
+    ``pad`` ghost nodes per side, ``pad`` being half the widest requested
+    order.  The ghost nodes are ``a[0] - j*h`` and ``a[-1] + j*h`` and the
+    interior nodes those of :meth:`GridSpec.axes`, so a narrower stencil's
+    neighbours are the same floats as in its own padding, and every value
+    equals that of a whole-grid evaluation.  A neighbour ``S + j*hs`` and
+    the grid node it stands for differ only by the round-off of the
+    coordinates (at most 2 ulps of the largest coordinate on the grids tried).
 
     Per method and equation the walk keeps the running sup norms of
     ``total`` and of every term, and one ``np.sum(np.square(total))`` per
@@ -370,6 +379,8 @@ def _grid_reports(grid: GridSpec, methods, bundles: Callable, fields: Callable,
     grid nodes.  No array spans the grid, and each block's arrays are freed
     before the next block's are made.
     """
+    for m in methods:
+        _check_method(m)
     _lift_malloc_thresholds()
     ns, nt = grid.n_sigma, grid.n_tau
     (sig, tau), (hs, ht) = grid.axes(), grid.spacings()
@@ -391,7 +402,7 @@ def _grid_reports(grid: GridSpec, methods, bundles: Callable, fields: Callable,
                 if flat is None:
                     flat = [F.reshape(-1) for F in fields(*np.meshgrid(
                         s_pad[i0:i1 + 2 * pad], t_pad, indexing="ij", sparse=True))]
-                block = _block_fd_bundles(flat, i1 - i0, pad, order, hs, ht)
+                block = _block_fd_bundles(flat, i1 - i0, pad, order, hs, ht, reads)
             eqs = equations(*block)
             keys = [(system, name) for system, name, _total, _terms in eqs]
             maxima = [np.array([np.abs(x).max() for x in (total, *terms)])
@@ -413,12 +424,6 @@ def _grid_reports(grid: GridSpec, methods, bundles: Callable, fields: Callable,
                                                      grid=grid, equations=tuple(eqs))
     return reports
 
-def _entry(name: str, total: np.ndarray, terms: list[np.ndarray]) -> EquationResidual:
-    linf = float(np.max(np.abs(total)))
-    l2 = float(np.sqrt(np.mean(np.square(total))))
-    norm = max(float(np.max(np.abs(t))) for t in terms)
-    return EquationResidual(equation=name, linf=linf, l2=l2, normalization=norm)
-
 
 def real_residual_reports(w: RealWave, grid: GridSpec = GridSpec(), methods=METHODS,
                           systems=REAL_SYSTEMS) -> tuple[ResidualReport, ...]:
@@ -435,17 +440,17 @@ def real_residual_reports(w: RealWave, grid: GridSpec = GridSpec(), methods=METH
     The reports come system by system, each in the order of ``methods``, and
     each equals the report of a call with that one method and system.  They
     share one evaluation of the closed forms per row block: one
-    :func:`real_bundles` call feeds every system, and ``fd2`` and ``fd4``
-    read one :func:`eval_uZ` call on the block's ghost-padded rows.  The
-    ``fd2``/``fd4`` steps are the grid spacings; stencils at the edge nodes
-    reach ``order/2`` ghost nodes outside the grid.
+    :func:`real_bundles` call and, for ``fd2`` and ``fd4``, one
+    :func:`eval_uZ` call on the block's ghost-padded rows.  The bundles hold
+    what the systems read: ``Z_ss`` and ``Z_tt`` only for ``"coupled"``, and
+    never the ``Z`` value.  The ``fd2``/``fd4`` steps are the grid spacings;
+    stencils at the edge nodes reach ``order/2`` ghost nodes outside the grid.
     """
-    for m in methods:
-        _check_method(m)
     if len(set(systems)) != len(systems) or not set(systems) <= set(REAL_SYSTEMS):
         raise DomainError(f"systems must be distinct names from {REAL_SYSTEMS}, "
                           f"got {tuple(systems)}")
-    reports = _grid_reports(grid, methods, lambda s, t: real_bundles(w, s, t),
+    reads = tuple(frozenset().union(*(_READS[s][i] for s in systems)) for i in (0, 1))
+    reports = _grid_reports(grid, methods, reads, lambda s, t: real_bundles(w, s, t, _reads=reads),
                             lambda s, t: eval_uZ(w, s, t),
                             lambda bu, bz: _real_equations(bu, bz, w.alpha, systems))
     return tuple(reports[system, m] for system in systems for m in methods)
@@ -476,14 +481,13 @@ def complex_residual_reports(cw: ComplexWave, grid: GridSpec = GridSpec(),
     block's ghost-padded rows, with the grid spacings as steps and ghost
     nodes at the edges.
     """
-    for m in methods:
-        _check_method(m)
     _check_decaying(cw)
     def equations(bqr, bqi, bz):
         return [("complex", *eq) for eq in _complex_equations(bqr, bqi, bz, cw.alpha)]
 
+    reads = _READS["complex"]
     reports = _grid_reports(
-        grid, methods, lambda s, t: complex_bundles(cw, s, t),
+        grid, methods, reads, lambda s, t: complex_bundles(cw, s, t, _z_reads=reads[2]),
         lambda s, t: (*eval_complex_Q(cw, s, t), complex_Z(cw, s, t)), equations)
     return tuple(reports["complex", m] for m in methods)
 
@@ -530,7 +534,7 @@ def _resample_u_on_y_eta(w: RealWave, C: float, y_axis: np.ndarray,
     hi = lo + bump + 2e-9
     t = 0.5 * (lo + hi)
     for _ in range(80):
-        _bu, bz = real_bundles(w, t + 2.0 * ETA, t)
+        _bu, bz = real_bundles(w, t + 2.0 * ETA, t, _reads=_READS["physical"])
         f = (C - bz.f) - Y
         lo = np.where(f > 0.0, t, lo)
         hi = np.where(f > 0.0, hi, t)
@@ -588,9 +592,10 @@ def eq11_residual_physical(samples: ProfileSamples, alpha: float) -> ResidualRep
     U = _resample_u_on_y_eta(w, samples.C, y_pad, eta_pad)
     res = physical_operator_grid(U, y_pad, eta_pad, alpha)
     grid = GridSpec(sigma_min=y_lo, sigma_max=float(y_pad[-3]), n_sigma=n_y,
-                    tau_min=float(eta_pad[1]), tau_max=float(eta_pad[-2]),
-                    n_tau=n_eta)
-    e = _entry("u-physical", res, [res, np.atleast_1d(np.max(np.abs(U)))])
+                    tau_min=float(eta_pad[1]), tau_max=float(eta_pad[-2]), n_tau=n_eta)
+    linf = float(np.max(np.abs(res)))
+    e = EquationResidual("u-physical", linf, float(np.sqrt(np.mean(np.square(res)))),
+                         max(linf, float(np.max(np.abs(U)))))
     return ResidualReport(system="physical", method="fd2", grid=grid, equations=(e,))
 
 
@@ -598,21 +603,18 @@ def eq11_residual_physical(samples: ProfileSamples, alpha: float) -> ResidualRep
 # Manufactured-solution self-test.
 
 def manufactured_u(S, T):
-    S = np.asarray(S, dtype=float)
-    T = np.asarray(T, dtype=float)
+    S, T = np.asarray(S, dtype=float), np.asarray(T, dtype=float)
     return 0.8 * np.exp(-S * S / 6.0) * np.cos(0.7 * T + 0.3)
 
 
 def manufactured_Z(S, T):
-    S = np.asarray(S, dtype=float)
-    T = np.asarray(T, dtype=float)
+    S, T = np.asarray(S, dtype=float), np.asarray(T, dtype=float)
     return 0.5 * (S + T) + 0.5 * np.exp(-np.square(S - 1.0) / 8.0) * np.sin(0.6 * T)
 
 
 def manufactured_bundles(S, T) -> tuple[FieldBundle, FieldBundle]:
     """Closed-form derivative bundles of the manufactured smooth pair."""
-    S = np.asarray(S, dtype=float)
-    T = np.asarray(T, dtype=float)
+    S, T = np.asarray(S, dtype=float), np.asarray(T, dtype=float)
     g = np.exp(-S * S / 6.0)
     gp = -(S / 3.0) * g
     gpp = (S * S / 9.0 - 1.0 / 3.0) * g
@@ -627,11 +629,8 @@ def manufactured_bundles(S, T) -> tuple[FieldBundle, FieldBundle]:
     sn = np.sin(0.6 * T)
     snp = 0.6 * np.cos(0.6 * T)
     snpp = -0.36 * sn
-    bz = FieldBundle(f=0.5 * (S + T) + 0.5 * q * sn,
-                     s=0.5 + 0.5 * qp * sn,
-                     t=0.5 + 0.5 * q * snp,
-                     ss=0.5 * qpp * sn,
-                     tt=0.5 * q * snpp)
+    bz = FieldBundle(f=0.5 * (S + T) + 0.5 * q * sn, s=0.5 + 0.5 * qp * sn,
+                     t=0.5 + 0.5 * q * snp, ss=0.5 * qpp * sn, tt=0.5 * q * snpp)
     return bu, bz
 
 

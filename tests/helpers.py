@@ -6,18 +6,30 @@ against them with explicit tolerances; nothing here is recomputed through
 the code under test.  The oracles at the end (the turning-point count, the
 tau-pair rebuild of ``(u, Z)`` and the shifted-argument bilinear derivative)
 take their own routes to what the package computes in closed form; the
-last borrows only the package's Richardson table.
+last borrows only the package's Richardson table.  The grid-report
+reference at the very end builds every part of every bundle on the whole
+grid from the package's closed forms and stencils, and writes the
+equations out by hand (the complex totals excepted): a grid report, which
+builds only the parts its system reads, must equal it float for float.
 """
 
 from __future__ import annotations
 
+import math
 from math import comb
 
 import numpy as np
 
+import relaxwave.verify
 from relaxwave.errors import DomainError
 from relaxwave.hirota import ExpAtom, TauFunction
-from relaxwave.verify import _richardson_diagonal
+from relaxwave.soliton import complex_bundles, complex_Z, eval_complex_Q, eval_uZ, real_bundles
+from relaxwave.verify import (
+    EquationResidual,
+    _complex_equations,
+    _richardson_diagonal,
+    _stencil_bundle,
+)
 
 # Critical dissipative parameter v*sqrt(1+v)/(1-v) at v = 0.24 and v = 0.5.
 CRIT_ALPHA_024 = 0.35164827554715928
@@ -230,3 +242,69 @@ def d_op_fd(m: int, n: int, f, g, sigma: float, tau: float) -> float:
         if e <= err:
             best, err = diag[k], e
     return best
+
+
+def _whole_grid_bundles(bundles, fields, grid, method):
+    """Every part of every bundle on the whole grid: analytic bundles on its
+    full mesh, or the stencils taken as slices of one evaluation on the
+    ghost-padded mesh."""
+    if method == "analytic":
+        return bundles(*np.meshgrid(*grid.axes(), indexing="ij"))
+    pad = 1 if method == "fd2" else 2
+    hs, ht = grid.spacings()
+    ghosts = np.arange(1.0, pad + 1.0)
+    axes = [np.concatenate((a[0] - h * ghosts[::-1], a, a[-1] + h * ghosts))
+            for a, h in zip(grid.axes(), (hs, ht))]
+    padded = fields(*np.meshgrid(*axes, indexing="ij", sparse=True))
+    ns, nt = grid.n_sigma, grid.n_tau
+
+    def at(F, i, j):
+        return F[pad + i:pad + i + ns, pad + j:pad + j + nt]
+
+    steps = range(1, pad + 1)
+    return tuple(
+        _stencil_bundle(at(F, 0, 0), [(at(F, j, 0), at(F, -j, 0)) for j in steps],
+                        [(at(F, 0, j), at(F, 0, -j)) for j in steps], hs, ht)
+        for F in padded)
+
+
+def reference_equations(system, grid, method, wave):
+    """``(name, total, terms)`` of every equation of ``system``, on the whole
+    grid at once, written out by hand from bundles that hold every part."""
+    if system == "complex":
+        bqr, bqi, bz = _whole_grid_bundles(
+            lambda s, t: complex_bundles(wave, s, t),
+            lambda s, t: (*eval_complex_Q(wave, s, t), complex_Z(wave, s, t)), grid, method)
+        r1, r2, r3 = (total for _name, total, _terms
+                      in _complex_equations(bqr, bqi, bz, wave.alpha))
+        phi = bz.s + bz.t
+        pr, pi_ = bqr.s + bqr.t, bqi.s + bqi.t
+        return (("Q_re", r1, [bqr.ss, -bqr.tt, phi * bqr.f, wave.alpha * pr]),
+                ("Q_im", r2, [bqi.ss, -bqi.tt, phi * bqi.f, wave.alpha * pi_]),
+                ("Z", r3, [bz.ss, -bz.tt, bqr.f * pr, bqi.f * pi_]))
+    bu, bz = _whole_grid_bundles(lambda s, t: real_bundles(wave, s, t),
+                                 lambda s, t: eval_uZ(wave, s, t), grid, method)
+    pi = bu.s + bu.t
+    if system == "coupled":
+        r1 = bu.ss - bu.tt - (bz.s + bz.t) * bu.f + wave.alpha * pi
+        r2 = bz.ss - bz.tt + (bu.f + 1.0) * pi
+        return (("u", r1, [bu.ss, -bu.tt, -(bz.s + bz.t) * bu.f, wave.alpha * pi]),
+                ("Z", r2, [bz.ss, -bz.tt, bu.f * pi, pi]))
+    u_xz, u_zeta, phi = -(bu.ss - bu.tt), -pi, bz.s + bz.t
+    r = u_xz + wave.alpha * u_zeta + phi * bu.f
+    return (("u-factored", r, [u_xz, wave.alpha * u_zeta, phi * bu.f]),)
+
+
+def reference_report(system, grid, method, wave):
+    """The equations of a grid report, as the walk of ``relaxwave.verify``
+    must give them whatever parts it builds: sup norms of the whole-grid
+    arrays, and ``l2`` summed in the walk's order, one ``np.sum`` of the
+    squares per row block, then ``math.fsum`` over blocks."""
+    rows = max(1, relaxwave.verify._BLOCK_POINTS // grid.n_tau)
+    return tuple(
+        EquationResidual(name, float(np.max(np.abs(total))),
+                         math.sqrt(math.fsum(np.sum(np.square(total[i0:i0 + rows]))
+                                             for i0 in range(0, grid.n_sigma, rows))
+                                   / total.size),
+                         max(float(np.max(np.abs(t))) for t in terms))
+        for name, total, terms in reference_equations(system, grid, method, wave))

@@ -8,7 +8,9 @@ Every real closed-form field depends on ``(sigma, tau)`` only through
 and both residuals as exact polynomials in ``T``.  The float code is then
 checked against those polynomials evaluated with mpmath at 50 digits: the
 analytic bundles, the point residual and the exactness forcing (the negated
-residual pair).
+residual pair).  The fd2 and fd4 grid paths meet ``r1`` as well: node by
+node, the ``u-factored`` residual of one row block converges to it at the
+stencil's order.
 
 Two more oracles live here.  The hodograph and auxiliary-field integrals
 along fixed ``zeta`` are rational in ``E = exp(2*theta)``, so sympy integrates
@@ -26,13 +28,15 @@ to ``alpha``; and the ``Z`` equation is the balance law
 """
 
 import functools
+import math
 
 import mpmath
 import numpy as np
 import pytest
 import sympy as sp
 
-from relaxwave import solve_real, system19_point_residual
+import relaxwave.verify
+from relaxwave import GridSpec, real_residual_reports, solve_real, system19_point_residual
 from relaxwave.soliton import coupled_system, real_bundles
 from relaxwave.verify import (
     exactness_forcing,
@@ -152,6 +156,35 @@ def test_analytic_bundles_and_point_residual_match_a_50_digit_oracle(v, alpha, t
         for j, (got, ref, scale) in enumerate(checks):
             err = max(abs(mpmath.mpf(float(a)) - b) for a, b in zip(got, ref))
             assert err <= 1e-13 * scale, (j, float(err / scale))
+
+
+@pytest.mark.parametrize(("method", "least_order"), (("fd2", 1.9), ("fd4", 3.8)))
+def test_fd_factored_grid_residual_converges_to_the_r1_polynomial(monkeypatch, method,
+                                                                   least_order):
+    # the u-factored residual that an fd2/fd4 report walks over, on a grid of
+    # one row block, node by node against the stated r1 polynomial (the
+    # equation is -r1, which the walk sums negated, as d + alpha*pi - phi*u);
+    # its error falls at least at the stencil's order when the spacing halves
+    w = solve_real(0.24, 0.1, theta0=0.3)
+    r1 = sp.lambdify((k, om, al, T), symbolic()[2][0], "numpy")
+    totals = []
+
+    def kept(bu, bz, alpha, systems, _fn=relaxwave.verify._real_equations):
+        eqs = _fn(bu, bz, alpha, systems)
+        totals.append(eqs[0][2])
+        return eqs
+
+    monkeypatch.setattr(relaxwave.verify, "_real_equations", kept)
+    errors = []
+    for n in (41, 81):
+        grid = GridSpec(-6.0, 6.0, n, -6.0, 6.0, n)
+        totals.clear()
+        real_residual_reports(w, grid, (method,), ("factored",))
+        (total,) = totals  # one row block
+        S, Tau = np.meshgrid(*grid.axes(), indexing="ij")
+        exact = r1(w.k, w.omega, w.alpha, np.tanh(w.k * S - w.omega * Tau + w.theta0))
+        errors.append(float(np.max(np.abs(total - exact))))
+    assert math.log2(errors[0] / errors[1]) >= least_order
 
 
 E = sp.symbols("E", positive=True)

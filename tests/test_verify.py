@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from relaxwave import (
     DomainError,
     GridSpec,
+    classify,
     complex_residual_reports,
     eq11_residual_physical,
     make_complex_wave,
@@ -30,6 +31,7 @@ from relaxwave.dispersion import ComplexWave
 import relaxwave.cli
 import relaxwave.verify
 from relaxwave.soliton import (
+    _PARTS,
     FieldBundle,
     complex_bundles,
     complex_Z,
@@ -52,11 +54,14 @@ from relaxwave.verify import (
 )
 
 from helpers import (
+    CRIT_ALPHA_024,
     PHI_GAP_ORIGIN,
     PHI_QUAD_ORIGIN,
     hand_phi_quadrature,
     hand_residuals,
     physical_operator_pointwise,
+    reference_equations,
+    reference_report,
 )
 
 SMALL_GRID = GridSpec(-10.0, 10.0, 61, -10.0, 10.0, 61)
@@ -230,7 +235,8 @@ def test_grid_fd_bundles_match_callable_stencil(order):
             for fields, parts in cases:
                 flat = [F.reshape(-1) for F in fields(*np.meshgrid(
                     s_pad[i0:i1 + 2 * pad], t_pad, indexing="ij", sparse=True))]
-                got = _block_fd_bundles(flat, i1 - i0, pad, order, hs, ht)
+                got = _block_fd_bundles(flat, i1 - i0, pad, order, hs, ht,
+                                        [_PARTS] * len(flat))
                 for g, part in zip(got, parts, strict=True):
                     ref = fd_bundle(part, S[i0:i1], T[i0:i1], hs, ht, order)
                     assert np.array_equal(g.f, ref.f)
@@ -245,10 +251,10 @@ def _count_closed_form_calls(monkeypatch) -> tuple[Counter, Counter]:
     each call evaluates."""
     calls, points = Counter(), Counter()
     for name in ("eval_uZ", "eval_complex_Q", "complex_Z", "real_bundles", "complex_bundles"):
-        def counted(wave, s, t, _fn=getattr(relaxwave.verify, name), _name=name):
+        def counted(wave, s, t, _fn=getattr(relaxwave.verify, name), _name=name, **kw):
             calls[_name] += 1
             points[_name] += np.broadcast(s, t).size
-            return _fn(wave, s, t)
+            return _fn(wave, s, t, **kw)
         monkeypatch.setattr(relaxwave.verify, name, counted)
     return calls, points
 
@@ -323,68 +329,6 @@ def test_analytic_and_fd_reports_on_a_multi_block_grid_evaluate_each_point_once(
             assert points == {name: padded for name in fd_names}
 
 
-def _whole_grid_bundles(bundles, fields, grid, method):
-    """Unblocked reference: analytic bundles on the grid's full mesh, or the
-    stencils taken as slices of one evaluation on the ghost-padded mesh."""
-    if method == "analytic":
-        return bundles(*np.meshgrid(*grid.axes(), indexing="ij"))
-    pad = 1 if method == "fd2" else 2
-    hs, ht = grid.spacings()
-    ghosts = np.arange(1.0, pad + 1.0)
-    axes = [np.concatenate((a[0] - h * ghosts[::-1], a, a[-1] + h * ghosts))
-            for a, h in zip(grid.axes(), (hs, ht))]
-    padded = fields(*np.meshgrid(*axes, indexing="ij", sparse=True))
-    ns, nt = grid.n_sigma, grid.n_tau
-
-    def at(F, i, j):
-        return F[pad + i:pad + i + ns, pad + j:pad + j + nt]
-
-    steps = range(1, pad + 1)
-    return tuple(
-        _stencil_bundle(at(F, 0, 0), [(at(F, j, 0), at(F, -j, 0)) for j in steps],
-                        [(at(F, 0, j), at(F, 0, -j)) for j in steps], hs, ht)
-        for F in padded)
-
-
-def _whole_grid_equations(system, grid, method, wave):
-    """``(name, total, terms)`` of every equation, on the whole grid at once."""
-    if system == "complex":
-        bqr, bqi, bz = _whole_grid_bundles(
-            lambda s, t: complex_bundles(wave, s, t),
-            lambda s, t: (*eval_complex_Q(wave, s, t), complex_Z(wave, s, t)), grid, method)
-        r1, r2, r3 = (total for _name, total, _terms
-                      in _complex_equations(bqr, bqi, bz, wave.alpha))
-        phi = bz.s + bz.t
-        pr, pi_ = bqr.s + bqr.t, bqi.s + bqi.t
-        return (("Q_re", r1, [bqr.ss, -bqr.tt, phi * bqr.f, wave.alpha * pr]),
-                ("Q_im", r2, [bqi.ss, -bqi.tt, phi * bqi.f, wave.alpha * pi_]),
-                ("Z", r3, [bz.ss, -bz.tt, bqr.f * pr, bqi.f * pi_]))
-    bu, bz = _whole_grid_bundles(lambda s, t: real_bundles(wave, s, t),
-                                 lambda s, t: eval_uZ(wave, s, t), grid, method)
-    pi = bu.s + bu.t
-    if system == "coupled":
-        r1 = bu.ss - bu.tt - (bz.s + bz.t) * bu.f + wave.alpha * pi
-        r2 = bz.ss - bz.tt + (bu.f + 1.0) * pi
-        return (("u", r1, [bu.ss, -bu.tt, -(bz.s + bz.t) * bu.f, wave.alpha * pi]),
-                ("Z", r2, [bz.ss, -bz.tt, bu.f * pi, pi]))
-    u_xz, u_zeta, phi = -(bu.ss - bu.tt), -pi, bz.s + bz.t
-    r = u_xz + wave.alpha * u_zeta + phi * bu.f
-    return (("u-factored", r, [u_xz, wave.alpha * u_zeta, phi * bu.f]),)
-
-
-def _whole_grid_report(system, grid, method, wave):
-    """The equations of a report, with ``l2`` summed in the walk's order: one
-    ``np.sum`` of the squares per row block, then ``math.fsum`` over blocks."""
-    rows = max(1, relaxwave.verify._BLOCK_POINTS // grid.n_tau)
-    return tuple(
-        EquationResidual(name, float(np.max(np.abs(total))),
-                         math.sqrt(math.fsum(np.sum(np.square(total[i0:i0 + rows]))
-                                             for i0 in range(0, grid.n_sigma, rows))
-                                   / total.size),
-                         max(float(np.max(np.abs(t))) for t in terms))
-        for name, total, terms in _whole_grid_equations(system, grid, method, wave))
-
-
 @pytest.mark.parametrize(("grid", "shape"), (
     (GridSpec(), "default"),
     (GridSpec(-12.0, 9.0, 137, -10.0, 14.0, 1201), "ragged last block"),
@@ -405,7 +349,89 @@ def test_blocked_grid_reports_equal_the_whole_grid_reference(grid, shape):
         for method in METHODS:
             got = single_report(system, wave, grid, method)
             assert (got.system, got.method, got.grid) == (system, method, grid)
-            assert got.equations == _whole_grid_report(system, grid, method, wave)
+            assert got.equations == reference_report(system, grid, method, wave)
+
+
+@pytest.mark.parametrize("shape", ("loop", "cusp", "kink"))
+@pytest.mark.parametrize("grid", (GridSpec(), GridSpec(-12.0, 9.0, 137, -10.0, 14.0, 1201),
+                                  GridSpec(-5.0, 5.0, 12, -4.0, 6.0, 9001)),
+                         ids=("default", "ragged-last-block", "one-row-blocks"))
+def test_reports_equal_the_reference_that_builds_every_bundle_part(grid, shape):
+    # the walk builds only the parts each system reads; one method at a time
+    # and all three together, every report equals, float for float, the
+    # reference whose bundles hold every part
+    alpha = {"loop": 0.1, "cusp": CRIT_ALPHA_024, "kink": 0.8}[shape]
+    w = solve_real(0.24, alpha, theta0=0.3)
+    assert classify(w).shape == shape
+    cw = make_complex_wave(1.0 + 0.5j, alpha)
+    ref = {(system, m): reference_report(system, grid, m, wave)
+           for system, wave in (("coupled", w), ("factored", w), ("complex", cw))
+           for m in METHODS}
+    for m in METHODS:
+        for system in ("coupled", "factored"):
+            assert real_residual_reports(w, grid, (m,), (system,))[0].equations == ref[system, m]
+        assert complex_residual_reports(cw, grid, (m,))[0].equations == ref["complex", m]
+    for systems in (("coupled",), ("factored",), ("factored", "coupled")):
+        got = real_residual_reports(w, grid, METHODS, systems)
+        assert [r.equations for r in got] == [ref[s, m] for s in systems for m in METHODS]
+    got = complex_residual_reports(cw, grid, METHODS)
+    assert [r.equations for r in got] == [ref["complex", m] for m in METHODS]
+
+
+def _parts(bundle) -> set[str]:
+    """The parts a bundle holds: those that are arrays, not None."""
+    return {p for p in _PARTS if isinstance(getattr(bundle, p), np.ndarray)}
+
+
+def test_each_system_builds_only_the_bundle_parts_it_reads(monkeypatch):
+    # the bundles that reach each system's equations, on every path, and the
+    # second differences its stencils take: a factored report builds no Z
+    # value and no Z second derivative; coupled and complex build no Z value
+    seen, seconds = [], Counter()
+
+    def kept(name, n_bundles):
+        def wrapper(*a, _fn=getattr(relaxwave.verify, name)):
+            seen.append(tuple(map(_parts, a[:n_bundles])))
+            return _fn(*a)
+        monkeypatch.setattr(relaxwave.verify, name, wrapper)
+
+    def counted(f0, shifts, h, second, _fn=relaxwave.verify._central_differences):
+        seconds[second] += 1
+        d1, d2 = _fn(f0, shifts, h, second)
+        assert (d2 is None) == (not second)
+        return d1, d2
+
+    kept("_real_equations", 2)
+    kept("_complex_equations", 3)
+    monkeypatch.setattr(relaxwave.verify, "_central_differences", counted)
+    every, z_reads = set(_PARTS), {"s", "t", "ss", "tt"}
+    w = solve_real(0.24, 0.1)
+    cases = ((("factored",), (every, {"s", "t"}), {True: 2, False: 2}),
+             (("coupled",), (every, z_reads), {True: 4}),
+             (("coupled", "factored"), (every, z_reads), {True: 4}))
+    for method in METHODS:
+        for systems, parts, fd_seconds in cases:
+            seen.clear()
+            seconds.clear()
+            real_residual_reports(w, SMALL_GRID, (method,), systems)
+            assert seen == [parts]
+            assert seconds == ({} if method == "analytic" else fd_seconds)
+        seen.clear()
+        seconds.clear()
+        complex_residual_reports(make_complex_wave(1.0 + 0.5j, 0.1), SMALL_GRID, (method,))
+        assert seen == [(every, every, z_reads)]
+        assert seconds == ({} if method == "analytic" else {True: 6})
+    # the physical frame's Newton loop reads only Z and Z_s + Z_t
+    built = []
+
+    def kept_bundles(*a, **kw):
+        out = real_bundles(*a, **kw)
+        built.append(tuple(map(_parts, out)))
+        return out
+
+    monkeypatch.setattr(relaxwave.verify, "real_bundles", kept_bundles)
+    eq11_residual_physical(profile(solve_real(0.24, 0.8)), 0.8)
+    assert built and all(parts == (set(), {"f", "s", "t"}) for parts in built)
 
 
 @pytest.mark.parametrize("grid", (GridSpec(), GridSpec(-12.0, 9.0, 137, -10.0, 14.0, 1201),
@@ -419,7 +445,7 @@ def test_report_l2_is_within_one_ulp_of_the_exactly_summed_squares(grid):
     for system, wave in (("coupled", w), ("factored", w), ("complex", cw)):
         for method in METHODS:
             got = single_report(system, wave, grid, method).equations
-            ref = _whole_grid_equations(system, grid, method, wave)
+            ref = reference_equations(system, grid, method, wave)
             for e, (name, total, _terms) in zip(got, ref, strict=True):
                 exact = math.sqrt(math.fsum(np.square(total).ravel()) / total.size)
                 assert e.equation == name
@@ -470,7 +496,7 @@ def _whole_grid_run_report_verify(cfg: dict) -> list[dict]:
     for a in (float(x) for x in cfg["alphas"].split(",")):
         w = solve_real(float(cfg["v"]), a)
         out.append({system: relaxwave.cli._report_obj(ResidualReport(
-            system, "analytic", grid, _whole_grid_report(system, grid, "analytic", w)))
+            system, "analytic", grid, reference_report(system, grid, "analytic", w)))
             for system in ("coupled", "factored")})
     return out
 
@@ -485,7 +511,7 @@ def test_report_sequences_across_grids_equal_the_whole_grid_reference():
                            (lambda: complex_residual_reports(cw, grid), cw),
                            (lambda: real_residual_reports(w, grid), w)):
             for rep in call():
-                assert rep.equations == _whole_grid_report(rep.system, grid, rep.method, wave)
+                assert rep.equations == reference_report(rep.system, grid, rep.method, wave)
     cfg = {"v": "0.3", "alphas": "0.05, 0.4", "n_samples": "2"}
     report, code = relaxwave.cli.run_report(cfg)
     assert code == 0
@@ -575,9 +601,9 @@ def test_run_report_builds_each_alpha_s_analytic_bundles_once(monkeypatch):
                        for system in ("coupled", "factored")})
     points = Counter()
 
-    def counted(wave, s, t, _fn=relaxwave.verify.real_bundles):
+    def counted(wave, s, t, _fn=relaxwave.verify.real_bundles, **kw):
         points[wave.alpha] += np.broadcast(s, t).size
-        return _fn(wave, s, t)
+        return _fn(wave, s, t, **kw)
 
     monkeypatch.setattr(relaxwave.verify, "real_bundles", counted)
     report, code = relaxwave.cli.run_report(cfg)
@@ -681,9 +707,9 @@ def test_physical_frame_inversion_converges_in_a_few_newton_passes(monkeypatch, 
     eta = float(np.median(0.5 * (p.sigma - p.tau))) + np.linspace(-0.6, 0.6, 37)
     calls, final = [], []
 
-    def counted(*a):
+    def counted(*a, **kw):
         calls.append(1)
-        return real_bundles(*a)
+        return real_bundles(*a, **kw)
 
     def kept(*a):
         final.append(eval_uZ(*a))

@@ -1,4 +1,4 @@
-"""Minor page faults, CPU time and peak RSS of every job of one benchmark pass.
+"""Minor page faults, CPU time, peak RSS and latency band of every job of one benchmark pass.
 
     python3 tools/job_faults.py TREE --workload closed-form-sweep --seed 11
     python3 tools/job_faults.py TREE --workload integrate --passes 8 --json out.json
@@ -13,12 +13,21 @@ user plus system time, so writing its config and removing its directory
 are not counted.  Its peak RSS is ``ru_maxrss`` after it returns in the
 untimed first pass: the level the process had reached, and the rise that
 job caused, which is zero unless it set a new peak; so the job that sets a
-workload's ``peak_rss_mb`` is the last one with a rise.  It prints one line
-per job with the medians over the passes and the first pass's RSS, then
-the median per-pass total.  It sets no environment variable
-and no malloc setting; ``run.py`` pins ``OMP_NUM_THREADS``,
-``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1, so set those in the
-calling shell to match it.  Artifacts go to a temporary directory.
+workload's ``peak_rss_mb`` is the last one with a rise.  A job's latency is
+the ``perf_counter`` time of its ``main`` call, as ``run.py`` times it.
+Ranked by median latency, the ``r``-th fastest of ``n`` jobs covers the
+latency band ``(r - 1)/n`` to ``r/n`` of a pass: the share of jobs ranked
+below it, and that plus its own share.  It prints one line per job with
+the medians over the passes, its band and the first pass's RSS, then the
+median per-pass total.  Last it takes ``job_s.p50`` and ``job_s.p90`` over
+every latency of the measured passes as ``run.py`` does (``median`` and
+``quantiles(n=10)[8]``) and names the jobs whose bands hold the 50 % and
+90 % points (two jobs where the point is a band edge): the jobs that set
+those metrics, since every job runs once per pass.  It sets no
+environment variable and no malloc setting; ``run.py`` pins
+``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1,
+so set those in the calling shell to match it.  Artifacts go to a
+temporary directory.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ import shutil
 import statistics
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 
@@ -41,9 +51,9 @@ def usage() -> tuple[int, float, int]:
     return ru.ru_minflt, ru.ru_utime + ru.ru_stime, ru.ru_maxrss
 
 
-def run_pass(cli, jobmod, jobs, work: Path) -> list[tuple[int, float, int, int]]:
+def run_pass(cli, jobmod, jobs, work: Path) -> list[tuple[int, float, int, int, float]]:
     """Run every job once; one ``(minor faults, CPU seconds, peak RSS KiB,
-    its rise KiB)`` per job."""
+    its rise KiB, wall seconds)`` per job."""
     rows = []
     for index, job in enumerate(jobs):
         d = work / f"{index:02d}-{job.name}"
@@ -55,13 +65,29 @@ def run_pass(cli, jobmod, jobs, work: Path) -> list[tuple[int, float, int, int]]
         argv = job.resolved_argv(d)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             faults0, cpu0, rss0 = usage()
+            t0 = time.perf_counter()
             try:
                 cli.main(argv)
             except SystemExit:
                 pass
+            wall = time.perf_counter() - t0
             faults1, cpu1, rss1 = usage()
-        rows.append((faults1 - faults0, cpu1 - cpu0, rss1, rss1 - rss0))
+        rows.append((faults1 - faults0, cpu1 - cpu0, rss1, rss1 - rss0, wall))
     return rows
+
+
+def setters(ranked: list[str], samples: list[float]) -> dict[str, dict]:
+    """``job_s.p50`` and ``job_s.p90`` over ``samples`` as ``run.py`` computes
+    them, each with the jobs of ``ranked`` (fastest first) whose latency band
+    holds its share: one job, or the two that meet at a band edge."""
+    n, out = len(ranked), {}
+    for key, share, value in (("p50", 0.5, statistics.median(samples)),
+                              ("p90", 0.9, statistics.quantiles(samples, n=10)[8])):
+        edge = round(share * n)
+        ranks = [edge - 1, edge] if abs(share * n - edge) < 1e-9 else [int(share * n)]
+        out[key] = {"value_s": value, "share": share,
+                    "jobs": [ranked[r] for r in ranks if 0 <= r < n]}
+    return out
 
 
 def main(argv=None) -> int:
@@ -87,23 +113,35 @@ def main(argv=None) -> int:
         passes = [run_pass(cli, jobmod, jobs, Path(tmp)) for _ in range(args.passes)]
 
     per_job = {}
-    for index, job in enumerate(jobs):
+    names = [f"{index:02d}-{job.name}" for index, job in enumerate(jobs)]
+    for index, name in enumerate(names):
         faults = [p[index][0] for p in passes]
         cpu = [p[index][1] for p in passes]
-        per_job[f"{index:02d}-{job.name}"] = {
+        per_job[name] = {
             "minflt": statistics.median(faults), "cpu_s": statistics.median(cpu),
+            "wall_s": statistics.median(p[index][4] for p in passes),
             "peak_rss_mb": first[index][2] / 1024, "peak_rss_rise_mb": first[index][3] / 1024}
+    ranked = sorted(names, key=lambda name: per_job[name]["wall_s"])
+    for rank, name in enumerate(ranked):
+        per_job[name]["band"] = [rank / len(names), (rank + 1) / len(names)]
     total = {"minflt": statistics.median(sum(row[0] for row in p) for p in passes),
              "cpu_s": statistics.median(sum(row[1] for row in p) for p in passes)}
-    print(f"{'job':40s} {'minflt':>10s} {'cpu_ms':>9s} {'rss_mb':>8s} {'rise_mb':>8s}")
+    job_s = setters(ranked, [row[4] for p in passes for row in p])
+    print(f"{'job':40s} {'minflt':>10s} {'cpu_ms':>9s} {'wall_ms':>9s} {'band_%':>9s} "
+          f"{'rss_mb':>8s} {'rise_mb':>8s}")
     for name, row in per_job.items():
+        band = f"{row['band'][0] * 100:.0f}-{row['band'][1] * 100:.0f}"
         print(f"{name:40s} {row['minflt']:10g} {row['cpu_s'] * 1e3:9.2f} "
+              f"{row['wall_s'] * 1e3:9.2f} {band:>9s} "
               f"{row['peak_rss_mb']:8.2f} {row['peak_rss_rise_mb']:8.2f}")
     print(f"{'pass total':40s} {total['minflt']:10g} {total['cpu_s'] * 1e3:9.2f}")
+    for key, row in job_s.items():
+        print(f"job_s.{key} {row['value_s'] * 1e3:.2f} ms: the {row['share']:.0%} point of the "
+              f"bands falls in {' and '.join(row['jobs'])}")
     if args.json:
         args.json.write_text(json.dumps(
             {"tree": str(tree), "workload": args.workload, "seed": args.seed,
-             "passes": args.passes, "jobs": per_job, "pass_total": total},
+             "passes": args.passes, "jobs": per_job, "pass_total": total, "job_s": job_s},
             indent=1) + "\n")
     return 0
 
