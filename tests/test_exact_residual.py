@@ -162,9 +162,9 @@ def test_analytic_bundles_and_point_residual_match_a_50_digit_oracle(v, alpha, t
 def test_fd_factored_grid_residual_converges_to_the_r1_polynomial(monkeypatch, method,
                                                                    least_order):
     # the u-factored residual that an fd2/fd4 report walks over, on a grid of
-    # one row block, node by node against the stated r1 polynomial (the
-    # equation is -r1, which the walk sums negated, as d + alpha*pi - phi*u);
-    # its error falls at least at the stencil's order when the spacing halves
+    # one row block, node by node against the stated r1 polynomial: the
+    # equation is -r1, and the walk sums it negated, as r1 itself; its error
+    # falls at least at the stencil's order when the spacing halves
     w = solve_real(0.24, 0.1, theta0=0.3)
     r1 = sp.lambdify((k, om, al, T), symbolic()[2][0], "numpy")
     totals = []

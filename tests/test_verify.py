@@ -41,12 +41,10 @@ from relaxwave.soliton import (
 )
 from relaxwave.verify import (
     METHODS,
-    EquationResidual,
     ResidualReport,
     _block_fd_bundles,
     _complex_equations,
     _point_bundles,
-    _stencil_bundle,
     fd_bundle,
     manufactured_bundles,
     physical_operator_grid,
